@@ -18,8 +18,10 @@ producing small certificates when anything fails.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graph import GraphError, Multigraph, id_key
 
@@ -116,50 +118,60 @@ class CoverVerdict:
     `status` is one of "uld", "lld", "empty", "disconnected", "cyclic",
     "no unique source", "no unique sink", "fork coloring violated",
     "fork completion violated".
+
+    On success `poset` is the transitive closure of the certified digraph
+    as a FinitePoset; it is computed when `poset` is first read, so
+    certification itself runs only the local checks.  It is None on failure.
     """
 
     status: str
     ok: bool
     witness: object = None
-    poset: "FinitePoset | None" = None
+    closure: Callable[[], "FinitePoset"] | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.ok
 
+    @cached_property
+    def poset(self) -> "FinitePoset | None":
+        return self.closure() if self.closure is not None else None
+
 
 def _find_directed_cycle(g: Multigraph) -> list | None:
+    """Depth-first search for a directed cycle, closed by its first vertex.
+
+    An explicit stack of out-arc iterators replaces recursion, so paths of
+    any length are searched without touching the interpreter's stack.
+    """
     state = {v: 0 for v in g.vertices}  # 0 new, 1 open, 2 done
-    stack_trace: list = []
-
-    def dfs(v) -> list | None:
-        state[v] = 1
-        stack_trace.append(v)
-        for arc in g.out_arcs(v):
-            w = arc.head
-            if state[w] == 1:
-                idx = stack_trace.index(w)
-                return stack_trace[idx:] + [w]
-            if state[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_trace.pop()
-        state[v] = 2
-        return None
-
-    for v in g.vertices:
-        if state[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
+    for root in g.vertices:
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(g.out_arcs(root))]
+        while pending:
+            for arc in pending[-1]:
+                w = arc.head
+                if state[w] == 1:
+                    return path[path.index(w):] + [w]
+                if state[w] == 0:
+                    state[w] = 1
+                    path.append(w)
+                    pending.append(iter(g.out_arcs(w)))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
     return None
 
 
 def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
     """Run the full hypothesis chain; first failure wins.
 
-    On success the verdict carries the transitive closure as a FinitePoset
-    whose order is "reachable along arcs".
+    Every check is local to the digraph.  On success the verdict's `poset`
+    is the transitive closure, ordered by "reachable along arcs"; it is
+    computed when `poset` is first read.
     """
     g = cd.graph
     if not g.vertices:
@@ -181,7 +193,7 @@ def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
     completion = check_fork_completion(cd)
     if not completion:
         return CoverVerdict("fork completion violated", False, witness=completion.witnesses)
-    return CoverVerdict(ULD, True, poset=_closure_poset(g))
+    return CoverVerdict(ULD, True, closure=lambda: _closure_poset(g))
 
 
 def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
@@ -189,8 +201,8 @@ def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
     verdict = certify_uld_cover(cd.reversed())
     renames = {ULD: LLD, "no unique source": "no unique sink"}
     status = renames.get(verdict.status, verdict.status)
-    poset = verdict.poset.dual() if verdict.poset is not None else None
-    return CoverVerdict(status, verdict.ok, verdict.witness, poset)
+    closure = (lambda: verdict.poset.dual()) if verdict.ok else None
+    return CoverVerdict(status, verdict.ok, verdict.witness, closure)
 
 
 @dataclass(frozen=True)
@@ -440,19 +452,13 @@ def _minimal_representations(p: FinitePoset, x: int, irreducibles: tuple) -> lis
         )
     minimal: list[frozenset] = []
     for size in range(len(candidates) + 1):
-        for combo in _subsets_of_size(candidates, size):
+        for subset in combinations(candidates, size):
+            combo = frozenset(subset)
             if any(known <= combo for known in minimal):
                 continue
             if p.meet_of_set(combo) == x:
                 minimal.append(combo)
     return minimal
-
-
-def _subsets_of_size(items: list, size: int):
-    from itertools import combinations
-
-    for combo in combinations(items, size):
-        yield frozenset(combo)
 
 
 def check_distributive(p: FinitePoset) -> tuple[bool, object]:

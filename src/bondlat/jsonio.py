@@ -25,7 +25,6 @@ from typing import Mapping
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
 from .checker import (
-    AxiomReport,
     BruteReport,
     ColoredDigraph,
     CoverVerdict,
@@ -477,10 +476,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return repr(value)
-
-
-def axiom_json(report: AxiomReport) -> dict:
-    return {"ok": report.ok, "witnesses": _jsonable(report.witnesses)}
 
 
 def cover_verdict_json(verdict: CoverVerdict) -> dict:

@@ -4,6 +4,7 @@ import pytest
 
 from bondlat import (
     Arc,
+    ChipArrangement,
     ColoredDigraph,
     FinitePoset,
     GraphError,
@@ -11,13 +12,20 @@ from bondlat import (
     PosetError,
     TraceError,
     brute_uld,
+    build_game,
     certify_distributive_cover,
+    certify_game,
     certify_lld_cover,
     certify_uld_cover,
     check_distinct_fork_colors,
     check_fork_completion,
+    encode_potentials,
+    enumerate_lattice,
     trace_color,
 )
+from bondlat import checker
+from bondlat.cli import main
+from bondlat.jsonio import dumps, system_json
 
 from util import (
     chain_poset,
@@ -156,6 +164,56 @@ class TestCertifyLld:
     def test_shared_in_colors_break_the_reverse(self):
         verdict = certify_lld_cover(two_source_u_digraph())
         assert verdict.status == "fork coloring violated"
+
+
+def grid_graph() -> Multigraph:
+    """3x3 grid, arcs going right and down."""
+    arcs = []
+    for i in range(3):
+        for j in range(3):
+            v = 3 * i + j
+            if j < 2:
+                arcs.append(Arc(f"h{v}", v, v + 1))
+            if i < 2:
+                arcs.append(Arc(f"v{v}", v, v + 3))
+    return Multigraph(range(9), arcs)
+
+
+class TestLazyClosure:
+    def test_certification_builds_no_closure_until_read(self, monkeypatch, tmp_path):
+        calls = []
+        real = checker._closure_poset
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(checker, "_closure_poset", counting)
+        g = grid_graph()
+        system = encode_potentials(g, {a.id: 0 for a in g.arcs}, {a.id: 1 for a in g.arcs}, 0).system
+        cd = enumerate_lattice(system.reduce()[0])
+        colored = cd.to_colored_digraph()
+        uld = certify_uld_cover(colored)
+        lld = certify_lld_cover(colored)
+        game = build_game(g, ChipArrangement({0: 4}))
+        cert = certify_game(game)
+        source, sink = tmp_path / "grid.json", tmp_path / "out.json"
+        source.write_text(dumps(system_json(system)), encoding="utf-8")
+        assert main(["lattice", "--input", str(source), "--output", str(sink)]) == 0
+        assert uld.ok and lld.ok and cert.ok
+        assert calls == []
+
+        expected = FinitePoset.from_covers(range(cd.n), [(lo, hi) for lo, hi, _ in cd.covers])
+        assert uld.poset.above == expected.above
+        assert lld.poset.above == expected.above
+        moves = FinitePoset.from_covers(range(len(game.states)), [(i, j) for i, j, _ in game.moves])
+        assert cert.verdict.poset.above == moves.above
+        assert uld.poset is uld.poset
+        assert len(calls) == 3
+
+    def test_failed_verdict_has_no_poset(self):
+        assert certify_uld_cover(vee()).poset is None
+        assert certify_lld_cover(vee()).poset is None
 
 
 def test_distributive_needs_both_sides():

@@ -190,6 +190,22 @@ class TestLattice:
         assert payload["lld"] == {"verdict": "lld", "ok": True, "witness": None}
         assert payload["distributive"] is True
 
+    def test_long_chain_is_certified(self, tmp_path):
+        top = 3000
+        doc = {
+            "vertices": [0, 1],
+            "arcs": [{"id": "a", "tail": 0, "head": 1}],
+            "lower": {"a": 0},
+            "upper": {"a": top},
+            "reference": {"a": 0},
+            "forbidden": 0,
+        }
+        code, payload = run_cli(tmp_path, "lattice", doc)
+        assert code == 0
+        assert payload["count"] == top + 1
+        assert payload["uld"]["ok"] and payload["lld"]["ok"]
+        assert payload["distributive"] is True
+
 
 class TestReduceAndFindBond:
     def test_reduce_keeps_flexible_arcs(self, tmp_path):
@@ -303,6 +319,19 @@ class TestCheckUld:
         assert code == 1
         assert payload["verdict"] == "no unique source"
         assert payload["witness"] == ["s", "t"]
+
+    def test_long_cycle_has_a_closed_witness(self, tmp_path):
+        n = 5000
+        doc = {
+            "vertices": list(range(n)),
+            "arcs": [{"id": f"e{i}", "tail": i, "head": (i + 1) % n} for i in range(n)],
+            "colors": {f"e{i}": 0 for i in range(n)},
+        }
+        code, payload = run_cli(tmp_path, "check-uld", doc)
+        assert code == 1
+        assert payload["verdict"] == "cyclic"
+        witness = payload["witness"]
+        assert len(witness) == n + 1 and witness[0] == witness[-1]
 
 
 class TestCheckPoset:

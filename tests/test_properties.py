@@ -8,9 +8,13 @@ hand-sized examples: cut/cycle orthogonality, push invariants, lattice
 laws including distributivity, chip conservation, and JSON round trips.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from bondlat import (
     Arc,
@@ -19,9 +23,11 @@ from bondlat import (
     CapExceededError,
     ChipArrangement,
     Multigraph,
+    brute_uld,
     build_game,
     can_fire,
     certify_game,
+    certify_uld_cover,
     enumerate_lattice,
     fire,
     flow_difference,
@@ -29,7 +35,16 @@ from bondlat import (
     spanning_tree,
     vertex_cut,
 )
-from bondlat.jsonio import dumps, graph_json, parse_graph, parse_system, system_json
+from bondlat.cli import main
+from bondlat.jsonio import (
+    InputFormatError,
+    dumps,
+    graph_json,
+    parse_colored_digraph,
+    parse_graph,
+    parse_system,
+    system_json,
+)
 
 from util import tension_bonds
 
@@ -170,3 +185,54 @@ def test_system_json_round_trip(s):
     assert parsed.upper == s.upper
     assert parsed.reference == s.reference
     assert parsed.forbidden == s.forbidden
+
+
+@st.composite
+def colored_digraph_docs(draw):
+    """check-uld documents on at most 6 vertices.
+
+    Self-loops, parallel arcs, cycles and disconnected parts all occur.
+    Most examples hang every vertex off an earlier one and point the
+    extra arcs to later vertices, so connected acyclic digraphs with a
+    unique source, and with them ULD verdicts, are common.  Some
+    documents leave their first arc uncolored, which makes them malformed.
+    """
+    n = draw(st.integers(0, 6))
+    rooted = draw(st.integers(0, 2)) > 0
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if rooted else []
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        tail = draw(st.integers(0, n - 2 if rooted else n - 1))
+        head = draw(st.integers(tail + 1 if rooted else 0, n - 1))
+        pairs.append((tail, head))
+    arcs, colors = [], {}
+    for k, (tail, head) in enumerate(pairs):
+        arcs.append({"id": f"a{k}", "tail": tail, "head": head})
+        colors[f"a{k}"] = draw(st.integers(0, 2))
+    if arcs and draw(st.integers(0, 9)) == 5:
+        del colors["a0"]
+    return {"vertices": list(range(n)), "arcs": arcs, "colors": colors}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(colored_digraph_docs())
+def test_check_uld_exits_cleanly_and_agrees_with_brute_force(doc):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        source.write_text(dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stderr(stderr):
+            code = main(["check-uld", "--input", str(source), "--output", str(sink)])
+        payload = json.loads(sink.read_text(encoding="utf-8")) if code != 2 else None
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    try:
+        verdict = certify_uld_cover(parse_colored_digraph(doc))
+    except InputFormatError:
+        assert code == 2
+        return
+    event(verdict.status)
+    assert payload["verdict"] == verdict.status
+    assert code == (0 if verdict.ok else 1)
+    if verdict.status == "uld":
+        report = brute_uld(verdict.poset)
+        assert report.is_lattice and report.is_uld
