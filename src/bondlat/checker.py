@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .graph import GraphError, Multigraph, id_key
+from .graph import Arc, GraphError, Multigraph, id_key
 
 ULD = "uld"
 LLD = "lld"
@@ -44,6 +44,15 @@ class ColoredDigraph:
         for a in self.graph.arcs:
             if a.id not in self.colors:
                 raise GraphError(f"arc {a.id!r} has no color")
+
+    @classmethod
+    def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
+        """Digraph on 0..n-1 whose arc k is the k-th (tail, head, color) triple."""
+        arcs, colors = [], {}
+        for k, (tail, head, color) in enumerate(triples):
+            arcs.append(Arc(k, tail, head))
+            colors[k] = color
+        return cls(Multigraph(range(n), arcs), colors)
 
     def color(self, arc_id):
         return self.colors[arc_id]
@@ -88,7 +97,7 @@ def check_fork_completion(cd: ColoredDigraph) -> AxiomReport:
     arcs (u,z) colored like (v,w) and (w,z) colored like (v,u).  Witnesses
     are incompletable forks (v, u, w).
     """
-    witnesses = []
+    witnesses: dict = {}  # insertion-ordered set
     for v in cd.graph.vertices:
         outs = cd.graph.out_arcs(v)
         for i in range(len(outs)):
@@ -105,9 +114,7 @@ def check_fork_completion(cd: ColoredDigraph) -> AxiomReport:
                     arc.head for arc in cd.graph.out_arcs(b.head) if cd.colors[arc.id] == want_from_w
                 }
                 if not (targets_u & targets_w):
-                    witness = (v, a.head, b.head)
-                    if witness not in witnesses:
-                        witnesses.append(witness)
+                    witnesses[(v, a.head, b.head)] = None
     return AxiomReport(not witnesses, tuple(witnesses))
 
 
@@ -135,6 +142,29 @@ class CoverVerdict:
     @cached_property
     def poset(self) -> "FinitePoset | None":
         return self.closure() if self.closure is not None else None
+
+
+def topological_order(succ: Sequence[Sequence[int]]) -> list[int] | None:
+    """Kahn's algorithm on successor lists over 0..n-1, or None on a cycle.
+
+    A FIFO queue starts from the sources in index order, and each vertex
+    releases its successors in list order, so the order is deterministic.
+    """
+    n = len(succ)
+    indeg = [0] * n
+    for heads in succ:
+        for j in heads:
+            indeg[j] += 1
+    queue = deque(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while queue:
+        i = queue.popleft()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    return order if len(order) == n else None
 
 
 def _find_directed_cycle(g: Multigraph) -> list | None:
@@ -220,28 +250,8 @@ def certify_distributive_cover(cd: ColoredDigraph) -> DistributiveVerdict:
 
 
 def _closure_poset(g: Multigraph) -> "FinitePoset":
-    order = list(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    above = [1 << i for i in range(n)]
-    # Kahn order, then propagate reachability bottom-up from the sinks.
-    indeg = {v: g.in_degree(v) for v in order}
-    queue = deque(v for v in order if indeg[v] == 0)
-    topo = []
-    while queue:
-        v = queue.popleft()
-        topo.append(v)
-        for arc in g.out_arcs(v):
-            indeg[arc.head] -= 1
-            if indeg[arc.head] == 0:
-                queue.append(arc.head)
-    if len(topo) != n:
-        raise PosetError("digraph has a directed cycle; no order closure exists")
-    for v in reversed(topo):
-        i = index[v]
-        for arc in g.out_arcs(v):
-            above[i] |= above[index[arc.head]]
-    return FinitePoset(tuple(order), tuple(above))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return FinitePoset.from_covers(g.vertices, [(index[a.tail], index[a.head]) for a in g.arcs])
 
 
 class FinitePoset:
@@ -281,22 +291,12 @@ class FinitePoset:
         """Reflexive-transitive closure of cover arcs given as index pairs."""
         n = len(labels)
         succ: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
         for lo, hi in cover_pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise PosetError(f"cover ({lo}, {hi}) references elements out of range")
             succ[lo].append(hi)
-            indeg[hi] += 1
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        topo = []
-        while queue:
-            i = queue.popleft()
-            topo.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(topo) != n:
+        topo = topological_order(succ)
+        if topo is None:
             raise PosetError("cover relation contains a directed cycle")
         above = [1 << i for i in range(n)]
         for i in reversed(topo):
@@ -424,7 +424,7 @@ def brute_uld(p: FinitePoset) -> BruteReport:
     irreducibles = tuple(p.meet_irreducible_indices())
     certificate = None
     for x in range(p.n):
-        reps = _minimal_representations(p, x, irreducibles)
+        reps = minimal_representations(p, x, irreducibles, lambda s: p.meet_of_set(s) == x)
         if len(reps) > 1:
             certificate = (x, tuple(sorted(reps[0])), tuple(sorted(reps[1])))
             break
@@ -443,7 +443,14 @@ def brute_uld(p: FinitePoset) -> BruteReport:
     )
 
 
-def _minimal_representations(p: FinitePoset, x: int, irreducibles: tuple) -> list[frozenset]:
+def minimal_representations(
+    p: FinitePoset, x: int, irreducibles: Sequence[int], represents: Callable[[frozenset], bool]
+) -> list[frozenset]:
+    """Inclusion-minimal sets of meet-irreducibles above x that pass `represents`.
+
+    Subsets are tried by size, so the list is ordered by size and then
+    lexicographically by `irreducibles` order.
+    """
     candidates = [m for m in irreducibles if p.leq(x, m)]
     if len(candidates) > _BRUTE_SUBSET_LIMIT:
         raise PosetError(
@@ -456,7 +463,7 @@ def _minimal_representations(p: FinitePoset, x: int, irreducibles: tuple) -> lis
             combo = frozenset(subset)
             if any(known <= combo for known in minimal):
                 continue
-            if p.meet_of_set(combo) == x:
+            if represents(combo):
                 minimal.append(combo)
     return minimal
 

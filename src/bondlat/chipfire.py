@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Iterable, Mapping
 
 from .checker import (
@@ -27,8 +26,10 @@ from .checker import (
     FinitePoset,
     PosetError,
     certify_uld_cover,
+    minimal_representations,
+    topological_order,
 )
-from .graph import Arc, Multigraph
+from .graph import Multigraph
 
 FINITE = "finite"
 CYCLIC = "cyclic"
@@ -138,9 +139,7 @@ class GameGraph:
         return stuck[0]
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        arcs = [Arc(k, i, j) for k, (i, j, _) in enumerate(self.moves)]
-        colors = {k: v for k, (_, _, v) in enumerate(self.moves)}
-        return ColoredDigraph(Multigraph(range(len(self.states)), arcs), colors)
+        return ColoredDigraph.from_triples(len(self.states), self.moves)
 
 
 def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> GameGraph:
@@ -175,20 +174,9 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
 
 def _is_acyclic(n: int, moves: Iterable[tuple]) -> bool:
     succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
     for i, j, _ in moves:
         succ[i].append(j)
-        indeg[j] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    seen = 0
-    while queue:
-        i = queue.popleft()
-        seen += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return seen == n
+    return topological_order(succ) is not None
 
 
 @dataclass(frozen=True)
@@ -243,21 +231,11 @@ def certify_game(game: GameGraph) -> GameCertificate:
 
 
 def _reverse_topological(n: int, moves: Iterable[tuple]) -> list[int]:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    outdeg = [0] * n
+    pred: list[list[int]] = [[] for _ in range(n)]
     for i, j, _ in moves:
-        succ[j].append(i)  # reversed
-        outdeg[i] += 1
-    queue = deque(i for i in range(n) if outdeg[i] == 0)
-    topo = []
-    while queue:
-        i = queue.popleft()
-        topo.append(i)
-        for j in succ[i]:
-            outdeg[j] -= 1
-            if outdeg[j] == 0:
-                queue.append(j)
-    if len(topo) != n:
+        pred[j].append(i)
+    topo = topological_order(pred)
+    if topo is None:
         raise ChipError("move digraph contains a directed cycle")
     return topo
 
@@ -301,42 +279,12 @@ class CompleteGame:
     acyclic: bool
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        arcs = [Arc(k, i, j) for k, (i, j, _) in enumerate(self.moves)]
-        colors = {k: v for k, (_, _, v) in enumerate(self.moves)}
-        return ColoredDigraph(Multigraph(range(len(self.states)), arcs), colors)
+        return ColoredDigraph.from_triples(len(self.states), self.moves)
 
     def to_poset(self) -> FinitePoset:
         if not self.acyclic:
             raise PosetError("complete game digraph is cyclic; it induces no order")
-        n = len(self.states)
-        above = [1 << i for i in range(n)]
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for i, j, _ in self.moves:
-            succ[i].append(j)
-        for i in reversed(_forward_topological(n, self.moves)):
-            for j in succ[i]:
-                above[i] |= above[j]
-        return FinitePoset(tuple(range(n)), tuple(above))
-
-
-def _forward_topological(n: int, moves: Iterable[tuple]) -> list[int]:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j, _ in moves:
-        succ[i].append(j)
-        indeg[j] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while queue:
-        i = queue.popleft()
-        topo.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if len(topo) != n:
-        raise ChipError("move digraph contains a directed cycle")
-    return topo
+        return FinitePoset.from_covers(tuple(range(len(self.states))), [(i, j) for i, j, _ in self.moves])
 
 
 def build_complete_game(
@@ -403,17 +351,9 @@ def unique_minimal_representation_report(p: FinitePoset) -> RepresentationReport
     irreducibles = p.meet_irreducible_indices()
     representations = {}
     for s in range(p.n):
-        candidates = [m for m in irreducibles if p.leq(s, m)]
-        if len(candidates) > 18:
-            raise PosetError("too many meet-irreducibles above one element for brute search")
-        minimal: list[frozenset] = []
-        for size in range(len(candidates) + 1):
-            for combo in combinations(candidates, size):
-                chosen = frozenset(combo)
-                if any(known <= chosen for known in minimal):
-                    continue
-                if s in p.maximal_lower_bounds(chosen):
-                    minimal.append(chosen)
+        minimal = minimal_representations(
+            p, s, irreducibles, lambda chosen: s in p.maximal_lower_bounds(chosen)
+        )
         if not minimal:
             return RepresentationReport(False, (p.labels[s], None), dict(representations))
         if len(minimal) > 1:

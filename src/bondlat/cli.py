@@ -106,11 +106,7 @@ def _enumerate_component(system, cap, analyze):
     cd = enumerate_lattice(reduced, cap=cap)
     payload = {
         "count": cd.n,
-        "elements": [
-            {str(a): v for a, v in sorted(cmap.expand(x).values.items(), key=lambda kv: id_key(kv[0]))}
-            for x in cd.elements
-        ],
-        "covers": [[lo, hi, color] for lo, hi, color in cd.covers],
+        **jsonio.cover_digraph_json(cd, cmap.expand),
         "contraction": jsonio.contraction_json(cmap),
     }
     ok = True

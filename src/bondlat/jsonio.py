@@ -494,28 +494,21 @@ def brute_report_json(report: BruteReport) -> dict:
     }
 
 
-def game_json(game: GameGraph) -> dict:
+def _states_moves_json(game) -> dict:
     order = game.graph.vertices
     return {
-        "verdict": game.verdict,
-        "states": [
-            {str(v): s.count(v) for v in order} for s in game.states
-        ],
+        "states": [{str(v): s.count(v) for v in order} for s in game.states],
         "moves": [[i, j, v] for i, j, v in game.moves],
     }
+
+
+def game_json(game: GameGraph) -> dict:
+    return {"verdict": game.verdict, **_states_moves_json(game)}
 
 
 def complete_game_json(game) -> dict:
     """CompleteGame -> states/moves plus exploration flags."""
-    order = game.graph.vertices
-    return {
-        "complete": game.complete,
-        "acyclic": game.acyclic,
-        "states": [
-            {str(v): s.count(v) for v in order} for s in game.states
-        ],
-        "moves": [[i, j, v] for i, j, v in game.moves],
-    }
+    return {"complete": game.complete, "acyclic": game.acyclic, **_states_moves_json(game)}
 
 
 def game_certificate_json(cert: GameCertificate, game: GameGraph) -> dict:

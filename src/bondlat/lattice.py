@@ -19,8 +19,9 @@ from .checker import (
     FinitePoset,
     PosetError,
     brute_uld,
+    topological_order,
 )
-from .graph import Arc, GraphError, Multigraph, id_key
+from .graph import id_key
 
 
 class CapExceededError(RuntimeError):
@@ -139,9 +140,7 @@ class CoverDigraph:
         return FinitePoset.from_covers(tuple(range(self.n)), self.cover_pairs())
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        arcs = [Arc(i, lo, hi) for i, (lo, hi, _) in enumerate(self.covers)]
-        colors = {i: color for i, (_, _, color) in enumerate(self.covers)}
-        return ColoredDigraph(Multigraph(range(self.n), arcs), colors)
+        return ColoredDigraph.from_triples(self.n, self.covers)
 
 
 def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
@@ -193,7 +192,9 @@ def color_tallies(cd: CoverDigraph) -> list[ColorTally]:
     Every incoming cover of an element must predict the same multiset;
     a disagreement raises TallyError naming the element and two parents.
     """
-    order = _topological_order(cd)
+    order = topological_order([[j for j, _ in cd.upper_covers(i)] for i in range(cd.n)])
+    if order is None:
+        raise PosetError("cover digraph contains a directed cycle")
     vectors: list[ColorTally | None] = [None] * cd.n
     src = cd.source_index()
     vectors[src] = ColorTally({})
@@ -210,24 +211,6 @@ def color_tallies(cd: CoverDigraph) -> list[ColorTally]:
     if any(v is None for v in vectors):
         raise TallyError("some element is unreachable from the source")
     return vectors  # type: ignore[return-value]
-
-
-def _topological_order(cd: CoverDigraph) -> list[int]:
-    indeg = [len(cd.lower_covers(i)) for i in range(cd.n)]
-    from collections import deque
-
-    queue = deque(i for i in range(cd.n) if indeg[i] == 0)
-    topo = []
-    while queue:
-        i = queue.popleft()
-        topo.append(i)
-        for j, _ in cd.upper_covers(i):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if len(topo) != cd.n:
-        raise PosetError("cover digraph contains a directed cycle")
-    return topo
 
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:

@@ -96,6 +96,15 @@ class TestForkCompletion:
     def test_cyclic_example_passes(self):
         assert check_fork_completion(cyclic_u_digraph())
 
+    def test_parallel_arms_report_one_fork_in_first_seen_order(self):
+        # both parallel arcs to "u" open the same fork toward "w"
+        g = Multigraph(
+            ["v", "u", "w", "x"],
+            [Arc("e1", "v", "u"), Arc("e2", "v", "u"), Arc("e3", "v", "w"), Arc("e4", "v", "x")],
+        )
+        report = check_fork_completion(ColoredDigraph(g, {"e1": 1, "e2": 2, "e3": 3, "e4": 4}))
+        assert report.witnesses == (("v", "u", "w"), ("v", "u", "x"), ("v", "w", "x"))
+
 
 class TestCertifyUld:
     def test_empty(self):
@@ -349,3 +358,26 @@ class TestTraceColor:
     def test_disconnected_path_rejected(self):
         with pytest.raises(GraphError):
             trace_color(diamond_cover(), "e1", ["e4"])
+
+
+class TestTopologicalOrder:
+    def test_empty(self):
+        assert checker.topological_order([]) == []
+
+    def test_diamond(self):
+        assert checker.topological_order([[1, 2], [3], [3], []]) == [0, 1, 2, 3]
+
+    def test_two_sources_in_index_order(self):
+        assert checker.topological_order([[2], [2], []]) == [0, 1, 2]
+        assert checker.topological_order([[], [0], [0]]) == [1, 2, 0]
+
+    def test_parallel_arcs(self):
+        assert checker.topological_order([[1, 1, 1], []]) == [0, 1]
+
+    def test_self_loop(self):
+        assert checker.topological_order([[0]]) is None
+        assert checker.topological_order([[1], [1]]) is None
+
+    def test_two_cycle(self):
+        assert checker.topological_order([[1], [0]]) is None
+        assert checker.topological_order([[1], [2], [1]]) is None

@@ -10,6 +10,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 
 from bondlat.cli import main
 from bondlat.jsonio import dumps
@@ -332,6 +333,25 @@ class TestCheckUld:
         assert payload["verdict"] == "cyclic"
         witness = payload["witness"]
         assert len(witness) == n + 1 and witness[0] == witness[-1]
+
+    def test_wide_star_reports_every_fork_quickly(self, tmp_path):
+        # every pair of the 300 distinctly colored arcs is an incompletable fork
+        leaves = 300
+        doc = {
+            "vertices": list(range(leaves + 1)),
+            "arcs": [{"id": i, "tail": 0, "head": i} for i in range(1, leaves + 1)],
+            "colors": {str(i): i for i in range(1, leaves + 1)},
+        }
+        start = time.perf_counter()
+        code, payload = run_cli(tmp_path, "check-uld", doc)
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert payload["verdict"] == "fork completion violated"
+        witness = payload["witness"]
+        assert len(witness) == leaves * (leaves - 1) // 2 == 44_850
+        assert witness[0] == [0, 1, 2]
+        assert witness[-1] == [0, leaves - 1, leaves]
+        assert elapsed < 5.0
 
 
 class TestCheckPoset:

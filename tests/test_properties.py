@@ -24,6 +24,7 @@ from bondlat import (
     ChipArrangement,
     Multigraph,
     brute_uld,
+    build_complete_game,
     build_game,
     can_fire,
     certify_game,
@@ -35,11 +36,13 @@ from bondlat import (
     spanning_tree,
     vertex_cut,
 )
+from bondlat.checker import _find_directed_cycle, topological_order
 from bondlat.cli import main
 from bondlat.jsonio import (
     InputFormatError,
     dumps,
     graph_json,
+    parse_chip_input,
     parse_colored_digraph,
     parse_graph,
     parse_system,
@@ -236,3 +239,113 @@ def test_check_uld_exits_cleanly_and_agrees_with_brute_force(doc):
     if verdict.status == "uld":
         report = brute_uld(verdict.poset)
         assert report.is_lattice and report.is_uld
+
+
+@st.composite
+def successor_lists(draw):
+    """Digraphs on at most 6 vertices as successor lists.
+
+    Half of them point every arc forward, so acyclic digraphs are common;
+    the rest draw both ends freely, with loops, parallel arcs and cycles.
+    """
+    n = draw(st.integers(0, 6))
+    forward = draw(st.booleans())
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 10)) if n > 1 else 0):
+        tail = draw(st.integers(0, n - 2 if forward else n - 1))
+        succ[tail].append(draw(st.integers(tail + 1 if forward else 0, n - 1)))
+    return succ
+
+
+@settings(max_examples=300)
+@given(successor_lists())
+def test_topological_order_is_none_exactly_on_a_cycle(succ):
+    order = topological_order(succ)
+    pairs = [(i, j) for i, heads in enumerate(succ) for j in heads]
+    g = Multigraph(range(len(succ)), [Arc(k, i, j) for k, (i, j) in enumerate(pairs)])
+    cycle = _find_directed_cycle(g)
+    event("cyclic" if cycle else "acyclic")
+    assert (order is None) == (cycle is not None)
+    if order is not None:
+        assert sorted(order) == list(range(len(succ)))
+        position = {v: k for k, v in enumerate(order)}
+        assert all(position[i] < position[j] for i, j in pairs)
+
+
+@st.composite
+def chip_docs(draw):
+    """chipfire documents: 2-4 vertices, at most 6 arcs and 0-6 chips.
+
+    Both ends of every arc are drawn freely, so loops, parallel arcs and
+    2-cycles all occur.
+    """
+    n = draw(st.integers(2, 4))
+    arcs = [
+        {"id": f"a{k}", "tail": draw(st.integers(0, n - 1)), "head": draw(st.integers(0, n - 1))}
+        for k in range(draw(st.integers(0, 6)))
+    ]
+    chips: dict = {}
+    for _ in range(draw(st.integers(0, 6))):
+        v = str(draw(st.integers(0, n - 1)))
+        chips[v] = chips.get(v, 0) + 1
+    return {"vertices": list(range(n)), "arcs": arcs, "chips": chips}
+
+
+def _reachable(n: int, moves, start: int) -> set:
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in moves:
+        succ[i].append(j)
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in succ[i]:
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return seen
+
+
+def _has_cycle(n: int, moves) -> bool:
+    reach = {j: _reachable(n, moves, j) for _, j, _ in moves}
+    return any(i in reach[j] for i, j, _ in moves)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chip_docs())
+def test_chipfire_exits_cleanly_and_orders_by_reachability(doc):
+    for extra in ([], ["--ccfg"]):
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            source, sink = Path(tmp) / "in.json", Path(tmp) / "out.json"
+            source.write_text(dumps(doc), encoding="utf-8")
+            with contextlib.redirect_stderr(stderr):
+                code = main(["chipfire", "--input", str(source), "--output", str(sink), "--cap", "200", *extra])
+            payload = json.loads(sink.read_text(encoding="utf-8")) if code != 2 else None
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            # the documents are well formed; only the brute search limit may refuse one
+            assert extra and "brute representation search is limited" in stderr.getvalue()
+            continue
+        cyclic = _has_cycle(len(payload["states"]), payload["moves"])
+        if not extra:
+            event(f"game {payload['verdict']}")
+            if payload["verdict"] != "cap exceeded":
+                assert (payload["verdict"] == "cyclic") == cyclic
+            if payload["verdict"] == "finite":
+                assert payload["certificate"]["ok"] is True
+                assert code == 0
+            continue
+        event(f"closure complete={payload['complete']} acyclic={payload['acyclic']}")
+        assert payload["acyclic"] == (not cyclic)
+        if payload["complete"] and payload["acyclic"]:
+            g, start = parse_chip_input(doc)
+            game = build_complete_game(g, start, radius=200, state_cap=200)
+            assert [list(m) for m in game.moves] == payload["moves"]
+            poset = game.to_poset()
+            n = len(game.states)
+            for i in range(n):
+                above = _reachable(n, game.moves, i)
+                assert all(poset.leq(i, j) == (j in above) for j in range(n))
