@@ -18,6 +18,12 @@ vertex set and removing one on the arcs entering it.  With a designated
 forbidden vertex excluded from pushing, single-vertex pushes generate the
 order whenever no arc is rigid (equal value in every bond); rigid arcs are
 removed by `reduce`, which contracts them and remembers their forced values.
+
+A push raises p on the pushed set, so with p(forbidden) = 0 the order is
+the componentwise order on p, and both steps have closed forms.  An arc is
+rigid exactly when its ends lie on one zero-weight cycle of the constraint
+graph.  The minimum bond is x(a) = reference(a) - d(tail, f) + d(head, f),
+with d the shortest constraint-graph distance and f the forbidden vertex.
 """
 
 from __future__ import annotations
@@ -198,15 +204,19 @@ class BondSystem:
             edges.append((a.tail, a.head, self.reference[a.id] - self.lower[a.id], a.id, 1))
         return edges
 
-    def _distances(self, source) -> dict:
-        """Shortest constraint-graph distances from `source`, raising an
-        InfeasibleSystemError built from any negative cycle."""
-        if source in self._dist_cache:
-            return self._dist_cache[source]
+    def _distances(self, source, reverse: bool = False) -> dict:
+        """Shortest constraint-graph distances from `source`, or to it when
+        `reverse`, raising an InfeasibleSystemError built from any negative
+        cycle."""
+        key = (source, reverse)
+        if key in self._dist_cache:
+            return self._dist_cache[key]
         dist = {v: _INF for v in self.graph.vertices}
         dist[source] = 0
         pred: dict = {}
         edges = self._constraint_edges()
+        if reverse:
+            edges = [(v, u, w, arc_id, -sign) for u, v, w, arc_id, sign in edges]
         n = len(self.graph.vertices)
         for _ in range(n - 1):
             changed = False
@@ -221,7 +231,7 @@ class BondSystem:
             if dist[u] + w < dist[v]:
                 pred[v] = (u, arc_id, sign)
                 raise self._negative_cycle_error(pred, v)
-        self._dist_cache[source] = dist
+        self._dist_cache[key] = dist
         return dist
 
     def _negative_cycle_error(self, pred: dict, start) -> InfeasibleSystemError:
@@ -270,8 +280,34 @@ class BondSystem:
             self.reference[a.id] + up[a.tail],
         )
 
+    def _rigid_classes(self) -> tuple[dict, dict]:
+        """(vertex -> least member of its class, rigid arc id -> forced value).
+
+        A class holds the vertices whose potential offsets are equal in every
+        bond: those that reach each other along tight edges of x =
+        initial_bond(), head -> tail for an arc at its upper bound and tail ->
+        head for one at its lower bound.  Rigid arcs join two class members.
+        """
+        x = self.initial_bond()
+        succ = {v: [] for v in self.graph.vertices}
+        pred = {v: [] for v in self.graph.vertices}
+        for a in self.graph.arcs:
+            if x.values[a.id] == self.upper[a.id]:
+                succ[a.head].append(a.tail)
+                pred[a.tail].append(a.head)
+            if x.values[a.id] == self.lower[a.id]:
+                succ[a.tail].append(a.head)
+                pred[a.head].append(a.tail)
+        rep: dict = {}
+        for v in self.graph.vertices:
+            if v not in rep:
+                for u in _reachable(succ, v) & _reachable(pred, v):
+                    rep[u] = v
+        forced = {a.id: x.values[a.id] for a in self.graph.arcs if rep[a.tail] == rep[a.head]}
+        return {v: rep[v] for v in self.graph.vertices}, forced
+
     def is_reduced(self) -> bool:
-        return all(lo < hi for lo, hi in (self.value_range(a.id) for a in self.graph.arcs))
+        return not self._rigid_classes()[1]
 
     def reduce(self) -> tuple["BondSystem", ContractionMap]:
         """Contract every rigid arc (value forced equal in all bonds).
@@ -281,48 +317,22 @@ class BondSystem:
         restricted to the surviving arcs, which keeps every cycle target
         consistent with the forced values that left the graph.
         """
-        system = self
-        forced: dict = {}
-        vertex_map = {v: v for v in self.graph.vertices}
-        while True:
-            anchor = system.initial_bond()
-            rigid = {}
-            for a in system.graph.arcs:
-                lo, hi = system.value_range(a.id)
-                if lo == hi:
-                    rigid[a.id] = lo
-            if not rigid:
-                return system, ContractionMap(dict(forced), dict(vertex_map))
-            forced.update(rigid)
-            rep = {v: v for v in system.graph.vertices}
-
-            def find(v):
-                while rep[v] != v:
-                    rep[v] = rep[rep[v]]
-                    v = rep[v]
-                return v
-
-            for arc_id in rigid:
-                a = system.graph.arc(arc_id)
-                ru, rv = find(a.tail), find(a.head)
-                if ru != rv:
-                    keep, drop = sorted((ru, rv), key=id_key)
-                    rep[drop] = keep
-            survivors = [
-                Arc(a.id, find(a.tail), find(a.head))
-                for a in system.graph.arcs
-                if a.id not in rigid
-            ]
-            merged = Multigraph({find(v) for v in system.graph.vertices}, survivors)
-            vertex_map = {v: find(vertex_map[v]) for v in vertex_map}
-            keep_ids = {a.id for a in survivors}
-            system = BondSystem(
-                merged,
-                {i: system.lower[i] for i in keep_ids},
-                {i: system.upper[i] for i in keep_ids},
-                {i: anchor.values[i] for i in keep_ids},
-                find(system.forbidden),
-            )
+        rep, forced = self._rigid_classes()
+        if not forced:
+            return self, ContractionMap({}, rep)
+        anchor = self.initial_bond()
+        survivors = [
+            Arc(a.id, rep[a.tail], rep[a.head]) for a in self.graph.arcs if a.id not in forced
+        ]
+        keep_ids = {a.id for a in survivors}
+        system = BondSystem(
+            Multigraph(set(rep.values()), survivors),
+            {i: self.lower[i] for i in keep_ids},
+            {i: self.upper[i] for i in keep_ids},
+            {i: anchor.values[i] for i in keep_ids},
+            rep[self.forbidden],
+        )
+        return system, ContractionMap(forced, rep)
 
     # ------------------------------------------------------------------
     # pushes and the lattice order
@@ -362,54 +372,36 @@ class BondSystem:
             x.values[a] > self.lower[a] for a in backward
         )
 
-    def _legal_vertex_unpush(self, x: Bond, v) -> bool:
-        forward, backward = self._cut(v)
-        return all(x.values[a] > self.lower[a] for a in forward) and all(
-            x.values[a] < self.upper[a] for a in backward
-        )
-
-    def _apply_vertex_push(self, x: Bond, v, step: int) -> Bond:
+    def _apply_vertex_push(self, x: Bond, v) -> Bond:
         forward, backward = self._cut(v)
         values = dict(x.values)
         for a in forward:
-            values[a] += step
+            values[a] += 1
         for a in backward:
-            values[a] -= step
+            values[a] -= 1
         return Bond(values)
 
     def pushable_vertices(self) -> tuple:
         return tuple(v for v in self.graph.vertices if v != self.forbidden)
 
     def minimum_bond(self) -> Bond:
-        """Unique minimum of the push order, reached by walking single-vertex
-        unpushes to exhaustion.  Requires a reduced, feasible system."""
-        if self._minimum is not None:
-            return self._minimum
-        self._require_reduced("minimum_bond")
-        x = self.initial_bond()
-        budget = _descent_budget(self)
-        moving = True
-        while moving:
-            moving = False
-            for v in self.pushable_vertices():
-                if self._legal_vertex_unpush(x, v):
-                    x = self._apply_vertex_push(x, v, -1)
-                    moving = True
-                    budget -= 1
-                    if budget < 0:
-                        raise RuntimeError("unpush descent exceeded its bound; system state is inconsistent")
-                    break
-        self._minimum = x
-        return x
-
-    def _require_reduced(self, operation: str):
-        for a in self.graph.arcs:
-            lo, hi = self.value_range(a.id)
-            if lo == hi:
+        """Unique minimum of the push order, the least potential p(v) =
+        -d(v, f): x(a) = reference(a) - d(tail, f) + d(head, f), with the
+        distances d to the forbidden vertex f from one Bellman-Ford pass over
+        the reversed constraint edges.  Requires a reduced, feasible system."""
+        if self._minimum is None:
+            forced = self._rigid_classes()[1]
+            if forced:
+                arc_id, value = next(iter(forced.items()))
                 raise GraphError(
-                    f"{operation} requires a reduced system, but arc {a.id!r} is rigid "
-                    f"(forced to {lo}); call reduce() first"
+                    f"minimum_bond requires a reduced system, but arc {arc_id!r} is rigid "
+                    f"(forced to {value}); call reduce() first"
                 )
+            to_f = self._distances(self.forbidden, reverse=True)
+            self._minimum = Bond(
+                {a.id: self.reference[a.id] - to_f[a.tail] + to_f[a.head] for a in self.graph.arcs}
+            )
+        return self._minimum
 
     def push_counts(self, x: Bond) -> PushCount:
         """Per-vertex push counts of x relative to the minimum bond."""
@@ -506,9 +498,15 @@ def _as_int(table: Mapping, arc_id, what: str) -> int:
     return value
 
 
-def _descent_budget(system: BondSystem) -> int:
-    spread = sum(system.upper[a.id] - system.lower[a.id] for a in system.graph.arcs)
-    return (spread + 1) * (len(system.graph.vertices) + 1) * 4 + 64
+def _reachable(adj: Mapping, start) -> set:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def find_initial_bond(system: BondSystem) -> Bond:

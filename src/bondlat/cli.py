@@ -11,6 +11,7 @@ deterministic byte-for-byte and compose: `reduce` output feeds
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -357,6 +358,7 @@ def _add_dot(p: argparse.ArgumentParser):
     p.add_argument("--dot", default=None, help="also write a Graphviz DOT file here")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bondlat",

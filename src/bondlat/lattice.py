@@ -166,7 +166,7 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
             x = elements[i]
             for v in system.pushable_vertices():
                 if system._legal_vertex_push(x, v):
-                    y = system._apply_vertex_push(x, v, 1)
+                    y = system._apply_vertex_push(x, v)
                     k = key_of(y)
                     pending.append((i, k, v))
                     if k not in index:

@@ -1,5 +1,7 @@
 """Bond systems: validity, feasibility, reduction, pushes, and the order."""
 
+import time
+
 import pytest
 
 from bondlat import (
@@ -186,6 +188,24 @@ class TestReduce:
             assert s.is_bond(contraction.expand(x))
             assert contraction.restrict(contraction.expand(x)) == x
 
+    def test_rigidity_shows_only_around_a_long_cycle(self):
+        # every window is wider than one value, so no arc is rigid on its
+        # own: only the 200-arc cycle sum forces each cycle arc to 1
+        n = 200
+        arcs = [Arc(i, i, (i + 1) % n) for i in range(n)] + [Arc("p", 0, n)]
+        s = BondSystem(
+            Multigraph(range(n + 1), arcs),
+            {a.id: 0 for a in arcs},
+            {**{i: 1 for i in range(n)}, "p": 2},
+            {a.id: 1 for a in arcs},
+            0,
+        )
+        reduced, contraction = s.reduce()
+        assert contraction.forced == {i: 1 for i in range(n)}
+        assert contraction.vertex_map == {**{v: 0 for v in range(n)}, n: n}
+        assert reduced.graph.arcs == (Arc("p", 0, n),)
+        assert reduced.value_range("p") == (0, 2)
+
     def test_reduced_system_has_strict_ranges(self):
         reduced, _ = tri_system(delta=0).reduce()
         assert reduced.is_reduced()
@@ -261,6 +281,17 @@ class TestMinimumBond:
 
     def test_forbidden_choice_moves_the_minimum(self):
         assert tri_system(forbidden=2).minimum_bond() == bond(0, 1, 0)
+
+    def test_long_path_is_fast(self):
+        # the unpush walk this replaced took seconds on a 120-vertex path
+        n = 120
+        g = Multigraph(range(n), [Arc(i, i, i + 1) for i in range(n - 1)])
+        arcs = range(n - 1)
+        s = BondSystem(g, {i: -3 for i in arcs}, {i: 3 for i in arcs}, {i: 0 for i in arcs}, 0)
+        start = time.perf_counter()
+        minimum = s.minimum_bond()
+        assert time.perf_counter() - start < 1.0
+        assert minimum == Bond({i: 3 for i in arcs})
 
 
 class TestPushCounts:

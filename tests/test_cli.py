@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 
+from bondlat import cli
 from bondlat.cli import main
 from bondlat.jsonio import dumps
 
@@ -706,6 +707,26 @@ class TestBadInput:
         code = main(["enumerate", "--input", str(tmp_path / "absent.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+class TestParser:
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        source = tmp_path / "in.json"
+        source.write_text(dumps(tri_doc(delta=0)), encoding="utf-8")
+        calls = (["reduce", "--input", str(source)], ["reduce", "--cap", "3"])
+        cli._build_parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = [run_proc(argv) for argv in calls]
+        assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+        assert [code for code, _out, _err in in_process] == [0, 2]
 
 
 class TestSubprocess:

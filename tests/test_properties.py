@@ -49,7 +49,7 @@ from bondlat.jsonio import (
     system_json,
 )
 
-from util import tension_bonds
+from util import tension_bonds, tension_potential
 
 
 @st.composite
@@ -150,6 +150,78 @@ def test_enumeration_matches_box_oracle(s):
     cd = enumerate_lattice(reduced, cap=10_000)
     got = {frozenset(cmap.expand(x).values.items()) for x in cd.elements}
     assert got == expected
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(feasible_systems(max_slack=1, max_extra=3))
+def test_rigid_arcs_and_minimum_match_the_tension_oracle(s):
+    bonds = tension_bonds(s)
+    taken = {a.id: {x.values[a.id] for x in bonds} for a in s.graph.arcs}
+    reduced, cmap = s.reduce()
+    event("rigid arcs" if cmap.forced else "no rigid arc")
+    assert dict(cmap.forced) == {a: min(values) for a, values in taken.items() if len(values) == 1}
+    assert all(lo < hi for lo, hi in map(reduced.value_range, (a.id for a in reduced.graph.arcs)))
+    potentials = [
+        tension_potential(s.graph, {a: x.values[a] - s.reference[a] for a in x.values}, s.forbidden)
+        for x in bonds
+    ]
+    least = [x for x, p in zip(bonds, potentials) if all(p[v] <= q[v] for q in potentials for v in p)]
+    assert least == [cmap.expand(reduced.minimum_bond())]
+
+
+@st.composite
+def system_docs(draw):
+    """System documents on 1-5 vertices, each with "x" and "y" labelings.
+
+    Most examples hang every vertex off an earlier one; both ends of the
+    extra arcs are drawn freely, so loops, parallel arcs and disconnected
+    graphs occur.  Some windows are empty and some references lie outside
+    their windows, so many systems are infeasible.  "x" and "y" are the
+    reference or a drawn labeling.
+    """
+    n = draw(st.integers(1, 5))
+    rooted = draw(st.integers(0, 3)) != 2
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if rooted else []
+    for _ in range(draw(st.integers(0, 5))):
+        pairs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    arcs, lower, upper, reference = [], {}, {}, {}
+    for k, (tail, head) in enumerate(pairs):
+        a = f"a{k}"
+        if draw(st.booleans()):
+            tail, head = head, tail
+        arcs.append({"id": a, "tail": tail, "head": head})
+        lower[a] = draw(st.integers(-2, 2))
+        upper[a] = lower[a] + (-1 if draw(st.integers(0, 9)) == 5 else draw(st.integers(0, 2)))
+        reference[a] = lower[a] + draw(st.integers(-1, 2))
+    labelings = [reference] + [{a: draw(st.integers(-2, 2)) for a in reference} for _ in range(2)]
+    return {
+        "vertices": list(range(n)),
+        "arcs": arcs,
+        "lower": lower,
+        "upper": upper,
+        "reference": reference,
+        "forbidden": draw(st.integers(0, n - 1)),
+        "x": draw(st.sampled_from(labelings)),
+        "y": draw(st.sampled_from(labelings)),
+    }
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(system_docs())
+def test_system_commands_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        source.write_text(dumps(doc), encoding="utf-8")
+        for command, *extra in (["reduce"], ["find-bond"], ["lattice", "--cap", "200"], ["leq"]):
+            sink.unlink(missing_ok=True)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--input", str(source), "--output", str(sink), *extra])
+            event(f"{command} exit {code}")
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stderr.getvalue()
+            if code != 2:
+                json.loads(sink.read_text(encoding="utf-8"))
 
 
 @given(data=st.data())

@@ -123,28 +123,30 @@ def tension_bonds(system: BondSystem, box_limit: int = 500_000) -> list[Bond]:
     found = []
     for combo in itertools.product(*ranges):
         values = dict(zip(order, combo))
-        if _is_tension(g, {a: values[a] - system.reference[a] for a in order}):
+        diff = {a: values[a] - system.reference[a] for a in order}
+        if tension_potential(g, diff, g.vertices[0]) is not None:
             found.append(Bond(values))
     return found
 
 
-def _is_tension(g: Multigraph, diff: dict) -> bool:
-    """True when diff(a) = p(tail) - p(head) for some vertex labeling p."""
-    potential = {g.vertices[0]: 0}
-    queue = deque([g.vertices[0]])
+def tension_potential(g: Multigraph, diff: dict, root) -> dict | None:
+    """The vertex labeling p with p(root) = 0 and diff(a) = p(tail) - p(head)
+    on every arc, found by BFS, or None when no such labeling exists."""
+    potential = {root: 0}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
         for arc in g.incident_arcs(v):
             if arc.tail in potential and arc.head in potential:
                 if potential[arc.tail] - potential[arc.head] != diff[arc.id]:
-                    return False
+                    return None
             elif arc.tail in potential:
                 potential[arc.head] = potential[arc.tail] - diff[arc.id]
                 queue.append(arc.head)
             else:
                 potential[arc.tail] = potential[arc.head] + diff[arc.id]
                 queue.append(arc.tail)
-    return len(potential) == len(g.vertices)
+    return potential if len(potential) == len(g.vertices) else None
 
 
 def push_reachability(system: BondSystem, elements: list[Bond]) -> dict:
