@@ -168,7 +168,6 @@ class BondSystem:
         self.cycles = tuple(fundamental_cycles(graph, self.tree))
         self.targets = tuple(flow_difference(self.reference, c) for c in self.cycles)
         self._arc_order = tuple(a.id for a in graph.arcs)
-        self._cut_cache: dict = {}
         self._dist_cache: dict = {}
         self._minimum: Bond | None = None
 
@@ -337,12 +336,6 @@ class BondSystem:
     # ------------------------------------------------------------------
     # pushes and the lattice order
 
-    def _cut(self, v):
-        if v not in self._cut_cache:
-            cut = vertex_cut(self.graph, [v])
-            self._cut_cache[v] = (cut.forward, cut.backward)
-        return self._cut_cache[v]
-
     def push(self, x: Bond, inside: Iterable) -> Bond:
         """Raise by one on arcs leaving `inside`, lower on arcs entering it."""
         members = frozenset(inside)
@@ -365,21 +358,6 @@ class BondSystem:
         return all(x.values[a] < self.upper[a] for a in cut.forward) and all(
             x.values[a] > self.lower[a] for a in cut.backward
         )
-
-    def _legal_vertex_push(self, x: Bond, v) -> bool:
-        forward, backward = self._cut(v)
-        return all(x.values[a] < self.upper[a] for a in forward) and all(
-            x.values[a] > self.lower[a] for a in backward
-        )
-
-    def _apply_vertex_push(self, x: Bond, v) -> Bond:
-        forward, backward = self._cut(v)
-        values = dict(x.values)
-        for a in forward:
-            values[a] += 1
-        for a in backward:
-            values[a] -= 1
-        return Bond(values)
 
     def pushable_vertices(self) -> tuple:
         return tuple(v for v in self.graph.vertices if v != self.forbidden)

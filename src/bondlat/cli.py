@@ -107,7 +107,7 @@ def _enumerate_component(system, cap, analyze):
     cd = enumerate_lattice(reduced, cap=cap)
     payload = {
         "count": cd.n,
-        **jsonio.cover_digraph_json(cd, cmap.expand),
+        **jsonio.cover_digraph_json(cd, cmap.forced),
         "contraction": jsonio.contraction_json(cmap),
     }
     ok = True
@@ -127,17 +127,16 @@ def _enumerate_component(system, cap, analyze):
 
 def _component_dot(args, system, reduced, cmap, cd):
     if args.coords == "pushcount":
-        order = [v for v in reduced.graph.vertices if v != reduced.forbidden]
-        labels = [
-            ",".join(str(reduced.push_counts(x).count(v)) for v in order) for x in cd.elements
-        ]
+        order = reduced.pushable_vertices()
+        counts = map(reduced.push_counts, cd.elements)
+        labels = [",".join(str(c.count(v)) for v in order) for c in counts]
         comments = [
             f"push counts in vertex order: {', '.join(str(v) for v in order)}",
             f"forbidden vertex: {reduced.forbidden}",
         ]
     else:
         arc_order = [a.id for a in system.graph.arcs]
-        labels = bond_labels(cd, arc_order, expand=cmap.expand)
+        labels = bond_labels(cd, arc_order, cmap.forced)
         comments = [f"arc values in order: {', '.join(str(a) for a in arc_order)}"]
     return cover_digraph_dot(cd, labels, comments)
 

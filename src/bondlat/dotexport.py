@@ -8,7 +8,7 @@ unique minimum sits at the bottom, as Hasse diagrams are drawn.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chipfire import GameGraph
 from .graph import id_key
@@ -59,13 +59,10 @@ def cover_digraph_dot(cd: CoverDigraph, node_labels: Sequence[str], comments: It
     return _render(cd.n, node_labels, cd.covers, comments)
 
 
-def bond_labels(cd: CoverDigraph, arc_order: Sequence, expand=None) -> list[str]:
-    """One label per element: comma-joined arc values in the given order."""
-    labels = []
-    for x in cd.elements:
-        full = expand(x) if expand is not None else x
-        labels.append(",".join(str(full.value(a)) for a in arc_order))
-    return labels
+def bond_labels(cd: CoverDigraph, arc_order: Sequence, forced: Mapping | None = None) -> list[str]:
+    """One label per element: comma-joined arc values in the given order,
+    with the `forced` values of contracted arcs merged in."""
+    return [",".join(map(str, row)) for row in cd.value_rows(arc_order, forced)]
 
 
 def game_dot(game: GameGraph, comments: Iterable[str] = ()) -> str:

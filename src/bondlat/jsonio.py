@@ -451,17 +451,15 @@ def validity_json(report: ValidityReport) -> dict:
     }
 
 
-def cover_digraph_json(cd: CoverDigraph, expand=None) -> dict:
-    """Elements (optionally expanded through a contraction map) + covers.
+def cover_digraph_json(cd: CoverDigraph, forced: Mapping | None = None) -> dict:
+    """Elements (with the `forced` values of contracted arcs merged in) + covers.
 
     Covers are [lower index, upper index, pushed vertex] triples.
     """
-    elements = []
-    for x in cd.elements:
-        full = expand(x) if expand is not None else x
-        elements.append({str(a): v for a, v in sorted(full.values.items(), key=lambda kv: id_key(kv[0]))})
+    order = _sorted_ids(dict.fromkeys((*cd.arc_order, *(forced or {}))))
+    keys = [str(a) for a in order]
     return {
-        "elements": elements,
+        "elements": [dict(zip(keys, row)) for row in cd.value_rows(order, forced)],
         "covers": [[lo, hi, color] for lo, hi, color in cd.covers],
     }
 

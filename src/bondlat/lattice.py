@@ -10,7 +10,9 @@ lexicographically by bond values, which makes the output canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import cached_property
+from operator import itemgetter, lt
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .bonds import Bond, BondSystem
 from .checker import (
@@ -88,11 +90,24 @@ class ColorTally:
 
 
 class CoverDigraph:
-    """Indexed elements with colored cover arcs (lower, upper, color)."""
+    """Indexed elements with colored cover arcs (lower, upper, color).
 
-    def __init__(self, elements: Sequence, covers: Iterable[tuple[int, int, Hashable]]):
-        self.elements = tuple(elements)
-        n = len(self.elements)
+    Given `arc_order`, the elements are bonds passed as tuples of their arc
+    values in that order.  `vectors` keeps those tuples, and `elements`
+    turns them into `Bond`s when first read.
+    """
+
+    def __init__(
+        self,
+        elements: Sequence,
+        covers: Iterable[tuple[int, int, Hashable]],
+        arc_order: Sequence | None = None,
+    ):
+        self.vectors = tuple(elements)
+        self.arc_order = arc_order
+        if arc_order is None:
+            self.elements = self.vectors
+        n = len(self.vectors)
         normalized = []
         for lo, hi, color in covers:
             if not (0 <= lo < n and 0 <= hi < n):
@@ -100,16 +115,44 @@ class CoverDigraph:
             if lo == hi:
                 raise PosetError(f"cover ({lo}, {hi}) is a self-loop")
             normalized.append((lo, hi, color))
-        self.covers = tuple(sorted(normalized, key=lambda c: (c[0], c[1], id_key(c[2]))))
-        self._up: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
-        self._down: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
-        for lo, hi, color in self.covers:
-            self._up[lo].append((hi, color))
-            self._down[hi].append((lo, color))
+        pairs = list(map(itemgetter(0, 1), normalized))
+        if not all(map(lt, pairs, pairs[1:])):
+            normalized.sort(key=lambda c: (c[0], c[1], id_key(c[2])))
+        self.covers = tuple(normalized)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """One `Bond` per vector, built on first read."""
+        return tuple(Bond(dict(zip(self.arc_order, v))) for v in self.vectors)
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.vectors)
+
+    def value_rows(self, arc_order: Sequence, forced: Mapping | None = None) -> Iterator[list]:
+        """Each element's values on `arc_order`, taking arcs outside the
+        lattice from `forced` (arc id -> the value it has in every bond)."""
+        forced = forced or {}
+        slot = {a: i for i, a in enumerate((*self.arc_order, *forced))}
+        picks = [slot[a] for a in arc_order]
+        fixed = tuple(forced.values())
+        for v in self.vectors:
+            row = v + fixed
+            yield [row[i] for i in picks]
+
+    @cached_property
+    def _up(self) -> list[list[tuple[int, Hashable]]]:
+        up = [[] for _ in range(self.n)]
+        for lo, hi, color in self.covers:
+            up[lo].append((hi, color))
+        return up
+
+    @cached_property
+    def _down(self) -> list[list[tuple[int, Hashable]]]:
+        down = [[] for _ in range(self.n)]
+        for lo, hi, color in self.covers:
+            down[hi].append((lo, color))
+        return down
 
     def upper_covers(self, i: int) -> list[tuple[int, Hashable]]:
         return list(self._up[i])
@@ -146,40 +189,53 @@ class CoverDigraph:
 def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     """All bonds of a reduced feasible system, as a colored cover digraph.
 
-    Covers are single-vertex pushes colored by the pushed vertex.  Raises
-    CapExceededError past `cap` elements, GraphError on rigid arcs.
+    Covers are single-vertex pushes colored by the pushed vertex.  Elements
+    are walked as tuples of arc values in graph arc order; a push of v is
+    legal when no arc leaving v is at its upper bound and no arc entering v
+    at its lower bound.  Raises CapExceededError past `cap` elements,
+    GraphError on rigid arcs.
     """
     minimum = system.minimum_bond()  # also enforces reducedness
-    arc_order = [a.id for a in system.graph.arcs]
-
-    def key_of(b: Bond) -> tuple:
-        return b.as_tuple(arc_order)
-
-    elements: list[Bond] = [minimum]
-    index: dict[tuple, int] = {key_of(minimum): 0}
+    arcs = system.graph.arcs
+    arc_order = tuple(a.id for a in arcs)
+    moves = []  # (v, ((slot, blocking value, step), ...)) per pushable vertex
+    for v in system.pushable_vertices():
+        out = [(k, system.upper[a.id], 1) for k, a in enumerate(arcs) if a.tail == v != a.head]
+        into = [(k, system.lower[a.id], -1) for k, a in enumerate(arcs) if a.head == v != a.tail]
+        moves.append((v, out + into))
+    start = minimum.as_tuple(arc_order)
+    vectors = [start]
+    index = {start: 0}
     covers: list[tuple[int, int, Hashable]] = []
     layer = [0]
     while layer:
-        discovered: dict[tuple, Bond] = {}
-        pending: list[tuple[int, tuple, Hashable]] = []
+        discovered = set()
+        pending = []
         for i in layer:
-            x = elements[i]
-            for v in system.pushable_vertices():
-                if system._legal_vertex_push(x, v):
-                    y = system._apply_vertex_push(x, v)
-                    k = key_of(y)
-                    pending.append((i, k, v))
-                    if k not in index:
-                        discovered[k] = y
+            x = vectors[i]
+            for v, guards in moves:
+                for k, blocking, _ in guards:
+                    if x[k] == blocking:
+                        break
+                else:
+                    y = list(x)
+                    for k, _, step in guards:
+                        y[k] += step
+                    y = tuple(y)
+                    pending.append((i, y, v))
+                    if y not in index:
+                        discovered.add(y)
         fresh = sorted(discovered)
-        if len(elements) + len(fresh) > cap:
-            raise CapExceededError(len(elements) + len(fresh), cap)
-        for k in fresh:
-            index[k] = len(elements)
-            elements.append(discovered[k])
-        covers.extend((i, index[k], v) for i, k, v in pending)
-        layer = [index[k] for k in fresh]
-    return CoverDigraph(elements, covers)
+        base = len(vectors)
+        if base + len(fresh) > cap:
+            raise CapExceededError(base + len(fresh), cap)
+        layer = range(base, base + len(fresh))
+        index.update(zip(fresh, layer))
+        vectors += fresh
+        # distinct pushes of one element reach distinct elements, so the
+        # (lower, upper) pairs are unique and colors are never compared
+        covers += sorted((i, index[y], v) for i, y, v in pending)
+    return CoverDigraph(vectors, covers, arc_order)
 
 
 class TallyError(PosetError):

@@ -6,15 +6,17 @@ checking exit codes and frozen JSON payloads.  A handful go through
 byte-for-byte determinism of repeated runs.
 """
 
+import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 
-from bondlat import cli
+from bondlat import Arc, Multigraph, bonds, cli, encode_potentials
 from bondlat.cli import main
-from bondlat.jsonio import dumps
+from bondlat.jsonio import dumps, system_json
 
 _SEQ = itertools.count()
 
@@ -74,6 +76,32 @@ def tri_rotation():
         "2": [{"arc": "a2", "end": "tail"}, {"arc": "a1", "end": "head"}],
         "3": [{"arc": "a3", "end": "tail"}, {"arc": "a2", "end": "head"}],
     }
+
+
+def mixed_doc():
+    """Int and str vertex and arc ids, arcs listed out of id order, some
+    pointing against the vertex order, and the rigid arc 2 (window [1, 1])
+    whose forced value sorts between the surviving arcs 1 and 7."""
+    return {
+        "vertices": [0, 1, 2, "u", "w"],
+        "arcs": [
+            {"id": "x", "tail": 1, "head": 0},
+            {"id": 7, "tail": 0, "head": 2},
+            {"id": 2, "tail": 2, "head": 1},
+            {"id": 1, "tail": "u", "head": 1},
+            {"id": "b", "tail": 2, "head": "u"},
+            {"id": "a", "tail": "w", "head": 0},
+            {"id": 10, "tail": "u", "head": "w"},
+        ],
+        "lower": {"x": -1, "7": -1, "2": 1, "1": -1, "b": 0, "a": -1, "10": 0},
+        "upper": {"x": 1, "7": 1, "2": 1, "1": 1, "b": 2, "a": 1, "10": 1},
+        "reference": {"x": 0, "7": 0, "2": 1, "1": 0, "b": 1, "a": 0, "10": 0},
+        "forbidden": 0,
+    }
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def chain_chip_doc(chips):
@@ -675,6 +703,25 @@ class TestDotOutput:
         assert '  n1 [label="1,0"];\n' in text
         assert '  n2 [label="1,1"];\n' in text
 
+    def test_pushcount_counts_each_element_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = bonds.BondSystem.push_counts
+
+        def counting(system, x):
+            calls.append(x)
+            return real(system, x)
+
+        monkeypatch.setattr(bonds.BondSystem, "push_counts", counting)
+        dot = tmp_path / "mixed.dot"
+        code, payload = run_cli(
+            tmp_path, "enumerate", mixed_doc(), "--dot", str(dot), "--coords", "pushcount"
+        )
+        assert code == 0
+        assert 0 < len(calls) <= payload["count"] == 13
+        assert sha256(dot.read_text(encoding="utf-8")) == (
+            "c35da90b0df54f66e5fee2a519dd7136c618c681ef69e8d24656fee8fba068cd"
+        )
+
     def test_chipfire_dot(self, tmp_path):
         dot = tmp_path / "game.dot"
         code, _ = run_cli(tmp_path, "chipfire", chain_chip_doc({"1": 2}), "--dot", str(dot))
@@ -684,6 +731,83 @@ class TestDotOutput:
         assert "  // chips in vertex order: 1, 2, 3\n" in text
         assert '  n0 [label="2,0,0"];\n' in text
         assert '  n0 -> n1 [label="1",' in text
+
+
+class TestByteContract:
+    """sha256 digests of whole outputs, recorded before elements were
+    enumerated and written as value tuples."""
+
+    DIGESTS = {
+        "enumerate": (
+            "1c1f1cb2b026bbcf3abd7b218a3276430551725c93ed5c0d65ad280fe1f02a71",
+            "7b92cdb56702f24e680e003dd4b9adcefea1794a26075b349eb079a7ef26ea14",
+        ),
+        "lattice": (
+            "83635919b765820f2c394675bbe6b842ef214c7ca7d6e25a50f10a622a3e3545",
+            "7b92cdb56702f24e680e003dd4b9adcefea1794a26075b349eb079a7ef26ea14",
+        ),
+    }
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        source = tmp_path / "mixed.json"
+        source.write_text(dumps(mixed_doc()), encoding="utf-8")
+        for command, (json_digest, dot_digest) in self.DIGESTS.items():
+            dot = tmp_path / f"{command}.dot"
+            assert main([command, "--input", str(source), "--dot", str(dot)]) == 0
+            assert sha256(capsys.readouterr().out) == json_digest
+            assert sha256(dot.read_text(encoding="utf-8")) == dot_digest
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        source = tmp_path / "mixed.json"
+        source.write_text(dumps(mixed_doc()), encoding="utf-8")
+        runs = []
+        for seed in ("0", "1", "2"):
+            dot = tmp_path / f"seed{seed}.dot"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bondlat", "enumerate", "--input", str(source), "--dot", str(dot)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, dot.read_text(encoding="utf-8")))
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestScale:
+    def test_grid_3x4_enumerates_without_building_bonds(self, tmp_path, monkeypatch):
+        arcs = []
+        for i in range(3):
+            for j in range(4):
+                v = 4 * i + j
+                if j < 3:
+                    arcs.append(Arc(f"h{v}", v, v + 1))
+                if i < 2:
+                    arcs.append(Arc(f"v{v}", v, v + 4))
+        g = Multigraph(range(12), arcs)
+        system = encode_potentials(g, {a.id: -1 for a in arcs}, {a.id: 1 for a in arcs}, 0).system
+        lattices = []
+        built = []
+        real_enumerate = cli.enumerate_lattice
+        real_init = bonds.Bond.__init__
+
+        def keeping(*args, **kwargs):
+            lattices.append(real_enumerate(*args, **kwargs))
+            return lattices[-1]
+
+        def counting(self, values):
+            built.append(self)
+            real_init(self, values)
+
+        monkeypatch.setattr(cli, "enumerate_lattice", keeping)
+        monkeypatch.setattr(bonds.Bond, "__init__", counting)
+        code, payload = run_cli(tmp_path, "enumerate", system_json(system))
+        assert code == 0
+        (cd,) = lattices
+        assert (cd.n, len(cd.covers), payload["count"]) == (22_979, 112_286, 22_979)
+        assert len(payload["elements"]) == 22_979
+        assert "elements" not in vars(cd)
+        assert len(built) <= 10
 
 
 class TestBadInput:

@@ -370,5 +370,5 @@ class TestSerialization:
         doc = cover_digraph_json(cd)
         assert doc["elements"][0] == {"a1": 1, "a2": 0, "a3": 0}
         assert doc["covers"] == [[0, 1, 2], [1, 2, 3]]
-        expanded = cover_digraph_json(cd, expand=lambda b: Bond({**b.values, "zz": 7}))
-        assert expanded["elements"][0]["zz"] == 7
+        expanded = cover_digraph_json(cd, forced={"zz": 7, "a2": 5})
+        assert expanded["elements"][0] == {"a1": 1, "a2": 5, "a3": 0, "zz": 7}
