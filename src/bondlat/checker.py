@@ -7,7 +7,9 @@ into a diamond with the two colors swapped.  A finite, connected, acyclic
 digraph with a unique source passing both checks has a transitive closure
 that is an upper locally distributive (ULD) lattice-order; the reversed
 digraph certifies the lower (LLD) side, and both together certify
-distributivity.
+distributivity.  Every check walks the per-vertex arc lists of one indexed
+form (`ColoredDigraph.out` / `into`); bond lattices, their reversals and
+chip-firing games all reach it without building a `Multigraph`.
 
 The brute-force route takes an explicit finite poset and verifies the
 lattice property, computes the meet-irreducibles, and checks that every
@@ -21,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .graph import Arc, GraphError, Multigraph, id_key
 
@@ -33,32 +35,65 @@ class PosetError(ValueError):
     """Input that is not the poset-like object an operation requires."""
 
 
-@dataclass(frozen=True)
 class ColoredDigraph:
-    """A digraph together with a color on every arc."""
+    """A digraph together with a color on every arc, in an indexed form.
 
-    graph: Multigraph
-    colors: Mapping
+    Every check reads the indexed form: `labels` are the vertices in
+    `graph.vertices` order, `arcs` are (tail index, head index, arc id,
+    color) in ascending `id_key` order of the ids, and `out[i]` / `into[i]`
+    list the arcs leaving / entering vertex i in that order.  `from_triples`
+    and `reversed` fill only this form; `graph` and `colors` are then built
+    when first read.  LLD certification runs the ULD chain on `reversed()`,
+    the same indexed arcs with their ends swapped.
+    """
 
-    def __post_init__(self):
-        for a in self.graph.arcs:
-            if a.id not in self.colors:
+    def __init__(self, graph: Multigraph, colors: Mapping):
+        for a in graph.arcs:
+            if a.id not in colors:
                 raise GraphError(f"arc {a.id!r} has no color")
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        arcs = sorted(graph.arcs, key=lambda a: id_key(a.id))
+        self._index(graph.vertices, [(index[a.tail], index[a.head], a.id, colors[a.id]) for a in arcs])
+        self.graph = graph
+        self.colors = colors
+
+    def _index(self, labels: Sequence, arcs: list[tuple]):
+        self.labels = tuple(labels)
+        self.arcs = arcs
+        self.out: list[list[tuple]] = [[] for _ in self.labels]
+        self.into: list[list[tuple]] = [[] for _ in self.labels]
+        for arc in arcs:
+            self.out[arc[0]].append(arc)
+            self.into[arc[1]].append(arc)
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
         """Digraph on 0..n-1 whose arc k is the k-th (tail, head, color) triple."""
-        arcs, colors = [], {}
+        arcs = []
         for k, (tail, head, color) in enumerate(triples):
-            arcs.append(Arc(k, tail, head))
-            colors[k] = color
-        return cls(Multigraph(range(n), arcs), colors)
+            if not (0 <= tail < n and 0 <= head < n):
+                raise GraphError(f"arc {k!r} references unknown vertex {tail!r} or {head!r}")
+            arcs.append((tail, head, k, color))
+        cd = cls.__new__(cls)
+        cd._index(range(n), arcs)
+        return cd
+
+    @cached_property
+    def graph(self) -> Multigraph:
+        labels = self.labels
+        return Multigraph(labels, [Arc(k, labels[t], labels[h]) for t, h, k, _ in self.arcs])
+
+    @cached_property
+    def colors(self) -> dict:
+        return {k: c for _, _, k, c in self.arcs}
 
     def color(self, arc_id):
         return self.colors[arc_id]
 
     def reversed(self) -> "ColoredDigraph":
-        return ColoredDigraph(self.graph.reversed(), dict(self.colors))
+        cd = ColoredDigraph.__new__(ColoredDigraph)
+        cd._index(self.labels, [(h, t, k, c) for t, h, k, c in self.arcs])
+        return cd
 
 
 @dataclass(frozen=True)
@@ -77,14 +112,14 @@ def check_distinct_fork_colors(cd: ColoredDigraph) -> AxiomReport:
     (vertex, arc, arc, color) with the two offending arcs.
     """
     witnesses = []
-    for v in cd.graph.vertices:
+    for v, outs in zip(cd.labels, cd.out):
         by_color: dict = {}
-        for arc in cd.graph.out_arcs(v):
-            c = cd.colors[arc.id]
+        for arc in outs:
+            c = arc[3]
             if c in by_color:
                 other = by_color[c]
-                if other.head != arc.head:
-                    witnesses.append((v, other.id, arc.id, c))
+                if other[1] != arc[1]:
+                    witnesses.append((v, other[2], arc[2], c))
             else:
                 by_color[c] = arc
     return AxiomReport(not witnesses, tuple(witnesses))
@@ -95,26 +130,28 @@ def check_fork_completion(cd: ColoredDigraph) -> AxiomReport:
 
     For arcs (v,u) and (v,w) with u != w there must be a vertex z carrying
     arcs (u,z) colored like (v,w) and (w,z) colored like (v,u).  Witnesses
-    are incompletable forks (v, u, w).
+    are incompletable forks (v, u, w).  The `color -> heads` tables keep
+    every head, so forks with repeated colors are judged exactly too.
     """
+    heads_by_color = []
+    for outs in cd.out:
+        table: dict = {}
+        for _, head, _, color in outs:
+            table.setdefault(color, []).append(head)
+        heads_by_color.append(table)
+    labels = cd.labels
     witnesses: dict = {}  # insertion-ordered set
-    for v in cd.graph.vertices:
-        outs = cd.graph.out_arcs(v)
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                a, b = outs[i], outs[j]
-                if a.head == b.head:
+    for v, outs in enumerate(cd.out):
+        for i, (_, u, _, cu) in enumerate(outs):
+            for _, w, _, cw in outs[i + 1:]:
+                if u == w:
                     continue
-                want_from_u = cd.colors[b.id]
-                want_from_w = cd.colors[a.id]
-                targets_u = {
-                    arc.head for arc in cd.graph.out_arcs(a.head) if cd.colors[arc.id] == want_from_u
-                }
-                targets_w = {
-                    arc.head for arc in cd.graph.out_arcs(b.head) if cd.colors[arc.id] == want_from_w
-                }
-                if not (targets_u & targets_w):
-                    witnesses[(v, a.head, b.head)] = None
+                from_w = heads_by_color[w].get(cu, ())
+                for z in heads_by_color[u].get(cw, ()):
+                    if z in from_w:
+                        break
+                else:
+                    witnesses[(labels[v], labels[u], labels[w])] = None
     return AxiomReport(not witnesses, tuple(witnesses))
 
 
@@ -167,28 +204,30 @@ def topological_order(succ: Sequence[Sequence[int]]) -> list[int] | None:
     return order if len(order) == n else None
 
 
-def _find_directed_cycle(g: Multigraph) -> list | None:
+def _find_directed_cycle(out: Sequence[Sequence[tuple]]) -> list[int] | None:
     """Depth-first search for a directed cycle, closed by its first vertex.
 
-    An explicit stack of out-arc iterators replaces recursion, so paths of
-    any length are searched without touching the interpreter's stack.
+    `out[i]` lists the (tail, head, ...) arcs leaving vertex i; the cycle is
+    a list of vertex indices.  An explicit stack of out-arc iterators
+    replaces recursion, so paths of any length are searched without
+    touching the interpreter's stack.
     """
-    state = {v: 0 for v in g.vertices}  # 0 new, 1 open, 2 done
-    for root in g.vertices:
+    state = [0] * len(out)  # 0 new, 1 open, 2 done
+    for root in range(len(out)):
         if state[root]:
             continue
         state[root] = 1
         path = [root]
-        pending = [iter(g.out_arcs(root))]
+        pending = [iter(out[root])]
         while pending:
             for arc in pending[-1]:
-                w = arc.head
+                w = arc[1]
                 if state[w] == 1:
                     return path[path.index(w):] + [w]
                 if state[w] == 0:
                     state[w] = 1
                     path.append(w)
-                    pending.append(iter(g.out_arcs(w)))
+                    pending.append(iter(out[w]))
                     break
             else:
                 state[path.pop()] = 2
@@ -199,22 +238,26 @@ def _find_directed_cycle(g: Multigraph) -> list | None:
 def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
     """Run the full hypothesis chain; first failure wins.
 
-    Every check is local to the digraph.  On success the verdict's `poset`
-    is the transitive closure, ordered by "reachable along arcs"; it is
-    computed when `poset` is first read.
+    Every check is local to the digraph's indexed arc lists.  On success
+    the verdict's `poset` is the transitive closure, ordered by "reachable
+    along arcs"; it is computed when `poset` is first read.
     """
-    g = cd.graph
-    if not g.vertices:
+    labels = cd.labels
+    if not labels:
         return CoverVerdict("empty", False)
-    components = g.connected_components()
-    if len(components) > 1:
-        a = sorted(components[0], key=id_key)[0]
-        b = sorted(components[1], key=id_key)[0]
-        return CoverVerdict("disconnected", False, witness=(a, b))
-    cycle = _find_directed_cycle(g)
+    seen = [False] * len(labels)
+    stack = [0]
+    while stack:  # undirected reachability from vertex 0
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = True
+            stack += [arc[1] for arc in cd.out[i]] + [arc[0] for arc in cd.into[i]]
+    if not all(seen):
+        return CoverVerdict("disconnected", False, witness=(labels[0], labels[seen.index(False)]))
+    cycle = _find_directed_cycle(cd.out)
     if cycle:
-        return CoverVerdict("cyclic", False, witness=tuple(cycle))
-    sources = [v for v in g.vertices if g.in_degree(v) == 0]
+        return CoverVerdict("cyclic", False, witness=tuple(labels[i] for i in cycle))
+    sources = [v for v, ins in zip(labels, cd.into) if not ins]
     if len(sources) != 1:
         return CoverVerdict("no unique source", False, witness=tuple(sources))
     fork = check_distinct_fork_colors(cd)
@@ -223,15 +266,18 @@ def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
     completion = check_fork_completion(cd)
     if not completion:
         return CoverVerdict("fork completion violated", False, witness=completion.witnesses)
-    return CoverVerdict(ULD, True, closure=lambda: _closure_poset(g))
+    return CoverVerdict(ULD, True, closure=lambda: _closure_poset(cd))
 
 
 def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
-    """Dual certification: the reversed digraph must be a ULD cover graph."""
+    """Dual certification: the reversed digraph must be a ULD cover graph.
+
+    The dual of the reversed digraph's closure is the closure of `cd`.
+    """
     verdict = certify_uld_cover(cd.reversed())
     renames = {ULD: LLD, "no unique source": "no unique sink"}
     status = renames.get(verdict.status, verdict.status)
-    closure = (lambda: verdict.poset.dual()) if verdict.ok else None
+    closure = (lambda: _closure_poset(cd)) if verdict.ok else None
     return CoverVerdict(status, verdict.ok, verdict.witness, closure)
 
 
@@ -249,9 +295,16 @@ def certify_distributive_cover(cd: ColoredDigraph) -> DistributiveVerdict:
     return DistributiveVerdict(certify_uld_cover(cd), certify_lld_cover(cd))
 
 
-def _closure_poset(g: Multigraph) -> "FinitePoset":
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return FinitePoset.from_covers(g.vertices, [(index[a.tail], index[a.head]) for a in g.arcs])
+def _closure_poset(cd: ColoredDigraph) -> "FinitePoset":
+    return FinitePoset.from_covers(cd.labels, [(t, h) for t, h, _, _ in cd.arcs])
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FinitePoset:
@@ -274,10 +327,7 @@ class FinitePoset:
                 raise PosetError(f"order must be reflexive; element {i} is not below itself")
         for i in range(n):
             m = self.above[i]
-            j_bits = m
-            while j_bits:
-                j = (j_bits & -j_bits).bit_length() - 1
-                j_bits &= j_bits - 1
+            for j in _bits(m):
                 if i != j and (self.above[j] >> i) & 1:
                     raise PosetError(f"antisymmetry fails between elements {i} and {j}")
                 if self.above[j] & ~m:
@@ -316,48 +366,17 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as sorted (lower, upper) index pairs."""
-        result = []
-        for i in range(self.n):
-            strict = self.above[i] & ~(1 << i)
-            j_bits = strict
-            while j_bits:
-                j = (j_bits & -j_bits).bit_length() - 1
-                j_bits &= j_bits - 1
-                between = strict & self.below[j] & ~(1 << j)
-                if between == 0:
-                    result.append((i, j))
-        return sorted(result)
+        return [(i, j) for i in range(self.n) for j in self.upper_covers(i)]
 
     def upper_covers(self, i: int) -> list[int]:
         strict = self.above[i] & ~(1 << i)
-        found = []
-        j_bits = strict
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            if strict & self.below[j] & ~(1 << j) == 0:
-                found.append(j)
-        return found
+        return [j for j in _bits(strict) if strict & self.below[j] == 1 << j]
 
     def _maximal_of(self, mask: int) -> list[int]:
-        found = []
-        j_bits = mask
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            if self.above[j] & mask == 1 << j:
-                found.append(j)
-        return found
+        return [j for j in _bits(mask) if self.above[j] & mask == 1 << j]
 
     def _minimal_of(self, mask: int) -> list[int]:
-        found = []
-        j_bits = mask
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            if self.below[j] & mask == 1 << j:
-                found.append(j)
-        return found
+        return [j for j in _bits(mask) if self.below[j] & mask == 1 << j]
 
     def meet(self, i: int, j: int) -> int | None:
         """Greatest lower bound index, or None when it does not exist."""
@@ -371,12 +390,7 @@ class FinitePoset:
         return bottoms[0] if len(bottoms) == 1 else None
 
     def meet_of_set(self, indices: Iterable[int]) -> int | None:
-        mask = (1 << self.n) - 1
-        for i in indices:
-            mask &= self.below[i]
-        if mask == 0:
-            return None
-        tops = self._maximal_of(mask)
+        tops = self.maximal_lower_bounds(indices)
         return tops[0] if len(tops) == 1 else None
 
     def maximal_lower_bounds(self, indices: Iterable[int]) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .checker import (
     ColoredDigraph,
@@ -203,20 +203,20 @@ def certify_game(game: GameGraph) -> GameCertificate:
     """
     if game.verdict != FINITE:
         raise ChipError(f"only finite games can be certified (verdict: {game.verdict})")
-    verdict = certify_uld_cover(game.to_colored_digraph())
-    n = len(game.states)
-    succ: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
-    for i, j, v in game.moves:
-        succ[i].append((j, v))
-    counts: list[Counter | None] = [None] * n
+    cd = game.to_colored_digraph()
+    verdict = certify_uld_cover(cd)
+    back = topological_order([[t for t, _, _, _ in ins] for ins in cd.into])
+    if back is None:
+        raise ChipError("move digraph contains a directed cycle")
+    counts: list[Counter | None] = [None] * len(cd.out)
     consistent = True
     witness = None
-    for i in _reverse_topological(n, game.moves):
-        if not succ[i]:
+    for i in back:
+        if not cd.out[i]:
             counts[i] = Counter()
             continue
         candidates = []
-        for j, v in succ[i]:
+        for _, j, _, v in cd.out[i]:
             extended = Counter(counts[j])
             extended[v] += 1
             candidates.append(extended)
@@ -230,37 +230,24 @@ def certify_game(game: GameGraph) -> GameCertificate:
     return GameCertificate(verdict, terminal, tuple(counts), consistent, witness)
 
 
-def _reverse_topological(n: int, moves: Iterable[tuple]) -> list[int]:
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in moves:
-        pred[j].append(i)
-    topo = topological_order(pred)
-    if topo is None:
-        raise ChipError("move digraph contains a directed cycle")
-    return topo
-
-
 def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_000):
     """Yield every maximal firing sequence from a state, as vertex tuples.
 
     Depth-first; raises ChipError past `limit` sequences.  Intended for
     exhaustive cross-checks on small games.
     """
-    n = len(game.states)
-    succ: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
-    for i, j, v in game.moves:
-        succ[i].append((j, v))
+    out = game.to_colored_digraph().out
     produced = 0
     stack: list[tuple[int, tuple]] = [(start, ())]
     while stack:
         i, prefix = stack.pop()
-        if not succ[i]:
+        if not out[i]:
             produced += 1
             if produced > limit:
                 raise ChipError(f"more than {limit} maximal firing sequences")
             yield prefix
             continue
-        for j, v in reversed(succ[i]):
+        for _, j, _, v in reversed(out[i]):
             stack.append((j, prefix + (v,)))
 
 

@@ -129,9 +129,6 @@ class Multigraph:
     def in_degree(self, v) -> int:
         return len(self._in[v])
 
-    def reversed(self) -> "Multigraph":
-        return Multigraph(self.vertices, [Arc(a.id, a.head, a.tail) for a in self.arcs])
-
     def connected_components(self) -> list[frozenset]:
         """Vertex sets of the underlying undirected components, each sorted
         internally; components ordered by their smallest vertex."""

@@ -105,6 +105,19 @@ class TestForkCompletion:
         report = check_fork_completion(ColoredDigraph(g, {"e1": 1, "e2": 2, "e3": 3, "e4": 4}))
         assert report.witnesses == (("v", "u", "w"), ("v", "u", "x"), ("v", "w", "x"))
 
+    def test_completion_through_the_second_of_two_same_colored_arms(self):
+        # u has two c-colored arms; only the second one, to z2, closes the
+        # fork (v, u, w), so keeping the first head per color is not enough
+        arcs = [
+            Arc("e1", "v", "u"), Arc("e2", "v", "w"), Arc("e3", "u", "z1"), Arc("e4", "u", "z2"),
+            Arc("e5", "z1", "t"), Arc("e6", "z2", "t"), Arc("e7", "w", "z2"),
+        ]
+        colors = {"e1": "a", "e2": "c", "e3": "c", "e4": "c", "e5": "c", "e6": "c", "e7": "a"}
+        vertices = ["v", "u", "w", "z1", "z2", "t"]
+        assert check_fork_completion(ColoredDigraph(Multigraph(vertices, arcs), colors))
+        report = check_fork_completion(ColoredDigraph(Multigraph(vertices, arcs[:-1]), colors))
+        assert report.witnesses == (("v", "u", "w"),)
+
 
 class TestCertifyUld:
     def test_empty(self):
@@ -219,6 +232,27 @@ class TestLazyClosure:
         assert cert.verdict.poset.above == moves.above
         assert uld.poset is uld.poset
         assert len(calls) == 3
+
+    def test_certification_builds_no_multigraph(self, monkeypatch):
+        g = grid_graph()
+        system = encode_potentials(g, {a.id: 0 for a in g.arcs}, {a.id: 1 for a in g.arcs}, 0).system
+        cd = enumerate_lattice(system.reduce()[0])
+        path = Multigraph(range(4), [Arc(k, k, k + 1) for k in range(3)])
+        game = build_game(path, ChipArrangement({0: 3}))
+        builds = []
+        real = Multigraph.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Multigraph, "__init__", counting)
+        colored = cd.to_colored_digraph()
+        uld = certify_uld_cover(colored)
+        lld = certify_lld_cover(colored)
+        cert = certify_game(game)
+        assert uld.ok and lld.ok and cert.ok
+        assert builds == []
 
     def test_failed_verdict_has_no_poset(self):
         assert certify_uld_cover(vee()).poset is None

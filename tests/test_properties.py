@@ -28,6 +28,7 @@ from bondlat import (
     build_game,
     can_fire,
     certify_game,
+    certify_lld_cover,
     certify_uld_cover,
     enumerate_lattice,
     fire,
@@ -36,7 +37,7 @@ from bondlat import (
     spanning_tree,
     vertex_cut,
 )
-from bondlat.checker import _find_directed_cycle, topological_order
+from bondlat.checker import ColoredDigraph, _find_directed_cycle, topological_order
 from bondlat.cli import main
 from bondlat.jsonio import (
     InputFormatError,
@@ -334,14 +335,80 @@ def successor_lists(draw):
 def test_topological_order_is_none_exactly_on_a_cycle(succ):
     order = topological_order(succ)
     pairs = [(i, j) for i, heads in enumerate(succ) for j in heads]
-    g = Multigraph(range(len(succ)), [Arc(k, i, j) for k, (i, j) in enumerate(pairs)])
-    cycle = _find_directed_cycle(g)
+    cycle = _find_directed_cycle(ColoredDigraph.from_triples(len(succ), [(i, j, 0) for i, j in pairs]).out)
     event("cyclic" if cycle else "acyclic")
     assert (order is None) == (cycle is not None)
     if order is not None:
         assert sorted(order) == list(range(len(succ)))
         position = {v: k for k, v in enumerate(order)}
         assert all(position[i] < position[j] for i, j in pairs)
+
+
+_IDS = st.one_of(
+    st.integers(0, 30),
+    st.sampled_from(["a", "b", "x", "y10"]),
+    st.tuples(st.integers(0, 2), st.sampled_from([0, "q"])),
+)
+
+
+@st.composite
+def colored_digraphs(draw):
+    """Colored digraphs on at most 6 vertices with int, str and tuple ids.
+
+    Returns (vertices, arcs, colors) and leaves the build to the caller.
+    A quarter are grids colored by direction, which are distributive, and
+    half hang every vertex off an earlier one; both point their extra arcs
+    forward.  The rest draw both ends freely, with loops, parallel arcs,
+    cycles and disconnected parts.
+    """
+    shape = draw(st.sampled_from(["grid", "rooted", "rooted", "free"]))
+    if shape == "grid":
+        rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        n = rows * cols
+        triples = [(v, v + 1, 0) for v in range(n) if v % cols < cols - 1]
+        triples += [(v, v + cols, 1) for v in range(n - cols)]
+    else:
+        n = draw(st.integers(0, 6))
+        triples = [(draw(st.integers(0, v - 1)), v, draw(st.integers(0, 2))) for v in range(1, n)]
+        if shape == "free":
+            triples = []
+    for _ in range(draw(st.integers(0, 4 if shape == "grid" else 7)) if n > 1 else 0):
+        tail = draw(st.integers(0, n - 1 if shape == "free" else n - 2))
+        head = draw(st.integers(0 if shape == "free" else tail + 1, n - 1))
+        triples.append((tail, head, draw(st.integers(0, 2))))
+    vertices = draw(st.lists(_IDS, unique=True, min_size=n, max_size=n))
+    ids = draw(st.lists(_IDS, unique=True, min_size=len(triples), max_size=len(triples)))
+    arcs = [Arc(k, vertices[t], vertices[h]) for k, (t, h, _) in zip(ids, triples)]
+    colors = {k: c for k, (_, _, c) in zip(ids, triples)}
+    return vertices, arcs, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_digraphs(), st.booleans())
+def test_lld_is_uld_of_the_reversed_digraph(digraph, from_triples):
+    vertices, arcs, colors = digraph
+    if from_triples:
+        index = {v: i for i, v in enumerate(vertices)}
+        triples = [(index[a.tail], index[a.head], colors[a.id]) for a in arcs]
+        vertices = range(len(vertices))
+        arcs = [Arc(k, t, h) for k, (t, h, _) in enumerate(triples)]
+        colors = {k: c for k, (_, _, c) in enumerate(triples)}
+        cd = ColoredDigraph.from_triples(len(vertices), triples)
+    else:
+        cd = ColoredDigraph(Multigraph(vertices, arcs), colors)
+    flipped = ColoredDigraph(Multigraph(vertices, [Arc(a.id, a.head, a.tail) for a in arcs]), colors)
+    lld = certify_lld_cover(cd)
+    uld = certify_uld_cover(flipped)
+    event(lld.status)
+    renamed = {"uld": "lld", "no unique source": "no unique sink"}
+    assert lld.status == renamed.get(uld.status, uld.status)
+    assert lld.ok == uld.ok
+    assert lld.witness == uld.witness
+    if uld.ok:
+        assert lld.poset.labels == uld.poset.labels
+        assert lld.poset.above == uld.poset.dual().above
+    else:
+        assert lld.poset is None
 
 
 @st.composite
