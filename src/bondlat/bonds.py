@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graph import (
@@ -164,12 +165,19 @@ class BondSystem:
                     f"arc {a.id!r} has empty capacity window [{self.lower[a.id]}, {self.upper[a.id]}]"
                 )
         self.forbidden = forbidden
-        self.tree = spanning_tree(graph)
-        self.cycles = tuple(fundamental_cycles(graph, self.tree))
-        self.targets = tuple(flow_difference(self.reference, c) for c in self.cycles)
         self._arc_order = tuple(a.id for a in graph.arcs)
         self._dist_cache: dict = {}
         self._minimum: Bond | None = None
+
+    @cached_property
+    def cycles(self) -> tuple[CycleVector, ...]:
+        """The fundamental cycles of the deterministic spanning tree."""
+        return tuple(fundamental_cycles(self.graph, spanning_tree(self.graph)))
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """The reference labeling's flow-difference around each cycle."""
+        return tuple(flow_difference(self.reference, c) for c in self.cycles)
 
     # ------------------------------------------------------------------
     # validation and feasibility

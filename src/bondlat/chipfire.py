@@ -25,11 +25,12 @@ from .checker import (
     CoverVerdict,
     FinitePoset,
     PosetError,
+    _find_directed_cycle,
     certify_uld_cover,
     minimal_representations,
-    topological_order,
 )
 from .graph import Multigraph
+from .lattice import TallyError, color_tallies
 
 FINITE = "finite"
 CYCLIC = "cyclic"
@@ -168,15 +169,11 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
                 states.append(nxt)
                 queue.append(index[k])
             moves.append((i, index[k], v))
-    verdict = CAP_EXCEEDED if capped else (FINITE if _is_acyclic(len(states), moves) else CYCLIC)
-    return GameGraph(g, tuple(states), tuple(sorted(moves)), verdict)
-
-
-def _is_acyclic(n: int, moves: Iterable[tuple]) -> bool:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in moves:
-        succ[i].append(j)
-    return topological_order(succ) is not None
+    moves = tuple(sorted(moves))
+    if capped:
+        return GameGraph(g, tuple(states), moves, CAP_EXCEEDED)
+    cyclic = _find_directed_cycle(ColoredDigraph.from_triples(len(states), moves).out)
+    return GameGraph(g, tuple(states), moves, CYCLIC if cyclic else FINITE)
 
 
 @dataclass(frozen=True)
@@ -185,9 +182,9 @@ class GameCertificate:
 
     verdict: CoverVerdict
     terminal: ChipArrangement
-    firing_counts: tuple           # per state: Counter of fires on any maximal run to the terminal
+    firing_counts: tuple           # per state: Counter of fires on any maximal run; () if they differ
     multisets_consistent: bool
-    multiset_witness: object
+    multiset_witness: object       # (state, fires, other fires) when two runs differ
 
     @property
     def ok(self) -> bool:
@@ -197,37 +194,20 @@ class GameCertificate:
 def certify_game(game: GameGraph) -> GameCertificate:
     """Certify the move digraph and the run-invariance of firing multisets.
 
-    The multiset check propagates backwards from the terminal arrangement:
-    each move must extend its target's multiset by the fired vertex, and
-    all moves out of one state must agree.
+    The firing multiset of a state is its color tally in the reversed move
+    digraph, whose unique source is the terminal arrangement; a state
+    whose moves predict different multisets is the witness.
     """
     if game.verdict != FINITE:
         raise ChipError(f"only finite games can be certified (verdict: {game.verdict})")
     cd = game.to_colored_digraph()
     verdict = certify_uld_cover(cd)
-    back = topological_order([[t for t, _, _, _ in ins] for ins in cd.into])
-    if back is None:
-        raise ChipError("move digraph contains a directed cycle")
-    counts: list[Counter | None] = [None] * len(cd.out)
-    consistent = True
-    witness = None
-    for i in back:
-        if not cd.out[i]:
-            counts[i] = Counter()
-            continue
-        candidates = []
-        for _, j, _, v in cd.out[i]:
-            extended = Counter(counts[j])
-            extended[v] += 1
-            candidates.append(extended)
-        counts[i] = candidates[0]
-        for other in candidates[1:]:
-            if other != candidates[0]:
-                consistent = False
-                if witness is None:
-                    witness = (i, dict(candidates[0]), dict(other))
     terminal = game.states[game.terminal_index()]
-    return GameCertificate(verdict, terminal, tuple(counts), consistent, witness)
+    try:
+        counts = tuple(Counter(t.multiplicities) for t in color_tallies(cd.reversed()))
+    except TallyError as exc:
+        return GameCertificate(verdict, terminal, (), False, exc.witness)
+    return GameCertificate(verdict, terminal, counts, True, None)
 
 
 def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_000):
@@ -315,8 +295,9 @@ def build_complete_game(
                 moves.add((i, register(fire(g, current, v)), v))
             if can_unfire(g, current, v):
                 moves.add((register(unfire(g, current, v)), i, v))
-    acyclic = _is_acyclic(len(states), moves)
-    return CompleteGame(g, tuple(states), tuple(sorted(moves)), complete, acyclic)
+    moves = tuple(sorted(moves))
+    acyclic = _find_directed_cycle(ColoredDigraph.from_triples(len(states), moves).out) is None
+    return CompleteGame(g, tuple(states), moves, complete, acyclic)
 
 
 @dataclass(frozen=True)

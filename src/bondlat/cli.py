@@ -38,7 +38,7 @@ from .instances import (
     encode_potentials,
 )
 from .jsonio import InputFormatError, dumps
-from .lattice import CapExceededError, enumerate_lattice, meet_irreducible_indices
+from .lattice import CapExceededError, color_tallies, enumerate_lattice, meet_irreducible_indices
 
 
 def _cli_id(text: str):
@@ -67,15 +67,14 @@ def _emit(path: str, text: str):
             handle.write(text)
 
 
-def _doc_forbidden(doc, args):
-    if args.forbidden is not None:
-        return args.forbidden
-    if isinstance(doc, dict) and "forbidden" in doc:
-        value = doc["forbidden"]
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise InputFormatError("forbidden", f"ids must be integers or strings, got {value!r}")
-        return value
-    return None
+def _doc_id(doc, key: str, given=None):
+    """`given` unless None, else the vertex id a document gives under `key`,
+    else None."""
+    if given is None and isinstance(doc, dict) and key in doc:
+        given = doc[key]
+        if isinstance(given, bool) or not isinstance(given, (int, str)):
+            raise InputFormatError(key, f"ids must be integers or strings, got {given!r}")
+    return given
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,10 @@ def _enumerate_component(system, cap, analyze):
 
 def _component_dot(args, system, reduced, cmap, cd):
     if args.coords == "pushcount":
+        # covers are pushes colored by the pushed vertex, so an element's
+        # color tally is its push counts from the minimum
         order = reduced.pushable_vertices()
-        counts = map(reduced.push_counts, cd.elements)
-        labels = [",".join(str(c.count(v)) for v in order) for c in counts]
+        labels = [",".join(str(t.count(v)) for v in order) for t in color_tallies(cd)]
         comments = [
             f"push counts in vertex order: {', '.join(str(v) for v in order)}",
             f"forbidden vertex: {reduced.forbidden}",
@@ -222,7 +222,7 @@ def _cmd_c_orient(args, doc):
     tree = spanning_tree(g)
     non_tree = [a.id for a in g.arcs if a.id not in tree]
     targets = jsonio.parse_arc_subset_map(doc, "targets", non_tree)
-    forbidden = _doc_forbidden(doc, args)
+    forbidden = _doc_id(doc, "forbidden", args.forbidden)
     try:
         family = encode_c_orientations(g, targets, forbidden)
     except ParityError as exc:
@@ -296,9 +296,7 @@ def _cmd_potentials(args, doc):
     g = jsonio.parse_graph(doc)
     lower = jsonio.parse_arc_map(doc, "lower", g)
     upper = jsonio.parse_arc_map(doc, "upper", g)
-    anchor = _doc_forbidden(doc, args)
-    if anchor is None and isinstance(doc, dict) and "anchor" in doc:
-        anchor = doc["anchor"]
+    anchor = _doc_id(doc, "anchor", _doc_id(doc, "forbidden", args.forbidden))
     if anchor is None:
         anchor = min(g.vertices, key=id_key)
     if not g.has_vertex(anchor):

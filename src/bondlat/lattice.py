@@ -119,6 +119,7 @@ class CoverDigraph:
         if not all(map(lt, pairs, pairs[1:])):
             normalized.sort(key=lambda c: (c[0], c[1], id_key(c[2])))
         self.covers = tuple(normalized)
+        self._colored: ColoredDigraph | None = None
 
     @cached_property
     def elements(self) -> tuple:
@@ -140,37 +141,11 @@ class CoverDigraph:
             row = v + fixed
             yield [row[i] for i in picks]
 
-    @cached_property
-    def _up(self) -> list[list[tuple[int, Hashable]]]:
-        up = [[] for _ in range(self.n)]
-        for lo, hi, color in self.covers:
-            up[lo].append((hi, color))
-        return up
-
-    @cached_property
-    def _down(self) -> list[list[tuple[int, Hashable]]]:
-        down = [[] for _ in range(self.n)]
-        for lo, hi, color in self.covers:
-            down[hi].append((lo, color))
-        return down
-
-    def upper_covers(self, i: int) -> list[tuple[int, Hashable]]:
-        return list(self._up[i])
-
-    def lower_covers(self, i: int) -> list[tuple[int, Hashable]]:
-        return list(self._down[i])
-
     def source_index(self) -> int:
-        sources = [i for i in range(self.n) if not self._down[i]]
-        if len(sources) != 1:
-            raise PosetError(f"expected a unique source, found {len(sources)}")
-        return sources[0]
+        return _unique_end(self.to_colored_digraph().into, "source")
 
     def sink_index(self) -> int:
-        sinks = [i for i in range(self.n) if not self._up[i]]
-        if len(sinks) != 1:
-            raise PosetError(f"expected a unique sink, found {len(sinks)}")
-        return sinks[0]
+        return _unique_end(self.to_colored_digraph().out, "sink")
 
     def colors(self) -> list:
         return sorted({c for _, _, c in self.covers}, key=id_key)
@@ -183,7 +158,19 @@ class CoverDigraph:
         return FinitePoset.from_covers(tuple(range(self.n)), self.cover_pairs())
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        return ColoredDigraph.from_triples(self.n, self.covers)
+        """The covers as one indexed `ColoredDigraph`, built on the first call
+        and shared by every later walk over this digraph."""
+        if self._colored is None:
+            self._colored = ColoredDigraph.from_triples(self.n, self.covers)
+        return self._colored
+
+
+def _unique_end(arc_lists: Sequence[list], end: str) -> int:
+    """The one vertex whose list in `arc_lists` is empty."""
+    ends = [i for i, arcs in enumerate(arc_lists) if not arcs]
+    if len(ends) != 1:
+        raise PosetError(f"expected a unique {end}, found {len(ends)}")
+    return ends[0]
 
 
 def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
@@ -239,30 +226,42 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
 
 
 class TallyError(PosetError):
-    """Path-dependent colorsets: the digraph is not a certified cover graph."""
+    """Path-dependent colorsets: the digraph is not a certified cover graph.
+
+    When two paths disagree, `witness` is (element, tally, other tally) with
+    the tallies as dicts; it is None for the other failures.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
-def color_tallies(cd: CoverDigraph) -> list[ColorTally]:
+def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[ColorTally]:
     """Colorset coordinates of every element, verified path-independent.
 
-    Every incoming cover of an element must predict the same multiset;
-    a disagreement raises TallyError naming the element and two parents.
+    Walks the indexed out-lists from the unique source in topological
+    order.  Every incoming cover of an element must predict the same
+    multiset; a disagreement raises TallyError naming the element and one
+    parent.  On a bond lattice the tallies are the push counts; on a
+    reversed chip-firing move digraph they are the firing multisets.
     """
-    order = topological_order([[j for j, _ in cd.upper_covers(i)] for i in range(cd.n)])
+    colored = cd.to_colored_digraph() if isinstance(cd, CoverDigraph) else cd
+    order = topological_order([[arc[1] for arc in outs] for outs in colored.out])
     if order is None:
         raise PosetError("cover digraph contains a directed cycle")
-    vectors: list[ColorTally | None] = [None] * cd.n
-    src = cd.source_index()
-    vectors[src] = ColorTally({})
+    vectors: list[ColorTally | None] = [None] * len(colored.out)
+    vectors[_unique_end(colored.into, "source")] = ColorTally({})
     for i in order:
-        for j, color in cd.upper_covers(i):
+        for _, j, _, color in colored.out[i]:
             candidate = vectors[i].with_color(color)
             if vectors[j] is None:
                 vectors[j] = candidate
             elif vectors[j] != candidate:
                 raise TallyError(
                     f"element {j} gets different colorsets along different paths "
-                    f"(via cover from {i})"
+                    f"(via cover from {i})",
+                    (j, dict(vectors[j].multiplicities), dict(candidate.multiplicities)),
                 )
     if any(v is None for v in vectors):
         raise TallyError("some element is unreachable from the source")
@@ -271,7 +270,7 @@ def color_tallies(cd: CoverDigraph) -> list[ColorTally]:
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:
     """Elements with exactly one upper cover."""
-    return [i for i in range(cd.n) if len(cd.upper_covers(i)) == 1]
+    return [i for i, outs in enumerate(cd.to_colored_digraph().out) if len(outs) == 1]
 
 
 def minimal_representation(cd: CoverDigraph, i: int) -> frozenset[int]:
@@ -284,16 +283,13 @@ def minimal_representation(cd: CoverDigraph, i: int) -> frozenset[int]:
     vectors = color_tallies(cd)
     poset = cd.to_poset()
     rep = set()
-    for _, color in cd.upper_covers(i):
+    for _, _, _, color in cd.to_colored_digraph().out[i]:
         stalled = [
             j
             for j in range(cd.n)
             if poset.leq(i, j) and vectors[j].count(color) == vectors[i].count(color)
         ]
-        mask = 0
-        for j in stalled:
-            mask |= 1 << j
-        tops = poset._maximal_of(mask)
+        tops = poset._maximal_of(sum(1 << j for j in stalled))
         if len(tops) != 1:
             raise TallyError(
                 f"color {color!r} above element {i} has {len(tops)} maximal stalls; "

@@ -274,6 +274,25 @@ class TestReduceAndFindBond:
         assert payload["verdict"] == "infeasible"
         assert payload["required"] == -4
 
+    def test_only_bond_checks_build_cycles(self, tmp_path, monkeypatch):
+        calls = []
+        real = bonds.fundamental_cycles
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bonds, "fundamental_cycles", counting)
+        doc = tri_doc()
+        doc["x"] = {"a1": 1, "a2": 0, "a3": 0}
+        doc["y"] = {"a1": 0, "a2": 1, "a3": 0}
+        for command in ("reduce", "find-bond", "lattice"):
+            code, _ = run_cli(tmp_path, command, doc)
+            assert (command, code, calls) == (command, 0, [])
+        code, payload = run_cli(tmp_path, "meet", doc)
+        assert (code, payload) == (0, {"meet": {"a1": 1, "a2": 0, "a3": 0}})
+        assert calls
+
 
 class TestOrderOps:
     def test_meet_join_leq(self, tmp_path):
@@ -615,6 +634,21 @@ class TestEncoders:
         assert payload is None
         assert "anchor" in capsys.readouterr().err
 
+    def test_potentials_anchor_must_be_an_id(self, tmp_path, capsys):
+        for anchor in ([1], {"x": 1}, True, 1.5):
+            doc = {
+                "vertices": [1, 2],
+                "arcs": [{"id": "a", "tail": 1, "head": 2}],
+                "lower": {"a": 0},
+                "upper": {"a": 1},
+                "anchor": anchor,
+            }
+            code, payload = run_cli(tmp_path, "potentials", doc)
+            assert (code, payload) == (2, None)
+            err = capsys.readouterr().err
+            assert err.startswith("input error: anchor: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
 
 class TestChipfire:
     def test_finite_chain_certified(self, tmp_path):
@@ -716,8 +750,8 @@ class TestDotOutput:
         code, payload = run_cli(
             tmp_path, "enumerate", mixed_doc(), "--dot", str(dot), "--coords", "pushcount"
         )
-        assert code == 0
-        assert 0 < len(calls) <= payload["count"] == 13
+        assert code == 0 and payload["count"] == 13
+        assert calls == []  # labels come from the color tallies
         assert sha256(dot.read_text(encoding="utf-8")) == (
             "c35da90b0df54f66e5fee2a519dd7136c618c681ef69e8d24656fee8fba068cd"
         )

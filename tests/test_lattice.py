@@ -20,6 +20,7 @@ from bondlat import (
     meet_irreducible_indices,
     minimal_representation,
 )
+from bondlat.checker import ColoredDigraph
 from bondlat.lattice import TallyError
 
 from util import m3_poset, star_system, tri_system, two_source_poset
@@ -93,6 +94,24 @@ class TestCoverDigraph:
         cd = CoverDigraph(["p", "q"], [])
         with pytest.raises(PosetError):
             cd.source_index()
+
+    def test_every_walk_reads_one_colored_digraph(self, monkeypatch):
+        calls = []
+        real = ColoredDigraph.from_triples
+
+        def counting(n, triples):
+            calls.append(n)
+            return real(n, triples)
+
+        monkeypatch.setattr(ColoredDigraph, "from_triples", counting)
+        cd = enumerate_lattice(star_system())
+        colored = cd.to_colored_digraph()
+        assert cd.to_colored_digraph() is colored
+        assert (cd.source_index(), cd.sink_index(), meet_irreducible_indices(cd)) == (0, 3, [1, 2])
+        assert color_tallies(cd)[3] == ColorTally({1: 1, 2: 1})
+        assert minimal_representation(cd, 0) == {1, 2}
+        assert certify_uld_cover(cd.to_colored_digraph()).ok
+        assert calls == [4]
 
 
 class TestColorTallies:

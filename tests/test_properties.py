@@ -11,7 +11,9 @@ laws including distributivity, chip conservation, and JSON round trips.
 import contextlib
 import io
 import json
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
@@ -34,6 +36,7 @@ from bondlat import (
     fire,
     flow_difference,
     fundamental_cycles,
+    maximal_firing_sequences,
     spanning_tree,
     vertex_cut,
 )
@@ -223,6 +226,24 @@ def test_system_commands_exit_cleanly(doc):
             assert "Traceback" not in stderr.getvalue()
             if code != 2:
                 json.loads(sink.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(feasible_systems(max_slack=1, max_extra=3))
+def test_pushcount_labels_are_push_counts(s):
+    reduced, _ = s.reduce()
+    order = reduced.pushable_vertices()
+    expected = [
+        ",".join(str(reduced.push_counts(x).count(v)) for v in order)
+        for x in enumerate_lattice(reduced).elements
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink, dot = Path(tmp) / "in.json", Path(tmp) / "out.json", Path(tmp) / "out.dot"
+        source.write_text(dumps(system_json(s)), encoding="utf-8")
+        argv = ["--input", str(source), "--output", str(sink), "--dot", str(dot), "--coords", "pushcount"]
+        assert main(["enumerate", *argv]) == 0
+        text = dot.read_text(encoding="utf-8")
+    assert re.findall(r'^  n\d+ \[label="(.*)"\];$', text, re.M) == expected
 
 
 @given(data=st.data())
@@ -488,3 +509,16 @@ def test_chipfire_exits_cleanly_and_orders_by_reachability(doc):
             for i in range(n):
                 above = _reachable(n, game.moves, i)
                 assert all(poset.leq(i, j) == (j in above) for j in range(n))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chip_docs())
+def test_firing_counts_are_the_multiset_of_every_maximal_sequence(doc):
+    game = build_game(*parse_chip_input(doc), cap=200)
+    event(f"game {game.verdict}")
+    assume(game.verdict == "finite")
+    counts = certify_game(game).firing_counts
+    assert len(counts) == len(game.states)
+    for i in range(len(game.states)):
+        for seq in maximal_firing_sequences(game, start=i):
+            assert counts[i] == Counter(seq)
