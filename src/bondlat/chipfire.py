@@ -17,7 +17,7 @@ maximal lower bound of a unique minimal set of meet-irreducibles.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .checker import (
@@ -29,7 +29,7 @@ from .checker import (
     certify_uld_cover,
     minimal_representations,
 )
-from .graph import Multigraph
+from .graph import Multigraph, id_key
 from .lattice import TallyError, color_tallies
 
 FINITE = "finite"
@@ -127,6 +127,7 @@ class GameGraph:
     states: tuple
     moves: tuple
     verdict: str
+    colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -140,7 +141,8 @@ class GameGraph:
         return stuck[0]
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        return ColoredDigraph.from_triples(len(self.states), self.moves)
+        """The move index `build_game` made, or a new one for a hand-built game."""
+        return self.colored or ColoredDigraph.from_triples(len(self.states), self.moves)
 
 
 def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> GameGraph:
@@ -169,11 +171,12 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
                 states.append(nxt)
                 queue.append(index[k])
             moves.append((i, index[k], v))
-    moves = tuple(sorted(moves))
+    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
     if capped:
         return GameGraph(g, tuple(states), moves, CAP_EXCEEDED)
-    cyclic = _find_directed_cycle(ColoredDigraph.from_triples(len(states), moves).out)
-    return GameGraph(g, tuple(states), moves, CYCLIC if cyclic else FINITE)
+    colored = ColoredDigraph.from_triples(len(states), moves)
+    verdict = CYCLIC if _find_directed_cycle(colored.out) else FINITE
+    return GameGraph(g, tuple(states), moves, verdict, colored)
 
 
 @dataclass(frozen=True)
@@ -244,9 +247,10 @@ class CompleteGame:
     moves: tuple
     complete: bool
     acyclic: bool
+    colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
 
     def to_colored_digraph(self) -> ColoredDigraph:
-        return ColoredDigraph.from_triples(len(self.states), self.moves)
+        return self.colored or ColoredDigraph.from_triples(len(self.states), self.moves)
 
     def to_poset(self) -> FinitePoset:
         if not self.acyclic:
@@ -295,9 +299,10 @@ def build_complete_game(
                 moves.add((i, register(fire(g, current, v)), v))
             if can_unfire(g, current, v):
                 moves.add((register(unfire(g, current, v)), i, v))
-    moves = tuple(sorted(moves))
-    acyclic = _find_directed_cycle(ColoredDigraph.from_triples(len(states), moves).out) is None
-    return CompleteGame(g, tuple(states), moves, complete, acyclic)
+    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
+    colored = ColoredDigraph.from_triples(len(states), moves)
+    acyclic = _find_directed_cycle(colored.out) is None
+    return CompleteGame(g, tuple(states), moves, complete, acyclic, colored)
 
 
 @dataclass(frozen=True)

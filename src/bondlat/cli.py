@@ -192,18 +192,6 @@ def _cmd_order_op(args, doc, op):
     return 0, {op: jsonio.bond_json(cmap.expand(result), system.graph)}, None
 
 
-def _cmd_meet(args, doc):
-    return _cmd_order_op(args, doc, "meet")
-
-
-def _cmd_join(args, doc):
-    return _cmd_order_op(args, doc, "join")
-
-
-def _cmd_leq(args, doc):
-    return _cmd_order_op(args, doc, "leq")
-
-
 def _cmd_check_uld(args, doc):
     cd = jsonio.parse_colored_digraph(doc)
     verdict = certify_uld_cover(cd)
@@ -390,11 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords", choices=("bond", "pushcount"), default="bond", help="DOT node labels")
     p.set_defaults(handler=_cmd_lattice)
 
-    for name, handler in (("meet", _cmd_meet), ("join", _cmd_join), ("leq", _cmd_leq)):
+    for name in ("meet", "join", "leq"):
         p = sub.add_parser(name, help=f"{name} of the bonds under keys \"x\" and \"y\"")
         _add_io(p)
         _add_forbidden(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=functools.partial(_cmd_order_op, op=name))
 
     p = sub.add_parser("check-uld", help="certify a colored cover digraph")
     _add_io(p)

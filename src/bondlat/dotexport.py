@@ -37,17 +37,15 @@ def _render(
     comments: Iterable[str],
 ) -> str:
     edges = list(edges)
-    palette = {}
+    templates = {}  # one edge line template per distinct key
     for key in sorted({key for _, _, key in edges}, key=id_key):
-        palette[key] = _PALETTE[len(palette) % len(_PALETTE)]
+        color = _PALETTE[len(templates) % len(_PALETTE)]
+        attributes = f"[label={_quoted(str(key))}, color={_quoted(color)}];"
+        templates[key] = "  n%d -> n%d " + attributes.replace("%", "%%")
     lines = ["digraph {", "  rankdir=BT;", "  node [shape=box];"]
     lines += [f"  // {c}" for c in comments]
-    for i in range(count):
-        lines.append(f"  n{i} [label={_quoted(node_labels[i])}];")
-    for i, j, key in edges:
-        lines.append(
-            f"  n{i} -> n{j} [label={_quoted(str(key))}, color={_quoted(palette[key])}];"
-        )
+    lines += ["  n%d [label=%s];" % (i, _quoted(node_labels[i])) for i in range(count)]
+    lines += [templates[key] % (i, j) for i, j, key in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

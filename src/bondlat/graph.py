@@ -395,12 +395,6 @@ class FaceWalk:
     def __len__(self):
         return len(self.darts)
 
-    def cycle_vector(self) -> CycleVector:
-        net: dict = {}
-        for arc_id, direction in self.darts:
-            net[arc_id] = net.get(arc_id, 0) + direction
-        return CycleVector({a: s for a, s in net.items() if s != 0})
-
     def arc_ids(self) -> list:
         return [arc_id for arc_id, _ in self.darts]
 

@@ -21,7 +21,7 @@ order, so equal objects always produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
 from .checker import (
@@ -66,7 +66,75 @@ def loads(text: str):
 
 def dumps(obj) -> str:
     """Canonical text form: two-space indent, keys in insertion order."""
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    return _encode(obj) + "\n"
+
+
+class _HoldsTable(Exception):
+    """Raised out of `json.dumps` at the first `RowTable` it meets."""
+
+
+# Shorter tables go into the one `json.dumps` as plain rows: a splice costs a dumps per outer value.
+_TEMPLATE_MIN_ROWS = 8
+
+
+def _refuse(obj):
+    if isinstance(obj, RowTable):
+        if len(obj.rows) < _TEMPLATE_MIN_ROWS:
+            return list(obj)
+        raise _HoldsTable
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, ensure_ascii=True)` of the plain rows, with
+    `newline` (a line break and obj's indent) between lines.  The re-indent
+    is a plain replace: `ensure_ascii` escapes every newline in a string."""
+    if isinstance(obj, RowTable):
+        return obj.json_text(newline)
+    try:
+        text = json.dumps(obj, indent=2, ensure_ascii=True, default=_refuse)
+    except _HoldsTable:
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            parts = [f"{json.dumps(str(k))}: {_encode(v, inner)}" for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(parts) + newline + "}"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + newline + "]"
+    return text if newline == "\n" else text.replace("\n", newline)
+
+
+class RowTable(Sequence):
+    """A JSON array of int rows: dicts over fixed string `keys`, or
+    [lower, upper, color] triples when `keys` is None, with one template
+    per color.  Indexing, slicing, iteration and == give the plain rows."""
+
+    def __init__(self, rows: Sequence[tuple], keys: Sequence[str] | None = None):
+        self.rows, self.keys = rows, keys
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return list(self.rows[i]) if self.keys is None else dict(zip(self.keys, self.rows[i]))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, RowTable)) else NotImplemented
+
+    def json_text(self, newline: str) -> str:
+        if not self.rows:
+            return "[]"
+        inner, deeper = newline + "  ", newline + "    "
+        if self.keys is None:
+            head = "[" + deeper + "%d," + deeper + "%d," + deeper
+            colors = {c for *_, c in self.rows}
+            shapes = {c: head + json.dumps(c).replace("%", "%%") + inner + "]" for c in colors}
+            lines = [shapes[c] % (i, j) for i, j, c in self.rows]
+        else:
+            fields = ("," + deeper).join(json.dumps(k).replace("%", "%%") + ": %d" for k in self.keys)
+            template = "{" + deeper + fields + inner + "}" if self.keys else "{}"
+            lines = [template % row for row in self.rows]
+        return "[" + inner + ("," + inner).join(lines) + newline + "]"
 
 
 def _expect_object(doc, path: str) -> Mapping:
@@ -134,33 +202,22 @@ def parse_graph(doc) -> Multigraph:
         raise InputFormatError("", str(exc)) from None
 
 
-def _arc_int_map(doc: Mapping, key: str, g: Multigraph) -> dict:
-    table = _expect_object(_get(doc, key, ""), key)
-    index = _str_key_index((a.id for a in g.arcs), "arc", key)
+def _int_map(doc, key: str, ids, what: str, partial: bool = False) -> dict:
+    table = _expect_object(_get(_expect_object(doc, ""), key, ""), key)
+    index = _str_key_index(ids, what, key)
     out = {}
     for k, value in table.items():
         if k not in index:
-            raise InputFormatError(f"{key}.{k}", "no arc has this id")
+            raise InputFormatError(f"{key}.{k}", f"no {what} has this id")
         out[index[k]] = _integer(value, f"{key}.{k}")
-    for k, arc_id in index.items():
-        if arc_id not in out:
-            raise InputFormatError(key, f"missing entry for arc {arc_id!r}")
+    for i in () if partial else index.values():
+        if i not in out:
+            raise InputFormatError(key, f"missing entry for {what} {i!r}")
     return out
 
 
-def _vertex_int_map(doc: Mapping, key: str, g: Multigraph, partial: bool = False) -> dict:
-    table = _expect_object(_get(doc, key, ""), key)
-    index = _str_key_index(g.vertices, "vertex", key)
-    out = {}
-    for k, value in table.items():
-        if k not in index:
-            raise InputFormatError(f"{key}.{k}", "no vertex has this id")
-        out[index[k]] = _integer(value, f"{key}.{k}")
-    if not partial:
-        for k, v in index.items():
-            if v not in out:
-                raise InputFormatError(key, f"missing entry for vertex {v!r}")
-    return out
+def _arc_int_map(doc, key: str, g: Multigraph) -> dict:
+    return _int_map(doc, key, (a.id for a in g.arcs), "arc")
 
 
 def parse_system(doc, forbidden_override=None) -> BondSystem:
@@ -276,7 +333,7 @@ def parse_bond(doc, key: str, g: Multigraph) -> Bond:
 
 def parse_arc_map(doc, key: str, g: Multigraph) -> dict:
     """Arc-keyed integer map covering every arc of the graph."""
-    return _arc_int_map(_expect_object(doc, ""), key, g)
+    return _arc_int_map(doc, key, g)
 
 
 def parse_arc_subset_map(doc, key: str, arc_ids) -> dict:
@@ -297,7 +354,7 @@ def parse_arc_subset_map(doc, key: str, arc_ids) -> dict:
 
 def parse_vertex_map(doc, key: str, g: Multigraph, partial: bool = False) -> dict:
     """Vertex-keyed integer map; `partial` allows missing vertices."""
-    return _vertex_int_map(_expect_object(doc, ""), key, g, partial=partial)
+    return _int_map(doc, key, g.vertices, "vertex", partial)
 
 
 def parse_embedding(doc) -> PlanarEmbedding:
@@ -377,7 +434,7 @@ def parse_poset(doc) -> FinitePoset:
 def parse_chip_input(doc) -> tuple[Multigraph, ChipArrangement]:
     doc = _expect_object(doc, "")
     g = parse_graph(doc)
-    chips = _vertex_int_map(doc, "chips", g, partial=True)
+    chips = _int_map(doc, "chips", g.vertices, "vertex", partial=True)
     for v, n in chips.items():
         if n < 0:
             raise InputFormatError(f"chips.{v}", "chip counts must be nonnegative")
@@ -457,10 +514,9 @@ def cover_digraph_json(cd: CoverDigraph, forced: Mapping | None = None) -> dict:
     Covers are [lower index, upper index, pushed vertex] triples.
     """
     order = _sorted_ids(dict.fromkeys((*cd.arc_order, *(forced or {}))))
-    keys = [str(a) for a in order]
     return {
-        "elements": [dict(zip(keys, row)) for row in cd.value_rows(order, forced)],
-        "covers": [[lo, hi, color] for lo, hi, color in cd.covers],
+        "elements": RowTable(cd.value_rows(order, forced), [str(a) for a in order]),
+        "covers": RowTable(cd.covers),
     }
 
 
@@ -495,8 +551,8 @@ def brute_report_json(report: BruteReport) -> dict:
 def _states_moves_json(game) -> dict:
     order = game.graph.vertices
     return {
-        "states": [{str(v): s.count(v) for v in order} for s in game.states],
-        "moves": [[i, j, v] for i, j, v in game.moves],
+        "states": RowTable([s.as_tuple(order) for s in game.states], [str(v) for v in order]),
+        "moves": RowTable(game.moves),
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, lt
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .bonds import Bond, BondSystem
 from .checker import (
@@ -65,11 +65,6 @@ class ColorTally:
 
     def count(self, color) -> int:
         return self.multiplicities.get(color, 0)
-
-    def with_color(self, color) -> "ColorTally":
-        bumped = dict(self.multiplicities)
-        bumped[color] = bumped.get(color, 0) + 1
-        return ColorTally(bumped)
 
     def dominates(self, other: "ColorTally") -> bool:
         return all(self.count(c) >= n for c, n in other.multiplicities.items())
@@ -130,16 +125,15 @@ class CoverDigraph:
     def n(self) -> int:
         return len(self.vectors)
 
-    def value_rows(self, arc_order: Sequence, forced: Mapping | None = None) -> Iterator[list]:
+    def value_rows(self, arc_order: Sequence, forced: Mapping | None = None) -> list[tuple]:
         """Each element's values on `arc_order`, taking arcs outside the
         lattice from `forced` (arc id -> the value it has in every bond)."""
         forced = forced or {}
         slot = {a: i for i, a in enumerate((*self.arc_order, *forced))}
         picks = [slot[a] for a in arc_order]
         fixed = tuple(forced.values())
-        for v in self.vectors:
-            row = v + fixed
-            yield [row[i] for i in picks]
+        pick = itemgetter(*picks) if len(picks) > 1 else lambda row: tuple([row[i] for i in picks])
+        return list(map(pick, (v + fixed for v in self.vectors)))
 
     def source_index(self) -> int:
         return _unique_end(self.to_colored_digraph().into, "source")
@@ -250,22 +244,29 @@ def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[ColorTally]:
     order = topological_order([[arc[1] for arc in outs] for outs in colored.out])
     if order is None:
         raise PosetError("cover digraph contains a directed cycle")
-    vectors: list[ColorTally | None] = [None] * len(colored.out)
-    vectors[_unique_end(colored.into, "source")] = ColorTally({})
+    slot = {c: k for k, c in enumerate(dict.fromkeys(arc[3] for arc in colored.arcs))}
+    counts: list[tuple | None] = [None] * len(colored.out)
+    counts[_unique_end(colored.into, "source")] = (0,) * len(slot)
     for i in order:
+        t = counts[i]
         for _, j, _, color in colored.out[i]:
-            candidate = vectors[i].with_color(color)
-            if vectors[j] is None:
-                vectors[j] = candidate
-            elif vectors[j] != candidate:
+            k = slot[color]
+            candidate = t[:k] + (t[k] + 1,) + t[k + 1 :]
+            if counts[j] is None:
+                counts[j] = candidate
+            elif counts[j] != candidate:
                 raise TallyError(
                     f"element {j} gets different colorsets along different paths "
                     f"(via cover from {i})",
-                    (j, dict(vectors[j].multiplicities), dict(candidate.multiplicities)),
+                    (j, _tally(slot, counts[j]).multiplicities, _tally(slot, candidate).multiplicities),
                 )
-    if any(v is None for v in vectors):
+    if any(t is None for t in counts):
         raise TallyError("some element is unreachable from the source")
-    return vectors  # type: ignore[return-value]
+    return [_tally(slot, t) for t in counts]
+
+
+def _tally(slot: Mapping, counts: tuple) -> ColorTally:
+    return ColorTally({c: n for c, n in zip(slot, counts) if n})
 
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:

@@ -1,5 +1,6 @@
 """Chip-firing games: moves, reachability, certification, closures."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -22,7 +23,9 @@ from bondlat import (
     unfire,
     unique_minimal_representation_report,
 )
+from bondlat.checker import ColoredDigraph
 from bondlat.chipfire import CAP_EXCEEDED, CYCLIC, FINITE
+from bondlat.cli import main
 
 from util import chain_poset, diamond_poset, m3_poset, two_source_poset
 
@@ -152,6 +155,14 @@ class TestBuildGame:
         assert len(game.states) == 4
         assert game.moves == ((0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1))
 
+    def test_moves_between_one_pair_sort_by_id_key(self):
+        # firing either loop-only vertex keeps the state, so two moves share
+        # (from, to) and their int and str colors must still sort
+        g = Multigraph([0, "x"], [Arc("a", 0, 0), Arc("b", "x", "x")])
+        start = ChipArrangement({0: 1, "x": 1})
+        assert build_game(g, start).moves == ((0, 0, 0), (0, 0, "x"))
+        assert build_complete_game(g, start).moves == ((0, 0, 0), (0, 0, "x"))
+
     def test_stuck_start(self):
         game = build_game(chain_graph(), ChipArrangement({1: 1}))
         assert game.verdict == FINITE
@@ -221,6 +232,8 @@ class TestCertifyGame:
         assert not cert.multisets_consistent and not cert.ok
         state, left, right = cert.multiset_witness
         assert state == 0 and left != right
+        # from the terminal, state 0 is reached by "b" and again by "c" then "a"
+        assert cert.multiset_witness == (0, {"b": 1}, {"a": 1, "c": 1})
 
 
 class TestFiringSequences:
@@ -330,3 +343,25 @@ def test_game_to_colored_digraph_colors_by_fired_vertex():
         arc = cd.graph.arc(k)
         assert (arc.tail, arc.head) == (i, j)
         assert cd.color(k) == v
+
+
+def test_chipfire_run_builds_one_move_index(tmp_path, monkeypatch):
+    # the index build_game makes for its cycle check is the one certify_game reads
+    calls = []
+    real = ColoredDigraph.from_triples
+
+    def counting(n, triples):
+        calls.append(n)
+        return real(n, triples)
+
+    monkeypatch.setattr(ColoredDigraph, "from_triples", counting)
+    source = tmp_path / "chain.json"
+    source.write_text(json.dumps({
+        "vertices": [1, 2, 3],
+        "arcs": [{"id": "e1", "tail": 1, "head": 2}, {"id": "e2", "tail": 1, "head": 3}, {"id": "e3", "tail": 2, "head": 3}],
+        "chips": {"1": 2},
+    }))
+    assert main(["chipfire", "--input", str(source), "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == [3]
+    game = build_game(chain_graph(), ChipArrangement({1: 2}))
+    assert game.to_colored_digraph() is game.to_colored_digraph()

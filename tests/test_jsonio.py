@@ -372,3 +372,11 @@ class TestSerialization:
         assert doc["covers"] == [[0, 1, 2], [1, 2, 3]]
         expanded = cover_digraph_json(cd, forced={"zz": 7, "a2": 5})
         assert expanded["elements"][0] == {"a1": 1, "a2": 5, "a3": 0, "zz": 7}
+
+    def test_cover_digraph_json_tables_slice_like_lists(self):
+        from bondlat import enumerate_lattice
+
+        doc = cover_digraph_json(enumerate_lattice(tri_system()))
+        for table in (doc["elements"], doc["covers"]):
+            assert table[:2] == list(table)[:2] and table[::-1] == list(table)[::-1]
+            assert table[5:] == []

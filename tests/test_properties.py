@@ -14,6 +14,7 @@ import json
 import re
 import tempfile
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
@@ -24,6 +25,7 @@ from bondlat import (
     BondSystem,
     CapExceededError,
     ChipArrangement,
+    CoverDigraph,
     Multigraph,
     brute_uld,
     build_complete_game,
@@ -44,7 +46,11 @@ from bondlat.checker import ColoredDigraph, _find_directed_cycle, topological_or
 from bondlat.cli import main
 from bondlat.jsonio import (
     InputFormatError,
+    complete_game_json,
+    cover_digraph_json,
     dumps,
+    game_certificate_json,
+    game_json,
     graph_json,
     parse_chip_input,
     parse_colored_digraph,
@@ -183,7 +189,7 @@ def system_docs(draw):
     their windows, so many systems are infeasible.  "x" and "y" are the
     reference or a drawn labeling.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))  # both sides of jsonio's 8-row template switch
     rooted = draw(st.integers(0, 3)) != 2
     pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if rooted else []
     for _ in range(draw(st.integers(0, 5))):
@@ -522,3 +528,84 @@ def test_firing_counts_are_the_multiset_of_every_maximal_sequence(doc):
     for i in range(len(game.states)):
         for seq in maximal_firing_sequences(game, start=i):
             assert counts[i] == Counter(seq)
+
+
+# Ids for the writer properties: ints, and short strings mixing ASCII,
+# non-ASCII, JSON escapes ('"', '\\', control characters) and '%', which
+# the row templates must escape.
+_WRITER_IDS = st.one_of(
+    st.integers(-30, 30),
+    st.text(alphabet='a%d"\\\n\t\x00\x1f\u00e9\u03bb\u20ac\U0001f600 ', max_size=4),
+)
+
+
+def _plain(value):
+    """The payload with every row sequence turned into a plain list."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, Sequence) and not isinstance(value, str):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _assert_written_as_json_dumps(payload):
+    expected = json.dumps(_plain(payload), indent=2, ensure_ascii=True) + "\n"
+    assert dumps(payload) == expected
+
+
+@st.composite
+def enumerate_payloads(draw):
+    """An `enumerate`-shaped payload over a random cover digraph.
+
+    Lattice arcs and forced arcs draw from one pool of distinct ids, so
+    forced values sort between lattice arcs; with no lattice arcs every
+    element is `{}`, and the cover list may be empty.
+    """
+    ids = draw(st.lists(_WRITER_IDS, max_size=6, unique_by=str))
+    split = draw(st.integers(0, len(ids)))
+    arc_order, forced_ids = ids[:split], ids[split:]
+    forced = {a: draw(st.integers(-3, 3)) for a in forced_ids}
+    n = draw(st.integers(1, 12))  # both sides of jsonio's 8-row template switch
+    vectors = [tuple(draw(st.integers(-20, 20)) for _ in arc_order) for _ in range(n)]
+    covers = []
+    if n > 1:
+        for _ in range(draw(st.integers(0, 16))):
+            lo, hi = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            covers.append((lo, hi, draw(_WRITER_IDS)))
+    cd = CoverDigraph(vectors, covers, tuple(arc_order))
+    return {
+        "count": cd.n,
+        **cover_digraph_json(cd, forced),
+        "contraction": {"forced": {str(a): v for a, v in forced.items()}, "vertex_map": {}},
+    }
+
+
+@given(enumerate_payloads())
+def test_writer_matches_json_dumps_on_cover_digraphs(payload):
+    _assert_written_as_json_dumps(payload)
+
+
+@given(st.lists(enumerate_payloads(), min_size=2, max_size=3), st.lists(_WRITER_IDS, max_size=3))
+def test_writer_matches_json_dumps_on_nested_components(parts, vertices):
+    # the shape a disconnected input gives: tables two levels deep
+    components = [{"vertices": vertices, "forbidden": None, **part} for part in parts]
+    _assert_written_as_json_dumps({"product_size": len(parts), "components": components})
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chip_docs(), st.lists(_WRITER_IDS, min_size=4, max_size=4, unique_by=str))
+def test_writer_matches_json_dumps_on_games(doc, names):
+    # relabel the vertices so that state keys and move colors are any ids
+    rename = dict(zip(range(4), names))
+    doc = {
+        "vertices": [rename[v] for v in doc["vertices"]],
+        "arcs": [{**a, "tail": rename[a["tail"]], "head": rename[a["head"]]} for a in doc["arcs"]],
+        "chips": {str(rename[int(v)]): k for v, k in doc["chips"].items()},
+    }
+    g, start = parse_chip_input(doc)
+    game = build_game(g, start, cap=50)
+    payload = game_json(game)
+    if game.verdict == "finite":
+        payload["certificate"] = game_certificate_json(certify_game(game), game)
+    _assert_written_as_json_dumps(payload)
+    _assert_written_as_json_dumps(complete_game_json(build_complete_game(g, start, radius=6, state_cap=50)))
