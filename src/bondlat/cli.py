@@ -3,8 +3,9 @@
 Every subcommand reads one JSON document (--input, default stdin), writes
 one JSON document (--output, default stdout), and exits 0 on success, 1 on
 a domain rejection (infeasible system, failed certification, infinite
-game; the verdict is still written), or 2 on malformed input.  Outputs are
-deterministic byte-for-byte and compose: `reduce` output feeds
+game; the verdict is still written), or 2 on malformed input (not UTF-8,
+not JSON, or off the schema) or an output path that cannot be written.
+Outputs are deterministic byte-for-byte and compose: `reduce` output feeds
 `enumerate`, encoder outputs feed any system-taking subcommand.
 """
 
@@ -50,31 +51,33 @@ def _cli_id(text: str):
 
 
 def _load(path: str):
-    if path == "-":
-        return jsonio.loads(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return jsonio.loads(handle.read())
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         raise InputFormatError(path, f"cannot read input: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(path, f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if path != "-":  # newlines as a text-mode open() gives them; POSIX stdin keeps "\r"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return jsonio.loads(text)
 
 
-def _emit(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _doc_id(doc, key: str, given=None):
-    """`given` unless None, else the vertex id a document gives under `key`,
-    else None."""
-    if given is None and isinstance(doc, dict) and key in doc:
-        given = doc[key]
-        if isinstance(given, bool) or not isinstance(given, (int, str)):
-            raise InputFormatError(key, f"ids must be integers or strings, got {given!r}")
-    return given
+def _emit(path: str, text: str, stdout: bool = True):
+    """Write `text` to `path`, or to stdout for "-" when `stdout`."""
+    try:
+        if stdout and path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        raise OSError(f"{path}: cannot write output: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def _cmd_c_orient(args, doc):
     tree = spanning_tree(g)
     non_tree = [a.id for a in g.arcs if a.id not in tree]
     targets = jsonio.parse_arc_subset_map(doc, "targets", non_tree)
-    forbidden = _doc_id(doc, "forbidden", args.forbidden)
+    forbidden = jsonio.parse_id(doc, "forbidden", args.forbidden)
     try:
         family = encode_c_orientations(g, targets, forbidden)
     except ParityError as exc:
@@ -284,7 +287,7 @@ def _cmd_potentials(args, doc):
     g = jsonio.parse_graph(doc)
     lower = jsonio.parse_arc_map(doc, "lower", g)
     upper = jsonio.parse_arc_map(doc, "upper", g)
-    anchor = _doc_id(doc, "anchor", _doc_id(doc, "forbidden", args.forbidden))
+    anchor = jsonio.parse_id(doc, "anchor", jsonio.parse_id(doc, "forbidden", args.forbidden))
     if anchor is None:
         anchor = min(g.vertices, key=id_key)
     if not g.has_vertex(anchor):
@@ -429,18 +432,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc = _load(args.input)
-        code, payload, dot = args.handler(args, doc)
-    except InputFormatError as exc:
+        code, payload, dot = args.handler(args, _load(args.input))
+    except (InputFormatError, GraphError, PosetError, ChipError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, PosetError, ChipError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    try:
+        _emit(args.output, dumps(payload))
+        if dot is not None:
+            _emit(args.dot, dot, stdout=False)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
-    _emit(args.output, dumps(payload))
-    if dot is not None and getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
     return code
 
 

@@ -62,6 +62,8 @@ def loads(text: str):
         raise InputFormatError(
             f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputFormatError("", "invalid JSON: nested too deeply") from None
 
 
 def dumps(obj) -> str:
@@ -202,22 +204,28 @@ def parse_graph(doc) -> Multigraph:
         raise InputFormatError("", str(exc)) from None
 
 
-def _int_map(doc, key: str, ids, what: str, partial: bool = False) -> dict:
+def _int_map(doc, key: str, ids, what: str, partial=False, value=_integer, stray="") -> dict:
+    """The table under `key`, str(id)-keyed, as id -> `value` of the entry.
+    Every id of `ids` needs an entry unless `partial`; a key that is no id
+    raises `stray` (default "no `what` has this id")."""
     table = _expect_object(_get(_expect_object(doc, ""), key, ""), key)
     index = _str_key_index(ids, what, key)
     out = {}
-    for k, value in table.items():
+    for k, entry in table.items():
         if k not in index:
-            raise InputFormatError(f"{key}.{k}", f"no {what} has this id")
-        out[index[k]] = _integer(value, f"{key}.{k}")
+            raise InputFormatError(f"{key}.{k}", stray or f"no {what} has this id")
+        out[index[k]] = value(entry, f"{key}.{k}")
     for i in () if partial else index.values():
         if i not in out:
             raise InputFormatError(key, f"missing entry for {what} {i!r}")
     return out
 
 
-def _arc_int_map(doc, key: str, g: Multigraph) -> dict:
-    return _int_map(doc, key, (a.id for a in g.arcs), "arc")
+def parse_id(doc: Mapping, key: str, given=None):
+    """`given` unless None, else the id under `key` of object `doc`, else None."""
+    if given is None and key in doc:
+        given = _identifier(doc[key], key)
+    return given
 
 
 def parse_system(doc, forbidden_override=None) -> BondSystem:
@@ -229,127 +237,82 @@ def parse_system(doc, forbidden_override=None) -> BondSystem:
     tree arcs.  Absent "forbidden" (and absent override), the smallest
     vertex is forbidden.
     """
-    doc = _expect_object(doc, "")
-    g = parse_graph(doc)
-    lower = _arc_int_map(doc, "lower", g)
-    upper = _arc_int_map(doc, "upper", g)
-    if "reference" in doc and "delta_on_fundamental_cycles" in doc:
-        raise InputFormatError(
-            "", 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive'
-        )
-    if "reference" in doc:
-        reference = _arc_int_map(doc, "reference", g)
-    elif "delta_on_fundamental_cycles" in doc:
-        reference = _reference_from_cycle_targets(doc, g)
-    else:
-        raise InputFormatError(
-            "", 'one of "reference" or "delta_on_fundamental_cycles" is required'
-        )
-    if forbidden_override is not None:
-        forbidden = forbidden_override
-    elif "forbidden" in doc:
-        forbidden = _identifier(doc["forbidden"], "forbidden")
-    else:
-        forbidden = min(g.vertices, key=id_key)
-    if not g.has_vertex(forbidden):
-        raise InputFormatError("forbidden", f"no vertex has id {forbidden!r}")
-    try:
-        return BondSystem(g, lower, upper, reference, forbidden)
-    except GraphError as exc:
-        raise InputFormatError("", str(exc)) from None
+    return _read_systems(doc, forbidden_override, split=False)[0]
 
 
 def parse_systems(doc, forbidden_override=None) -> list:
     """Like parse_system, but disconnected inputs split into one system per
     connected component.
 
-    A forbidden vertex (key or override) applies to the component holding
-    it; every other component forbids its smallest vertex.  The cycle-target
-    form needs a spanning tree and therefore stays connected-only.
+    A disconnected input needs "reference" (the cycle-target form needs a
+    spanning tree).  A forbidden vertex (key or override) applies to the
+    component holding it; every other component forbids its smallest vertex.
     """
-    doc = _expect_object(doc, "")
+    return _read_systems(doc, forbidden_override, split=True)
+
+
+def _read_systems(doc, forbidden_override, split: bool) -> list:
     g = parse_graph(doc)
-    if g.is_connected():
-        return [parse_system(doc, forbidden_override)]
-    if "reference" not in doc:
+    split = split and not g.is_connected()
+    if split and "reference" not in doc:
         raise InputFormatError(
             "", 'a disconnected input requires an explicit "reference" labeling'
         )
-    lower = _arc_int_map(doc, "lower", g)
-    upper = _arc_int_map(doc, "upper", g)
-    reference = _arc_int_map(doc, "reference", g)
-    if forbidden_override is not None:
-        forbidden = forbidden_override
-    elif "forbidden" in doc:
-        forbidden = _identifier(doc["forbidden"], "forbidden")
+    lower = parse_arc_map(doc, "lower", g)
+    upper = parse_arc_map(doc, "upper", g)
+    if not split and "reference" in doc and "delta_on_fundamental_cycles" in doc:
+        raise InputFormatError(
+            "", 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive'
+        )
+    if "reference" in doc:
+        reference = parse_arc_map(doc, "reference", g)
+    elif "delta_on_fundamental_cycles" in doc:
+        reference = _reference_from_cycle_targets(doc, g)
     else:
-        forbidden = None
+        raise InputFormatError(
+            "", 'one of "reference" or "delta_on_fundamental_cycles" is required'
+        )
+    forbidden = parse_id(doc, "forbidden", forbidden_override)
+    if forbidden is None and not split:
+        forbidden = min(g.vertices, key=id_key)
     if forbidden is not None and not g.has_vertex(forbidden):
         raise InputFormatError("forbidden", f"no vertex has id {forbidden!r}")
-    systems = []
-    for component in g.connected_components():
-        sub = g.induced_subgraph(component)
-        anchor = forbidden if forbidden in component else min(component, key=id_key)
-        try:
-            systems.append(
-                BondSystem(
-                    sub,
-                    {a.id: lower[a.id] for a in sub.arcs},
-                    {a.id: upper[a.id] for a in sub.arcs},
-                    {a.id: reference[a.id] for a in sub.arcs},
-                    anchor,
-                )
-            )
-        except GraphError as exc:
-            raise InputFormatError("", str(exc)) from None
-    return systems
+    parts = [(g, forbidden)]
+    if split:
+        parts = [
+            (g.induced_subgraph(c), forbidden if forbidden in c else min(c, key=id_key))
+            for c in g.connected_components()
+        ]
+    try:
+        return [BondSystem(sub, lower, upper, reference, anchor) for sub, anchor in parts]
+    except GraphError as exc:
+        raise InputFormatError("", str(exc)) from None
 
 
 def _reference_from_cycle_targets(doc: Mapping, g: Multigraph) -> dict:
     key = "delta_on_fundamental_cycles"
-    table = _expect_object(doc[key], key)
+    _expect_object(doc[key], key)  # a bad table is reported before a missing tree
     try:
         tree = spanning_tree(g)
     except GraphError as exc:
         raise InputFormatError(key, str(exc)) from None
     non_tree = [a.id for a in g.arcs if a.id not in tree]
-    index = _str_key_index(non_tree, "non-tree arc", key)
-    reference = {a.id: 0 for a in g.arcs}
-    for k, value in table.items():
-        if k not in index:
-            raise InputFormatError(
-                f"{key}.{k}", "not a non-tree arc of the deterministic spanning tree"
-            )
-        reference[index[k]] = _integer(value, f"{key}.{k}")
-    for k, arc_id in index.items():
-        if k not in table:
-            raise InputFormatError(key, f"missing entry for non-tree arc {arc_id!r}")
-    return reference
+    stray = "not a non-tree arc of the deterministic spanning tree"
+    return {a.id: 0 for a in g.arcs} | _int_map(doc, key, non_tree, "non-tree arc", stray=stray)
 
 
 def parse_bond(doc, key: str, g: Multigraph) -> Bond:
-    return Bond(_arc_int_map(doc, key, g))
+    return Bond(parse_arc_map(doc, key, g))
 
 
 def parse_arc_map(doc, key: str, g: Multigraph) -> dict:
     """Arc-keyed integer map covering every arc of the graph."""
-    return _arc_int_map(doc, key, g)
+    return _int_map(doc, key, (a.id for a in g.arcs), "arc")
 
 
 def parse_arc_subset_map(doc, key: str, arc_ids) -> dict:
     """Arc-keyed integer map covering exactly the given arc ids."""
-    doc = _expect_object(doc, "")
-    table = _expect_object(_get(doc, key, ""), key)
-    index = _str_key_index(arc_ids, "arc", key)
-    out = {}
-    for k, value in table.items():
-        if k not in index:
-            raise InputFormatError(f"{key}.{k}", "unexpected arc id for this map")
-        out[index[k]] = _integer(value, f"{key}.{k}")
-    for k, arc_id in index.items():
-        if arc_id not in out:
-            raise InputFormatError(key, f"missing entry for arc {arc_id!r}")
-    return out
+    return _int_map(doc, key, arc_ids, "arc", stray="unexpected arc id for this map")
 
 
 def parse_vertex_map(doc, key: str, g: Multigraph, partial: bool = False) -> dict:
@@ -358,7 +321,6 @@ def parse_vertex_map(doc, key: str, g: Multigraph, partial: bool = False) -> dic
 
 
 def parse_embedding(doc) -> PlanarEmbedding:
-    doc = _expect_object(doc, "")
     g = parse_graph(doc)
     table = _expect_object(_get(doc, "rotation", ""), "rotation")
     vertex_index = _str_key_index(g.vertices, "vertex", "rotation")
@@ -390,15 +352,8 @@ def parse_embedding(doc) -> PlanarEmbedding:
 
 
 def parse_colored_digraph(doc) -> ColoredDigraph:
-    doc = _expect_object(doc, "")
     g = parse_graph(doc)
-    table = _expect_object(_get(doc, "colors", ""), "colors")
-    index = _str_key_index((a.id for a in g.arcs), "arc", "colors")
-    colors = {}
-    for k, value in table.items():
-        if k not in index:
-            raise InputFormatError(f"colors.{k}", "no arc has this id")
-        colors[index[k]] = _identifier(value, f"colors.{k}")
+    colors = _int_map(doc, "colors", (a.id for a in g.arcs), "arc", partial=True, value=_identifier)
     try:
         return ColoredDigraph(g, colors)
     except (GraphError, PosetError) as exc:
@@ -432,7 +387,6 @@ def parse_poset(doc) -> FinitePoset:
 
 
 def parse_chip_input(doc) -> tuple[Multigraph, ChipArrangement]:
-    doc = _expect_object(doc, "")
     g = parse_graph(doc)
     chips = _int_map(doc, "chips", g.vertices, "vertex", partial=True)
     for v, n in chips.items():

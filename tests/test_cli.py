@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from bondlat import Arc, Multigraph, bonds, cli, encode_potentials
+from bondlat import Arc, Multigraph, bonds, cli, encode_potentials, jsonio
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
@@ -206,6 +206,21 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert "connected" in err
+
+
+    def test_enumerate_and_lattice_parse_the_graph_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = jsonio.parse_graph
+
+        def counting(doc):
+            calls.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(jsonio, "parse_graph", counting)
+        for command in ("enumerate", "lattice"):
+            calls.clear()
+            code, _ = run_cli(tmp_path, command, tri_doc())
+            assert (command, code, len(calls)) == (command, 0, 1)
 
 
 class TestLattice:
@@ -865,6 +880,43 @@ class TestBadInput:
         code = main(["enumerate", "--input", str(tmp_path / "absent.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+    def test_input_file_that_is_not_utf8(self, tmp_path, capsys):
+        source = tmp_path / "bad.json"
+        source.write_bytes(b"\xff\xfe{}")
+        assert main(["reduce", "--input", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {source}: input is not UTF-8: invalid start byte at byte 0\n"
+
+    def test_stdin_that_is_not_utf8(self):
+        # the stdin encoding setting must not matter: the bytes are decoded as UTF-8
+        for encoding in ("utf-8", "latin-1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bondlat", "reduce"],
+                input=b"\xff\xfe{}",
+                capture_output=True,
+                env=dict(os.environ, PYTHONIOENCODING=encoding),
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == b"input error: -: input is not UTF-8: invalid start byte at byte 0\n"
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        source = tmp_path / "deep.json"
+        source.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["reduce", "--input", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: (document root): invalid JSON: nested too deeply\n"
+
+    def test_unwritable_output_and_dot(self, tmp_path, capsys):
+        source = tmp_path / "in.json"
+        source.write_text(dumps(tri_doc()), encoding="utf-8")
+        missing = tmp_path / "absent" / "x"
+        for flag in ("--output", "--dot"):
+            code = main(["enumerate", "--input", str(source), "--output", os.devnull, flag, str(missing)])
+            assert (flag, code) == (flag, 2)
+            err = capsys.readouterr().err
+            assert err == f"output error: {missing}: cannot write output: No such file or directory\n"
 
 
 class TestParser:

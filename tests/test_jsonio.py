@@ -12,6 +12,7 @@ from bondlat.jsonio import (
     graph_json,
     infeasible_json,
     loads,
+    parse_arc_map,
     parse_arc_subset_map,
     parse_bond,
     parse_chip_input,
@@ -55,6 +56,11 @@ class TestLoadsDumps:
         with pytest.raises(InputFormatError) as exc:
             loads('{"a": }')
         assert "line 1 column" in path_of(exc)
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(InputFormatError) as exc:
+            loads("[" * 200_000 + "]" * 200_000)
+        assert str(exc.value) == "(document root): invalid JSON: nested too deeply"
 
     def test_dumps_is_stable_text(self):
         assert dumps({"b": 1, "a": 2}) == '{\n  "b": 1,\n  "a": 2\n}\n'
@@ -223,6 +229,82 @@ class TestParseSystems:
         with pytest.raises(InputFormatError) as exc:
             parse_systems(doc)
         assert "reference" in str(exc.value)
+
+
+def delta_doc(targets):
+    doc = tri_doc(delta_on_fundamental_cycles=targets)
+    del doc["reference"]
+    return doc
+
+
+# ids 7 and "7" (arcs) and 1 and "1" (vertices) are both JSON key "7" or "1"
+COLLIDING = {
+    "vertices": [1, "1"],
+    "arcs": [{"id": 7, "tail": 1, "head": "1"}, {"id": "7", "tail": "1", "head": 1}],
+}
+ARCS_COLLIDE = "arc ids 7 and '7' collide as JSON key '7'"
+VERTICES_COLLIDE = "vertex ids 1 and '1' collide as JSON key '1'"
+FULL = {"a1": 0, "a2": 0, "a3": 0}
+NO_ARC = "no arc has this id"
+NO_VERTEX = "no vertex has this id"
+GRAPH = {k: tri_doc()[k] for k in ("vertices", "arcs")}
+
+# (read, path, message) for the stray-key, missing-id and str-collision
+# errors of every id-keyed table.  A collision among non-tree arcs is one
+# among all arcs, which "lower" reports before "delta_on_fundamental_cycles"
+# is read, and "colors", "chips" and "excess" may be partial.
+TABLE_ERRORS = {
+    "lower stray": (lambda: parse_system(tri_doc(lower={**FULL, "zz": 0})), "lower.zz", NO_ARC),
+    "lower missing": (lambda: parse_system(tri_doc(lower={"a1": 0, "a3": 0})), "lower", "missing entry for arc 'a2'"),
+    "lower collision": (lambda: parse_system({**COLLIDING, "lower": {}}), "lower", ARCS_COLLIDE),
+    "upper stray": (lambda: parse_system(tri_doc(upper={**FULL, "9": 1})), "upper.9", NO_ARC),
+    "upper missing": (lambda: parse_system(tri_doc(upper={"a1": 1})), "upper", "missing entry for arc 'a2'"),
+    "upper collision": (
+        lambda: parse_arc_map({"upper": {}}, "upper", parse_graph(COLLIDING)), "upper", ARCS_COLLIDE
+    ),
+    "reference stray": (lambda: parse_system(tri_doc(reference={**FULL, "a4": 0})), "reference.a4", NO_ARC),
+    "reference missing": (lambda: parse_system(tri_doc(reference={})), "reference", "missing entry for arc 'a1'"),
+    "reference collision": (
+        lambda: parse_arc_map({"reference": {}}, "reference", parse_graph(COLLIDING)), "reference", ARCS_COLLIDE
+    ),
+    "delta stray": (
+        lambda: parse_system(delta_doc({"a3": 1, "a2": 0})),
+        "delta_on_fundamental_cycles.a2",
+        "not a non-tree arc of the deterministic spanning tree",
+    ),
+    "delta missing": (
+        lambda: parse_system(delta_doc({})), "delta_on_fundamental_cycles", "missing entry for non-tree arc 'a3'"
+    ),
+    "targets stray": (
+        lambda: parse_arc_subset_map({"targets": {"a1": 1}}, "targets", ["a3"]),
+        "targets.a1",
+        "unexpected arc id for this map",
+    ),
+    "targets missing": (
+        lambda: parse_arc_subset_map({"targets": {}}, "targets", ["a3"]), "targets", "missing entry for arc 'a3'"
+    ),
+    "targets collision": (lambda: parse_arc_subset_map({"targets": {}}, "targets", [7, "7"]), "targets", ARCS_COLLIDE),
+    "colors stray": (lambda: parse_colored_digraph({**GRAPH, "colors": {"a1": 1, "e": 2}}), "colors.e", NO_ARC),
+    "colors collision": (lambda: parse_colored_digraph({**COLLIDING, "colors": {}}), "colors", ARCS_COLLIDE),
+    "chips stray": (lambda: parse_chip_input({**GRAPH, "chips": {"4": 1}}), "chips.4", NO_VERTEX),
+    "chips collision": (lambda: parse_chip_input({**COLLIDING, "chips": {}}), "chips", VERTICES_COLLIDE),
+    "excess stray": (
+        lambda: parse_vertex_map({"excess": {"0": 1}}, "excess", tri_system().graph, partial=True), "excess.0", NO_VERTEX
+    ),
+    "excess collision": (
+        lambda: parse_vertex_map({"excess": {}}, "excess", parse_graph(COLLIDING), partial=True),
+        "excess",
+        VERTICES_COLLIDE,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_ERRORS))
+def test_table_error_messages(case):
+    read, path, message = TABLE_ERRORS[case]
+    with pytest.raises(InputFormatError) as exc:
+        read()
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
 
 
 class TestOtherParsers:

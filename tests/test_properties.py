@@ -56,6 +56,7 @@ from bondlat.jsonio import (
     parse_colored_digraph,
     parse_graph,
     parse_system,
+    parse_systems,
     system_json,
 )
 
@@ -232,6 +233,54 @@ def test_system_commands_exit_cleanly(doc):
             assert "Traceback" not in stderr.getvalue()
             if code != 2:
                 json.loads(sink.read_text(encoding="utf-8"))
+
+
+@st.composite
+def connected_system_docs(draw):
+    """(document, forbidden override) on a connected graph: windows, either
+    reference form, both or neither, a forbidden vertex that may be unknown,
+    and at times one table with a missing arc or a stray key."""
+    g = draw(connected_graphs())
+    doc = graph_json(g)
+    arc_ids = [a.id for a in g.arcs]
+    doc["lower"] = {a: draw(st.integers(-2, 0)) for a in arc_ids}
+    doc["upper"] = {a: draw(st.integers(0, 2)) for a in arc_ids}
+    form = draw(st.sampled_from(["reference", "delta"] * 3 + ["both", "neither"]))
+    if form in ("reference", "both"):
+        doc["reference"] = {a: draw(st.integers(-1, 1)) for a in arc_ids}
+    if form in ("delta", "both"):
+        tree = spanning_tree(g)
+        doc["delta_on_fundamental_cycles"] = {a: draw(st.integers(-1, 1)) for a in arc_ids if a not in tree}
+    if draw(st.booleans()):
+        doc["forbidden"] = draw(st.integers(1, 5))
+    if draw(st.integers(0, 2)) == 0:
+        table = doc.get(draw(st.sampled_from(["lower", "upper", "reference", "delta_on_fundamental_cycles"])))
+        if table and draw(st.booleans()):
+            del table[draw(st.sampled_from(sorted(table)))]
+        elif table is not None:
+            table[draw(st.sampled_from(["zz", *arc_ids]))] = 0
+    return doc, draw(st.sampled_from([None, None, 2, 5]))
+
+
+def _read_or_error(read, doc, override):
+    try:
+        return read(doc, override)
+    except InputFormatError as exc:
+        return exc.path, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_system_docs())
+def test_parse_systems_of_a_connected_document_is_parse_system(case):
+    def parts(s):
+        return s.graph, s.lower, s.upper, s.reference, s.forbidden
+
+    one, many = (_read_or_error(read, *case) for read in (parse_system, parse_systems))
+    event("error" if isinstance(one, tuple) else "system")
+    if isinstance(one, tuple):
+        assert many == one
+    else:
+        assert [parts(s) for s in many] == [parts(one)]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
