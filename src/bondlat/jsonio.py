@@ -260,7 +260,7 @@ def _read_systems(doc, forbidden_override, split: bool) -> list:
         )
     lower = parse_arc_map(doc, "lower", g)
     upper = parse_arc_map(doc, "upper", g)
-    if not split and "reference" in doc and "delta_on_fundamental_cycles" in doc:
+    if "reference" in doc and "delta_on_fundamental_cycles" in doc:
         raise InputFormatError(
             "", 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive'
         )

@@ -4,14 +4,18 @@ recoloring of abstract finite lattices by meet-irreducibles.
 Enumeration walks legal single-vertex pushes breadth-first from the
 minimum bond.  Every cover raises the total push count by exactly one, so
 discovery layers coincide with rank; within a layer elements are ordered
-lexicographically by bond values, which makes the output canonical.
+lexicographically by bond values, which makes the output canonical.  The
+walk packs each element into one int whose order is that lexicographic
+order, so a push is one masked add and a sort per layer ranks the layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, lt
+from itertools import count
+from operator import add, eq, itemgetter, lt
+from struct import Struct
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .bonds import Bond, BondSystem
@@ -103,17 +107,19 @@ class CoverDigraph:
         if arc_order is None:
             self.elements = self.vectors
         n = len(self.vectors)
-        normalized = []
-        for lo, hi, color in covers:
-            if not (0 <= lo < n and 0 <= hi < n):
-                raise PosetError(f"cover ({lo}, {hi}) references elements out of range")
-            if lo == hi:
-                raise PosetError(f"cover ({lo}, {hi}) is a self-loop")
-            normalized.append((lo, hi, color))
-        pairs = list(map(itemgetter(0, 1), normalized))
-        if not all(map(lt, pairs, pairs[1:])):
-            normalized.sort(key=lambda c: (c[0], c[1], id_key(c[2])))
-        self.covers = tuple(normalized)
+        covers = tuple(map(tuple, covers))
+        los = list(map(itemgetter(0), covers))
+        his = list(map(itemgetter(1), covers))
+        ends = los + his
+        if ends and (min(ends) < 0 or max(ends) >= n or any(map(eq, los, his))):
+            for lo, hi, _ in covers:
+                if not (0 <= lo < n and 0 <= hi < n):
+                    raise PosetError(f"cover ({lo}, {hi}) references elements out of range")
+                if lo == hi:
+                    raise PosetError(f"cover ({lo}, {hi}) is a self-loop")
+        if not all(map(lt, zip(los, his), zip(los[1:], his[1:]))):
+            covers = tuple(sorted(covers, key=lambda c: (c[0], c[1], id_key(c[2]))))
+        self.covers = covers
         self._colored: ColoredDigraph | None = None
 
     @cached_property
@@ -167,55 +173,71 @@ def _unique_end(arc_lists: Sequence[list], end: str) -> int:
     return ends[0]
 
 
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> struct code
+
+
 def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     """All bonds of a reduced feasible system, as a colored cover digraph.
 
-    Covers are single-vertex pushes colored by the pushed vertex.  Elements
-    are walked as tuples of arc values in graph arc order; a push of v is
-    legal when no arc leaving v is at its upper bound and no arc entering v
-    at its lower bound.  Raises CapExceededError past `cap` elements,
-    GraphError on rigid arcs.
+    Covers are single-vertex pushes colored by the pushed vertex.  A push of
+    v is legal when no arc leaving v is at its upper bound and no arc
+    entering v at its lower bound.  The walk packs each element into one
+    int: arc k of graph arc order holds value - lower in a field of 8, 16,
+    32 or 64 bits, arc 0 most significant, so int order is lexicographic
+    bond order.  A window wider than the walk can reach within `cap` is
+    narrowed to that reach first.  Adding v's addend sets a field's top
+    (guard) bit exactly when an arc leaving v is at its upper bound or an
+    arc entering v is above its lower bound, so with `mask` the guard bits
+    of v's arcs, `(key + addend) & mask == want` tests the push and `key +
+    delta` makes it.  Moves run in order of delta, so each layer's covers
+    come out sorted.  The keys become arc
+    value tuples once, at the end.  Raises CapExceededError past `cap`
+    elements, GraphError on rigid arcs.
     """
     minimum = system.minimum_bond()  # also enforces reducedness
     arcs = system.graph.arcs
     arc_order = tuple(a.id for a in arcs)
-    moves = []  # (v, ((slot, blocking value, step), ...)) per pushable vertex
-    for v in system.pushable_vertices():
-        out = [(k, system.upper[a.id], 1) for k, a in enumerate(arcs) if a.tail == v != a.head]
-        into = [(k, system.lower[a.id], -1) for k, a in enumerate(arcs) if a.head == v != a.tail]
-        moves.append((v, out + into))
     start = minimum.as_tuple(arc_order)
-    vectors = [start]
-    index = {start: 0}
+    # every element the walk reaches has rank <= max(cap, 1), so no arc
+    # strays further than that from the minimum; 2**62 elements never fit
+    reach = min(max(cap, 1), 1 << 62)
+    lower, upper = system.lower, system.upper
+    lows = [max(lower[a], x - reach) for a, x in zip(arc_order, start)]
+    spans = [min(upper[a], x + reach) - low for a, x, low in zip(arc_order, start, lows)]
+    widest = max(spans, default=0)
+    width = next(w for w in _FIELD_CODES if widest <= 1 << (w - 1))
+    top = 1 << (width - 1)
+    move = {v: [0, 0, 0, 0] for v in system.pushable_vertices()}  # addend, mask, want, delta
+    first = 0  # the minimum's key
+    for a, x, low, span, s in zip(arcs, start, lows, spans, range(width * (len(arcs) - 1), -1, -width)):
+        first += (x - low) << s
+        for v, addend, want, step in ((a.tail, top - span, 0, 1), (a.head, top - 1, top, -1)):
+            if v in move:  # a loop is rigid, so tail != head
+                m = move[v]
+                m[0] += addend << s
+                m[1] |= top << s
+                m[2] |= want << s
+                m[3] += step << s
+    moves = sorted(((*m, v) for v, m in move.items()), key=itemgetter(3))
+    keys = [first]
     covers: list[tuple[int, int, Hashable]] = []
-    layer = [0]
+    layer = [first]
     while layer:
-        discovered = set()
-        pending = []
-        for i in layer:
-            x = vectors[i]
-            for v, guards in moves:
-                for k, blocking, _ in guards:
-                    if x[k] == blocking:
-                        break
-                else:
-                    y = list(x)
-                    for k, _, step in guards:
-                        y[k] += step
-                    y = tuple(y)
-                    pending.append((i, y, v))
-                    if y not in index:
-                        discovered.add(y)
-        fresh = sorted(discovered)
-        base = len(vectors)
-        if base + len(fresh) > cap:
-            raise CapExceededError(base + len(fresh), cap)
-        layer = range(base, base + len(fresh))
-        index.update(zip(fresh, layer))
-        vectors += fresh
-        # distinct pushes of one element reach distinct elements, so the
-        # (lower, upper) pairs are unique and colors are never compared
-        covers += sorted((i, index[y], v) for i, y, v in pending)
+        pending = [
+            (i, key + d, v)
+            for i, key in enumerate(layer, len(keys) - len(layer))
+            for plus, mask, want, d, v in moves
+            if (key + plus) & mask == want
+        ]
+        layer = sorted(set(map(itemgetter(1), pending)))
+        if len(keys) + len(layer) > cap:
+            raise CapExceededError(len(keys) + len(layer), cap)
+        index = dict(zip(layer, count(len(keys))))
+        covers += [(i, index[y], v) for i, y, v in pending]
+        keys += layer
+    row = Struct(f">{len(arcs)}{_FIELD_CODES[width]}")
+    unpack, size = row.unpack, row.size
+    vectors = [tuple(map(add, unpack(k.to_bytes(size, "big")), lows)) for k in keys]
     return CoverDigraph(vectors, covers, arc_order)
 
 

@@ -189,6 +189,28 @@ class TestEnumerate:
         assert second["forbidden"] == 10
         assert second["covers"] == [[0, 1, 20]]
 
+    def test_reference_and_delta_are_exclusive_in_both_shapes(self, tmp_path, capsys):
+        connected = {
+            "vertices": [1, 2],
+            "arcs": [{"id": "a", "tail": 1, "head": 2}, {"id": "b", "tail": 2, "head": 1}],
+            "lower": {"a": 0, "b": 0},
+            "upper": {"a": 1, "b": 1},
+        }
+        disconnected = {
+            "vertices": [1, 2, 10, 20],
+            "arcs": [{"id": "a", "tail": 1, "head": 2}, {"id": "b", "tail": 10, "head": 20}],
+            "lower": {"a": 0, "b": 0},
+            "upper": {"a": 1, "b": 1},
+        }
+        both = {"reference": {"a": 0, "b": 0}, "delta_on_fundamental_cycles": {"b": 0}}
+        for doc in (connected, disconnected):
+            code, payload = run_cli(tmp_path, "enumerate", {**doc, **both})
+            assert (code, payload) == (2, None)
+            assert capsys.readouterr().err == (
+                'input error: (document root): keys "reference" and '
+                '"delta_on_fundamental_cycles" are mutually exclusive\n'
+            )
+
     def test_disconnected_dot_rejected(self, tmp_path, capsys):
         doc = {
             "vertices": [1, 2, 10, 20],

@@ -230,6 +230,14 @@ class TestParseSystems:
             parse_systems(doc)
         assert "reference" in str(exc.value)
 
+    def test_reference_and_delta_are_exclusive_in_both_shapes(self):
+        message = 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive'
+        connected = tri_doc(delta_on_fundamental_cycles={"a3": 1})
+        for doc in (connected, self.two_component_doc(delta_on_fundamental_cycles={})):
+            with pytest.raises(InputFormatError) as exc:
+                parse_systems(doc)
+            assert str(exc.value) == f"(document root): {message}"
+
 
 def delta_doc(targets):
     doc = tri_doc(delta_on_fundamental_cycles=targets)

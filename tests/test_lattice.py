@@ -3,6 +3,7 @@
 import pytest
 
 from bondlat import (
+    Arc,
     Bond,
     BondSystem,
     CapExceededError,
@@ -16,6 +17,7 @@ from bondlat import (
     canonical_uld_coloring,
     certify_uld_cover,
     color_tallies,
+    encode_potentials,
     enumerate_lattice,
     meet_irreducible_indices,
     minimal_representation,
@@ -62,6 +64,17 @@ class TestEnumerate:
             enumerate_lattice(star_system(), cap=2)
         assert exc.value.cap == 2 and exc.value.explored > 2
 
+    def test_cap_on_grid_5x5_counts_through_rank_12(self):
+        # potentials on a 5x5 grid, arcs right and down, differences in
+        # [-1, 1]: ranks 0-11 hold 853 elements and rank 12 holds 462 more
+        arcs = [Arc(f"h{v}", v, v + 1) for v in range(25) if v % 5 < 4]
+        arcs += [Arc(f"v{v}", v, v + 5) for v in range(20)]
+        g = Multigraph(range(25), arcs)
+        system = encode_potentials(g, {a.id: -1 for a in arcs}, {a.id: 1 for a in arcs}, 0).system
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_lattice(system, cap=1000)
+        assert (exc.value.explored, exc.value.cap) == (1315, 1000)
+
     def test_rejects_rigid_arcs(self):
         with pytest.raises(GraphError):
             enumerate_lattice(tri_system(delta=0))
@@ -83,6 +96,20 @@ class TestCoverDigraph:
             CoverDigraph([Bond({})], [(0, 1, "c")])
         with pytest.raises(PosetError):
             CoverDigraph([Bond({}), Bond({})], [(0, 0, "c")])
+
+    def test_first_bad_cover_is_named(self):
+        with pytest.raises(PosetError, match=r"^cover \(1, 3\) references elements out of range$"):
+            CoverDigraph("pqr", [(0, 1, "c"), (1, 3, "c"), (2, 2, "c"), (-1, 0, "c")])
+        with pytest.raises(PosetError, match=r"^cover \(-1, 0\) references elements out of range$"):
+            CoverDigraph("pqr", [(0, 1, "c"), (-1, 0, "c"), (1, 3, "c")])
+        with pytest.raises(PosetError, match=r"^cover \(2, 2\) is a self-loop$"):
+            CoverDigraph("pqr", [(0, 1, "c"), (2, 2, "c"), (1, 3, "c")])
+
+    def test_unsorted_covers_are_sorted_by_ends_then_color_key(self):
+        covers = [(1, 2, "b"), (0, 2, 7), (0, 1, "a"), (0, 2, "x"), (0, 2, 3)]
+        cd = CoverDigraph("pqr", [list(c) for c in covers])
+        assert cd.covers == ((0, 1, "a"), (0, 2, 3), (0, 2, 7), (0, 2, "x"), (1, 2, "b"))
+        assert CoverDigraph("pqr", cd.covers).covers == cd.covers
 
     def test_endpoints(self):
         cd = enumerate_lattice(star_system())

@@ -163,6 +163,151 @@ def test_enumeration_matches_box_oracle(s):
     assert got == expected
 
 
+def ranked_oracle(s: BondSystem) -> tuple[list, list]:
+    """The bonds of a reduced system as arc-value tuples sorted by (rank,
+    tuple), and their covers, from the tension oracle alone.  An element's
+    rank is the sum of its potential (zero at the forbidden vertex) less
+    the minimum's, and a cover raises the potential of one vertex by one."""
+    order = [a.id for a in s.graph.arcs]
+    potentials = {
+        x.as_tuple(order): tension_potential(s.graph, {a: x.values[a] - s.reference[a] for a in order}, s.forbidden)
+        for x in tension_bonds(s)
+    }
+    least = min(sum(p.values()) for p in potentials.values())
+    ranked = sorted(potentials, key=lambda t: (sum(potentials[t].values()) - least, t))
+    index = {tuple(sorted(potentials[t].items())): i for i, t in enumerate(ranked)}
+    covers = []
+    for i, t in enumerate(ranked):
+        for v in s.pushable_vertices():
+            up = tuple(sorted({**potentials[t], v: potentials[t][v] + 1}.items()))
+            if up in index:
+                covers.append((i, index[up], v))
+    return ranked, sorted(covers)
+
+
+@st.composite
+def spanned_systems(draw):
+    """Feasible systems whose windows all span 1 or 2, so no bridge is rigid."""
+    g = draw(connected_graphs(max_extra=3))
+    reference = {a.id: draw(st.integers(-2, 2)) for a in g.arcs}
+    spans = {a.id: draw(st.integers(1, 2)) for a in g.arcs}
+    lower = {a: r - draw(st.integers(0, spans[a])) for a, r in reference.items()}
+    return BondSystem(g, lower, {a: lower[a] + spans[a] for a in lower}, reference, 1)
+
+
+def _ranks(ranked: list, covers: list) -> list[int]:
+    ranks = [0] * len(ranked)
+    for lo, hi, _ in covers:  # sorted, so every lower end is ranked first
+        ranks[hi] = ranks[lo] + 1
+    return ranks
+
+
+def explored_at_cap(per_rank: Counter, cap: int) -> int:
+    """The `explored` count of an enumeration stopped by `cap`: the
+    cumulative element count through the first rank past 0 that exceeds
+    it, where the empty rank above the top counts too.  The minimum alone
+    is never checked against the cap."""
+    total = per_rank[0]
+    for r in range(1, max(per_rank) + 2):
+        total += per_rank[r]
+        if total > cap:
+            return total
+    raise AssertionError(f"cap {cap} is not below the element count {total}")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spanned_systems())
+def test_cap_exceeded_counts_through_the_crossing_rank(s):
+    reduced, _ = s.reduce()
+    per_rank = Counter(_ranks(*ranked_oracle(reduced)))
+    count = sum(per_rank.values())
+    assert enumerate_lattice(reduced, cap=count).n == count
+    for cap in range(count):
+        try:
+            enumerate_lattice(reduced, cap=cap)
+        except CapExceededError as exc:
+            assert (exc.explored, exc.cap) == (explored_at_cap(per_rank, cap), cap)
+        else:
+            raise AssertionError(f"cap {cap} did not stop a walk over {count} elements")
+
+
+@st.composite
+def reduced_systems_with_oracle(draw):
+    """A reduced system, its ranked oracle, an arc of it and a cap at which
+    the walk packs values into fields of 8 to 64 bits."""
+    s = draw(spanned_systems())
+    if draw(st.integers(0, 9)) == 0:
+        g = Multigraph([5], [Arc("loop", 5, 5)] * draw(st.integers(0, 1)))
+        s = BondSystem(g, {a.id: -1 for a in g.arcs}, {a.id: 1 for a in g.arcs}, {a.id: 0 for a in g.arcs}, 5)
+    reduced, _ = s.reduce()
+    arcs = reduced.graph.arcs
+    arc = draw(st.sampled_from(arcs)) if arcs else None
+    cap = draw(st.sampled_from([10_000, 2**40, 2**62, 2**70]))
+    return reduced, ranked_oracle(reduced), arc, cap
+
+
+def _with_windows(s: BondSystem, arc_id, lower, upper, reference) -> BondSystem:
+    return BondSystem(
+        s.graph,
+        {**s.lower, arc_id: lower},
+        {**s.upper, arc_id: upper},
+        {**s.reference, arc_id: reference},
+        s.forbidden,
+    )
+
+
+_WIDE = [2**8, 2**16, 2**64, 2**70]
+_SHIFTS = st.one_of(st.sampled_from([-(2**70), -(2**64) - 1, 2**64]), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reduced_systems_with_oracle(), st.sampled_from(_WIDE), st.integers(0, 7), _SHIFTS)
+def test_enumeration_is_the_ranked_oracle_for_wide_and_shifted_windows(case, wide, at, shift):
+    s, (ranked, covers), arc, cap = case
+    cd = enumerate_lattice(s, cap=cap)
+    assert (list(cd.vectors), list(cd.covers)) == (ranked, covers)
+    event(f"{len(ranked)} elements")
+    if arc is None:
+        assert ranked == [()]
+        return
+    k = [a.id for a in s.graph.arcs].index(arc.id)
+
+    # shifting one arc's window and reference shifts its value in every bond
+    shifted = _with_windows(s, arc.id, s.lower[arc.id] + shift, s.upper[arc.id] + shift, s.reference[arc.id] + shift)
+    cd = enumerate_lattice(shifted, cap=cap)
+    assert list(cd.vectors) == [t[:k] + (t[k] + shift,) + t[k + 1 :] for t in ranked]
+    assert list(cd.covers) == covers
+
+    # a parallel copy of the arc, offset by `shift` and with a window `wide`
+    # beyond its values, is held by the two-arc cycle: the potentials stay
+    values = [t[k] for t in ranked]
+    copy = Arc("copy", arc.tail, arc.head)
+    arcs = list(s.graph.arcs)
+    arcs.insert(at % (len(arcs) + 1), copy)
+    doubled = BondSystem(
+        Multigraph(s.graph.vertices, arcs),
+        {**s.lower, "copy": min(values) + shift - wide},
+        {**s.upper, "copy": max(values) + shift + wide},
+        {**s.reference, "copy": s.reference[arc.id] + shift},
+        s.forbidden,
+    )
+    at = arcs.index(copy)
+    extended = [t[:at] + (t[k] + shift,) + t[at:] for t in ranked]
+    cd = enumerate_lattice(doubled, cap=cap)
+    assert list(cd.vectors) == [t for _, t in sorted(zip(_ranks(ranked, covers), extended))]
+    back = {t: i for i, t in enumerate(extended)}
+    assert sorted((back[cd.vectors[lo]], back[cd.vectors[hi]], v) for lo, hi, v in cd.covers) == covers
+
+    # widening the arc's own window changes nothing once widening it by one
+    # does not: the cycles already hold it inside
+    low, high = s.lower[arc.id], s.upper[arc.id]
+    if ranked_oracle(_with_windows(s, arc.id, low - 1, high + 1, s.reference[arc.id]))[0] == ranked:
+        widened = _with_windows(s, arc.id, low - wide, high + wide, s.reference[arc.id])
+        cd = enumerate_lattice(widened, cap=cap)
+        assert (list(cd.vectors), list(cd.covers)) == (ranked, covers)
+        event("arc held by its cycles")
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(feasible_systems(max_slack=1, max_extra=3))
 def test_rigid_arcs_and_minimum_match_the_tension_oracle(s):
