@@ -1,4 +1,4 @@
-"""Certification of arc-colored digraphs and brute-force poset analysis.
+"""Certification of arc-colored digraphs and analysis of explicit finite posets.
 
 Two independent routes decide the same structural questions.  The axiomatic
 route inspects a colored digraph locally: arcs leaving a vertex toward
@@ -11,18 +11,23 @@ distributivity.  Every check walks the per-vertex arc lists of one indexed
 form (`ColoredDigraph.out` / `into`); bond lattices, their reversals and
 chip-firing games all reach it without building a `Multigraph`.
 
-The brute-force route takes an explicit finite poset and verifies the
-lattice property, computes the meet-irreducibles, and checks that every
-element is the meet of a unique inclusion-minimal set of meet-irreducibles,
-producing small certificates when anything fails.
+The poset route takes an explicit finite poset, verifies the lattice
+property and decides whether every element is the meet of a unique
+inclusion-minimal set of meet-irreducibles.  With E_y the meet-irreducibles
+above x but not above an upper cover y of x, a set of meet-irreducibles
+above x has x as a maximal lower bound exactly when it meets every E_y.  So
+x has no such minimal set when some E_y is empty, and exactly one when every
+inclusion-minimal E_y is a single element.  A subset search runs only at an
+element with several, to name two of them as the certificate.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .graph import Arc, GraphError, Multigraph, id_key
@@ -436,11 +441,12 @@ def brute_uld(p: FinitePoset) -> BruteReport:
             if p.join(i, j) is None:
                 return BruteReport(False, (i, j, "join"), (), False, None, None, None)
     irreducibles = tuple(p.meet_irreducible_indices())
+    mask = sum(1 << m for m in irreducibles)
     certificate = None
     for x in range(p.n):
-        reps = minimal_representations(p, x, irreducibles, lambda s: p.meet_of_set(s) == x)
+        reps = meet_representations(p, x, mask)
         if len(reps) > 1:
-            certificate = (x, tuple(sorted(reps[0])), tuple(sorted(reps[1])))
+            certificate = (x, *reps)
             break
     is_distributive: bool | None = None
     witness = None
@@ -457,29 +463,47 @@ def brute_uld(p: FinitePoset) -> BruteReport:
     )
 
 
-def minimal_representations(
-    p: FinitePoset, x: int, irreducibles: Sequence[int], represents: Callable[[frozenset], bool]
-) -> list[frozenset]:
-    """Inclusion-minimal sets of meet-irreducibles above x that pass `represents`.
+def lost_irreducibles(p: FinitePoset, x: int, irreducibles: int) -> dict[int, int]:
+    """Map each upper cover y of x to the bitmask E_y of the elements of
+    `irreducibles` (a bitmask) above x but not above y."""
+    mine = p.above[x] & irreducibles
+    return {y: mine & ~p.above[y] for y in p.upper_covers(x)}
 
-    Subsets are tried by size, so the list is ordered by size and then
-    lexicographically by `irreducibles` order.
+
+def meet_representations(p: FinitePoset, x: int, irreducibles: int) -> tuple:
+    """The minimal sets of elements of `irreducibles` (a bitmask) above x
+    that have x as a maximal lower bound, as ascending index tuples.
+
+    They are the minimal transversals of the `lost_irreducibles` masks:
+    none when a mask is empty, one when every mask holds a single-bit mask,
+    and otherwise the first two by size and then lexicographically.  Only
+    that last case searches subsets, of the union of the masks, which no
+    minimal transversal leaves, so the pair is the one a search over all
+    the meet-irreducibles above x would find.
     """
-    candidates = [m for m in irreducibles if p.leq(x, m)]
+    lost = lost_irreducibles(p, x, irreducibles).values()
+    singles = 0
+    for e in lost:
+        if e & (e - 1) == 0:
+            singles |= e
+    if all(e & singles for e in lost):
+        return (tuple(_bits(singles)),)
+    if not all(lost):
+        return ()
+    candidates = list(_bits(reduce(or_, lost)))
     if len(candidates) > _BRUTE_SUBSET_LIMIT:
         raise PosetError(
             f"element {x} sits below {len(candidates)} meet-irreducibles; "
             f"brute representation search is limited to {_BRUTE_SUBSET_LIMIT}"
         )
-    minimal: list[frozenset] = []
+    found: list[int] = []
     for size in range(len(candidates) + 1):
         for subset in combinations(candidates, size):
-            combo = frozenset(subset)
-            if any(known <= combo for known in minimal):
-                continue
-            if represents(combo):
-                minimal.append(combo)
-    return minimal
+            chosen = sum(1 << m for m in subset)
+            if all(e & chosen for e in lost) and all(f & ~chosen for f in found):
+                found.append(chosen)
+                if len(found) == 2:
+                    return tuple(_bits(found[0])), tuple(_bits(found[1]))
 
 
 def check_distributive(p: FinitePoset) -> tuple[bool, object]:

@@ -27,7 +27,7 @@ from .checker import (
     PosetError,
     _find_directed_cycle,
     certify_uld_cover,
-    minimal_representations,
+    meet_representations,
 )
 from .graph import Multigraph, id_key
 from .lattice import TallyError, color_tallies
@@ -310,7 +310,7 @@ class RepresentationReport:
     """Unique-minimal-representation analysis of a finite poset."""
 
     ok: bool
-    witness: object                 # (s, t) labels: two maximal lower bounds, or two rep sets
+    witness: object                 # see unique_minimal_representation_report
     representations: Mapping        # element index -> minimal representing index set
 
 
@@ -318,29 +318,23 @@ def unique_minimal_representation_report(p: FinitePoset) -> RepresentationReport
     """Check that every element is the unique maximal lower bound of a
     unique minimal set of meet-irreducibles.
 
-    Failure witnesses are either two minimal representing sets for one
-    element or a pair (s, t) of distinct maximal lower bounds of s's set.
+    The first element that fails gives the witness, in one of three forms:
+    (label, None) when no set of meet-irreducibles has it as a maximal
+    lower bound, (label, set, other set) for two minimal representing sets,
+    or a pair (s, t) of distinct maximal lower bounds of s's set.
     """
-    irreducibles = p.meet_irreducible_indices()
+    irreducibles = sum(1 << m for m in p.meet_irreducible_indices())
     representations = {}
     for s in range(p.n):
-        minimal = minimal_representations(
-            p, s, irreducibles, lambda chosen: s in p.maximal_lower_bounds(chosen)
-        )
-        if not minimal:
-            return RepresentationReport(False, (p.labels[s], None), dict(representations))
-        if len(minimal) > 1:
-            return RepresentationReport(
-                False,
-                (p.labels[s], tuple(sorted(minimal[0])), tuple(sorted(minimal[1]))),
-                dict(representations),
-            )
+        minimal = meet_representations(p, s, irreducibles)
+        if len(minimal) != 1:
+            return RepresentationReport(False, (p.labels[s], *(minimal or (None,))), representations)
         rep = minimal[0]
         bounds = p.maximal_lower_bounds(rep)
         if bounds != [s]:
             other = next(t for t in bounds if t != s)
-            return RepresentationReport(False, (p.labels[s], p.labels[other]), dict(representations))
-        representations[s] = tuple(sorted(rep))
+            return RepresentationReport(False, (p.labels[s], p.labels[other]), representations)
+        representations[s] = rep
     return RepresentationReport(True, None, representations)
 
 

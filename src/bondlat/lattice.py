@@ -20,11 +20,12 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .bonds import Bond, BondSystem
 from .checker import (
-    BruteReport,
     ColoredDigraph,
     FinitePoset,
     PosetError,
     brute_uld,
+    lost_irreducibles,
+    meet_representations,
     topological_order,
 )
 from .graph import id_key
@@ -297,35 +298,20 @@ def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:
 
 
 def minimal_representation(cd: CoverDigraph, i: int) -> frozenset[int]:
-    """The canonical minimal set of meet-irreducibles whose meet is element i.
+    """The unique minimal set of meet-irreducibles whose meet is element i.
 
-    For each color leaving i, the unique maximal element sharing i's count of
-    that color is meet-irreducible; those elements form the representation.
-    The result is verified against a brute-force order meet.
+    Decided by `meet_representations` on the closure of the covers.  Raises
+    TallyError when i has none or several, which a certified cover graph
+    never gives.
     """
-    vectors = color_tallies(cd)
     poset = cd.to_poset()
-    rep = set()
-    for _, _, _, color in cd.to_colored_digraph().out[i]:
-        stalled = [
-            j
-            for j in range(cd.n)
-            if poset.leq(i, j) and vectors[j].count(color) == vectors[i].count(color)
-        ]
-        tops = poset._maximal_of(sum(1 << j for j in stalled))
-        if len(tops) != 1:
-            raise TallyError(
-                f"color {color!r} above element {i} has {len(tops)} maximal stalls; "
-                "digraph is not a certified cover graph"
-            )
-        rep.add(tops[0])
-    verified = poset.meet_of_set(rep) if rep else cd.sink_index()
-    if verified != i:
+    reps = meet_representations(poset, i, sum(1 << m for m in meet_irreducible_indices(cd)))
+    if len(reps) != 1 or poset.meet_of_set(reps[0]) != i:
         raise TallyError(
-            f"representation of element {i} meets to {verified}; digraph is not a "
-            "certified cover graph"
+            f"element {i} is not the meet of a unique minimal set of meet-irreducibles; "
+            "digraph is not a certified cover graph"
         )
-    return frozenset(rep)
+    return frozenset(reps[0])
 
 
 def canonical_uld_coloring(elements: Sequence, cover_pairs: Iterable[tuple[int, int]]) -> CoverDigraph:
@@ -341,25 +327,19 @@ def canonical_uld_coloring(elements: Sequence, cover_pairs: Iterable[tuple[int, 
     if sorted(poset.covers()) != pairs:
         extra = next(p for p in pairs if p not in set(poset.covers()))
         raise PosetError(f"arc {extra} is a shortcut, not a cover; input must be a cover digraph")
-    report: BruteReport = brute_uld(poset)
+    report = brute_uld(poset)
     if not report.is_lattice:
         raise NotLatticeError(report.lattice_witness)
     if not report.is_uld:
         raise NotUldError(report.uld_certificate)
-    mi_masks = []
-    for x in range(poset.n):
-        mask = 0
-        for m in report.meet_irreducibles:
-            if poset.leq(x, m):
-                mask |= 1 << m
-        mi_masks.append(mask)
+    irreducibles = sum(1 << m for m in report.meet_irreducibles)
     covers = []
-    for lo, hi in pairs:
-        lost = mi_masks[lo] & ~mi_masks[hi]
-        if lost == 0 or lost & (lost - 1):
-            raise PosetError(
-                f"cover ({lo}, {hi}) loses {bin(lost).count('1')} meet-irreducibles; "
-                "expected exactly one"
-            )
-        covers.append((lo, hi, lost.bit_length() - 1))
+    for lo in range(poset.n):
+        for hi, lost in lost_irreducibles(poset, lo, irreducibles).items():
+            if lost == 0 or lost & (lost - 1):
+                raise PosetError(
+                    f"cover ({lo}, {hi}) loses {bin(lost).count('1')} meet-irreducibles; "
+                    "expected exactly one"
+                )
+            covers.append((lo, hi, lost.bit_length() - 1))
     return CoverDigraph(elements, covers)

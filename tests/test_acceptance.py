@@ -245,8 +245,8 @@ def test_criterion_5_canonical_recoloring_and_cover_criterion():
     recolored = bad = comparabilities = 0
     for _, _, _, cd in _generated_cases():
         irr = meet_irreducible_indices(cd)
-        # the brute validator inside the recoloring caps its subset search
-        # at 18 irreducibles; the cover criterion below still runs on all
+        # the len(irr) <= 18 guard is this criterion's original gate, kept
+        # as it was; the cover criterion below still runs on all
         if len(irr) <= 18:
             rebuilt = canonical_uld_coloring(cd.elements, cd.cover_pairs())
             if not certify_uld_cover(rebuilt.to_colored_digraph()).ok:

@@ -478,6 +478,35 @@ class TestCheckPoset:
         assert payload["is_lattice"] is False
         assert payload["lattice_witness"] is not None
 
+    def test_long_chain_is_decided(self, tmp_path):
+        # 40 meet-irreducibles sit above the bottom
+        chain = [f"c{i}" for i in range(41)]
+        doc = {"elements": chain, "covers": [list(pair) for pair in zip(chain, chain[1:])]}
+        code, payload = run_cli(tmp_path, "check-poset", doc)
+        assert code == 0
+        assert payload["is_uld"] is True
+        assert payload["meet_irreducibles"] == list(range(40))
+
+    def test_three_atoms_below_a_long_chain_name_their_bottom(self, tmp_path):
+        chain = [f"c{i}" for i in range(20)]
+        covers = [["bot", a] for a in "abc"] + [[a, "top"] for a in "abc"]
+        covers += [list(pair) for pair in zip(["top", *chain], chain)]
+        doc = {"elements": ["bot", "a", "b", "c", "top", *chain], "covers": covers}
+        code, payload = run_cli(tmp_path, "check-poset", doc)
+        assert code == 1
+        assert payload["is_uld"] is False
+        assert payload["uld_certificate"] == [0, [1, 2], [1, 3]]
+
+    def test_search_limit_refuses_nineteen_atoms(self, tmp_path, capsys):
+        atoms = [f"a{i}" for i in range(19)]
+        covers = [["bot", a] for a in atoms] + [[a, "top"] for a in atoms]
+        doc = {"elements": ["bot", *atoms, "top"], "covers": covers}
+        code, payload = run_cli(tmp_path, "check-poset", doc)
+        err = capsys.readouterr().err
+        assert code == 2 and payload is None
+        assert err.count("\n") == 1
+        assert "element 0 sits below 19 meet-irreducibles" in err
+
 
 class TestEncoders:
     def test_c_orient_composes_with_enumerate(self, tmp_path):

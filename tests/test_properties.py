@@ -26,6 +26,7 @@ from bondlat import (
     CapExceededError,
     ChipArrangement,
     CoverDigraph,
+    FinitePoset,
     Multigraph,
     brute_uld,
     build_complete_game,
@@ -40,6 +41,7 @@ from bondlat import (
     fundamental_cycles,
     maximal_firing_sequences,
     spanning_tree,
+    unique_minimal_representation_report,
     vertex_cut,
 )
 from bondlat.checker import ColoredDigraph, _find_directed_cycle, topological_order
@@ -60,7 +62,7 @@ from bondlat.jsonio import (
     system_json,
 )
 
-from util import tension_bonds, tension_potential
+from util import representation_report, tension_bonds, tension_potential, uld_certificate
 
 
 @st.composite
@@ -533,6 +535,55 @@ def test_check_uld_exits_cleanly_and_agrees_with_brute_force(doc):
     if verdict.status == "uld":
         report = brute_uld(verdict.poset)
         assert report.is_lattice and report.is_uld
+
+
+@st.composite
+def closure_lattices(draw):
+    """Lattices of the subsets of a 1-5 element ground set that are
+    intersections of drawn sets, with the ground set on top, in a drawn
+    element order.  Non-ULD lattices such as M3 occur."""
+    full = (1 << draw(st.integers(1, 5))) - 1
+    sets = {full, *draw(st.lists(st.integers(0, full), max_size=6))}
+    while more := {a & b for a in sets for b in sets} - sets:
+        sets |= more
+    order = draw(st.permutations(sorted(sets)))
+    above = [sum(1 << j for j, t in enumerate(order) if s & t == s) for s in order]
+    return FinitePoset(tuple(range(len(order))), above)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_lattices())
+def test_brute_uld_agrees_with_the_subset_search(p):
+    report = brute_uld(p)
+    expected = uld_certificate(p)
+    event("uld" if expected is None else "not uld")
+    assert report.is_lattice
+    assert report.is_uld == (expected is None)
+    assert report.uld_certificate == expected
+
+
+@st.composite
+def acyclic_posets(draw):
+    """Posets on 1-8 labelled elements: the closure of drawn pairs oriented
+    along a drawn element order, so lattices and non-lattices both occur."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    covers = [(order[min(i, j)], order[max(i, j)]) for i, j in pairs if i != j]
+    return FinitePoset.from_covers(tuple(f"e{i}" for i in range(n)), covers)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(acyclic_posets(), closure_lattices()))
+def test_representation_report_agrees_with_the_subset_search(p):
+    report = unique_minimal_representation_report(p)
+    ok, witness, representations = representation_report(p)
+    if not ok:
+        kinds = {2: "two maximal lower bounds", 3: "two representations"}
+        event("no representation" if witness[1] is None else kinds[len(witness)])
+    assert report.ok == ok
+    assert report.witness == witness
+    assert report.representations == representations
 
 
 @st.composite

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own machinery: bond
 enumeration goes through potential consistency instead of fundamental
-cycles, and the order oracle walks arbitrary legal set pushes instead of
-single-vertex covers.
+cycles, the order oracle walks arbitrary legal set pushes instead of
+single-vertex covers, and the meet-representation oracle tries every
+subset of meet-irreducibles instead of the library's hitting-set test.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bondlat import (
     FinitePoset,
     Multigraph,
     PlanarEmbedding,
+    PosetError,
 )
 from bondlat.graph import HEAD, TAIL
 
@@ -176,3 +178,62 @@ def push_reachability(system: BondSystem, elements: list[Bond]) -> dict:
         for j in seen:
             reach[(i, j)] = True
     return reach
+
+
+_BRUTE_SUBSET_LIMIT = 18
+
+
+def minimal_representations(p: FinitePoset, x: int, irreducibles, represents) -> list[frozenset]:
+    """Inclusion-minimal sets of meet-irreducibles above x that pass `represents`.
+
+    Subsets are tried by size, so the list is ordered by size and then
+    lexicographically by `irreducibles` order.
+    """
+    candidates = [m for m in irreducibles if p.leq(x, m)]
+    if len(candidates) > _BRUTE_SUBSET_LIMIT:
+        raise PosetError(
+            f"element {x} sits below {len(candidates)} meet-irreducibles; "
+            f"brute representation search is limited to {_BRUTE_SUBSET_LIMIT}"
+        )
+    minimal: list[frozenset] = []
+    for size in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            combo = frozenset(subset)
+            if any(known <= combo for known in minimal):
+                continue
+            if represents(combo):
+                minimal.append(combo)
+    return minimal
+
+
+def uld_certificate(p: FinitePoset):
+    """`brute_uld`'s certificate on a lattice: the first element with two
+    minimal meet-representations and the first two of them, or None."""
+    irreducibles = p.meet_irreducible_indices()
+    for x in range(p.n):
+        reps = minimal_representations(p, x, irreducibles, lambda s: p.meet_of_set(s) == x)
+        if len(reps) > 1:
+            return (x, tuple(sorted(reps[0])), tuple(sorted(reps[1])))
+    return None
+
+
+def representation_report(p: FinitePoset) -> tuple:
+    """(ok, witness, representations) as `unique_minimal_representation_report`
+    gives them, with x represented by a set that has x as a maximal lower
+    bound."""
+    irreducibles = p.meet_irreducible_indices()
+    representations = {}
+    for s in range(p.n):
+        minimal = minimal_representations(
+            p, s, irreducibles, lambda chosen: s in p.maximal_lower_bounds(chosen)
+        )
+        if not minimal:
+            return False, (p.labels[s], None), representations
+        if len(minimal) > 1:
+            return False, (p.labels[s], tuple(sorted(minimal[0])), tuple(sorted(minimal[1]))), representations
+        bounds = p.maximal_lower_bounds(minimal[0])
+        if bounds != [s]:
+            other = next(t for t in bounds if t != s)
+            return False, (p.labels[s], p.labels[other]), representations
+        representations[s] = tuple(sorted(minimal[0]))
+    return True, None, representations
