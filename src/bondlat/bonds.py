@@ -24,11 +24,21 @@ the componentwise order on p, and both steps have closed forms.  An arc is
 rigid exactly when its ends lie on one zero-weight cycle of the constraint
 graph.  The minimum bond is x(a) = reference(a) - d(tail, f) + d(head, f),
 with d the shortest constraint-graph distance and f the forbidden vertex.
+
+Costs, for n vertices and m arcs.  Distances come from a FIFO-queue
+Bellman-Ford pass, linear on trees and O(n m) at worst; an infeasible
+system pays one more arc-order pass, O(n m), for its certificate.  So
+`initial_bond` (the `find-bond` command) and `minimum_bond` each cost one
+distance pass.  `reduce` adds one strong-component pass over the tight
+edges, O(n + m), and builds the contracted graph in O(m log m).  After one
+`minimum_bond`, `push_counts`, `meet`, `join` and `leq` cost O(m) per call:
+they walk a plan of the push-count search that is built once per system.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -167,6 +177,9 @@ class BondSystem:
         self.forbidden = forbidden
         self._arc_order = tuple(a.id for a in graph.arcs)
         self._dist_cache: dict = {}
+        self._index = {v: i for i, v in enumerate(graph.vertices)}
+        self._adjacency: dict = {}
+        self._classes: tuple | None = None
         self._minimum: Bond | None = None
 
     @cached_property
@@ -211,54 +224,98 @@ class BondSystem:
             edges.append((a.tail, a.head, self.reference[a.id] - self.lower[a.id], a.id, 1))
         return edges
 
+    def _constraint_adjacency(self, reverse: bool) -> list:
+        """The weights of `_constraint_edges`, with every edge reversed when
+        `reverse`, as per-vertex lists of (head index, weight) in `_index`
+        order; built on the first call for each direction."""
+        adj = self._adjacency.get(reverse)
+        if adj is None:
+            index = self._index
+            adj = self._adjacency[reverse] = [[] for _ in index]
+            for a in self.graph.arcs:
+                t, h = index[a.tail], index[a.head]
+                if reverse:
+                    t, h = h, t
+                adj[h].append((t, self.upper[a.id] - self.reference[a.id]))
+                adj[t].append((h, self.reference[a.id] - self.lower[a.id]))
+        return adj
+
     def _distances(self, source, reverse: bool = False) -> dict:
         """Shortest constraint-graph distances from `source`, or to it when
-        `reverse`, raising an InfeasibleSystemError built from any negative
-        cycle."""
+        `reverse`, raising an InfeasibleSystemError on a negative cycle.
+
+        A FIFO-queue Bellman-Ford pass.  Every n pops from 2n on (a pass
+        that finds no negative cycle seldom needs more than n), the parent
+        links are checked for a cycle.  Only a negative cycle makes one, and
+        one appears soon once a negative cycle is reachable.  The certificate
+        then comes from `_certificate`, so it does not depend on the queue
+        order.
+        """
         key = (source, reverse)
         if key in self._dist_cache:
             return self._dist_cache[key]
-        dist = {v: _INF for v in self.graph.vertices}
-        dist[source] = 0
-        pred: dict = {}
-        edges = self._constraint_edges()
+        adj = self._constraint_adjacency(reverse)
+        n = len(adj)
+        dist = [_INF] * n
+        parent = [-1] * n
+        queued = [False] * n
+        start = self._index[source]
+        dist[start] = 0
+        queued[start] = True
+        queue = deque([start])
+        pops = 0
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du = dist[u]
+            for v, w in adj[u]:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    parent[v] = u
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+            pops += 1
+            if pops % n == 0 and pops > n and _has_cycle(parent):
+                raise self._certificate(source, reverse)
+        result = dict(zip(self.graph.vertices, dist))
+        self._dist_cache[key] = result
+        return result
+
+    def _certificate(self, source, reverse: bool) -> InfeasibleSystemError:
+        """The infeasibility certificate of the arc-order Bellman-Ford pass:
+        n - 1 rounds over the constraint edges in arc order, then the first
+        edge that still relaxes leads back to a negative cycle of `pred`
+        links.  O(|V| |A|); run only once a negative cycle is known to exist."""
+        index = self._index
+        edges = [(index[u], index[v], w, a, sign) for u, v, w, a, sign in self._constraint_edges()]
         if reverse:
-            edges = [(v, u, w, arc_id, -sign) for u, v, w, arc_id, sign in edges]
-        n = len(self.graph.vertices)
+            edges = [(v, u, w, a, -sign) for u, v, w, a, sign in edges]
+        n = len(index)
+        dist = [_INF] * n
+        dist[index[source]] = 0
+        pred: list = [None] * n  # the edge that last lowered each vertex
+        # a reachable negative cycle lowers some vertex in every round, so
+        # all n - 1 rounds run
         for _ in range(n - 1):
-            changed = False
-            for u, v, w, arc_id, sign in edges:
+            for edge in edges:
+                u, v, w, _, _ = edge
                 if dist[u] + w < dist[v]:
                     dist[v] = dist[u] + w
-                    pred[v] = (u, arc_id, sign)
-                    changed = True
-            if not changed:
-                break
-        for u, v, w, arc_id, sign in edges:
-            if dist[u] + w < dist[v]:
-                pred[v] = (u, arc_id, sign)
-                raise self._negative_cycle_error(pred, v)
-        self._dist_cache[key] = dist
-        return dist
-
-    def _negative_cycle_error(self, pred: dict, start) -> InfeasibleSystemError:
-        v = start
-        for _ in range(len(self.graph.vertices)):
+                    pred[v] = edge
+        edge = next(e for e in edges if dist[e[0]] + e[2] < dist[e[1]])
+        v = edge[1]
+        pred[v] = edge
+        for _ in range(n):  # step back onto the cycle
             v = pred[v][0]
-        cycle_vertices = []
-        u = v
-        while True:
-            cycle_vertices.append(u)
-            u = pred[u][0]
-            if u == v:
-                break
         signs: dict = {}
         u = v
-        for _ in range(len(cycle_vertices)):
-            prev, arc_id, sign = pred[u]
-            # pred edge enters u, so the walk runs prev -> u; flip to cycle order
+        while True:
+            # the pred edge enters u, so the walk runs prev -> u
+            u, _, _, arc_id, sign = pred[u]
             signs[arc_id] = sign
-            u = prev
+            if u == v:
+                break
         cycle = CycleVector(signs)
         required = flow_difference(self.reference, cycle)
         window_min = sum(self.lower[a] for a in cycle.forward_arcs()) - sum(
@@ -294,24 +351,31 @@ class BondSystem:
         bond: those that reach each other along tight edges of x =
         initial_bond(), head -> tail for an arc at its upper bound and tail ->
         head for one at its lower bound.  Rigid arcs join two class members.
+        The classes are the strong components of that tight digraph, each
+        represented by its first vertex in graph order; found on the first
+        call and returned again after.
         """
-        x = self.initial_bond()
-        succ = {v: [] for v in self.graph.vertices}
-        pred = {v: [] for v in self.graph.vertices}
-        for a in self.graph.arcs:
-            if x.values[a.id] == self.upper[a.id]:
-                succ[a.head].append(a.tail)
-                pred[a.tail].append(a.head)
-            if x.values[a.id] == self.lower[a.id]:
-                succ[a.tail].append(a.head)
-                pred[a.head].append(a.tail)
-        rep: dict = {}
-        for v in self.graph.vertices:
-            if v not in rep:
-                for u in _reachable(succ, v) & _reachable(pred, v):
-                    rep[u] = v
-        forced = {a.id: x.values[a.id] for a in self.graph.arcs if rep[a.tail] == rep[a.head]}
-        return {v: rep[v] for v in self.graph.vertices}, forced
+        if self._classes is None:
+            x = self.initial_bond()
+            index = self._index
+            succ: list = [[] for _ in index]
+            pred: list = [[] for _ in index]
+            for a in self.graph.arcs:
+                t, h = index[a.tail], index[a.head]
+                if x.values[a.id] == self.upper[a.id]:
+                    succ[h].append(t)
+                    pred[t].append(h)
+                if x.values[a.id] == self.lower[a.id]:
+                    succ[t].append(h)
+                    pred[h].append(t)
+            first: dict = {}
+            rep = {
+                v: first.setdefault(c, v)
+                for v, c in zip(self.graph.vertices, _strong_components(succ, pred))
+            }
+            forced = {a.id: x.values[a.id] for a in self.graph.arcs if rep[a.tail] == rep[a.head]}
+            self._classes = rep, forced
+        return self._classes
 
     def is_reduced(self) -> bool:
         return not self._rigid_classes()[1]
@@ -389,29 +453,44 @@ class BondSystem:
             )
         return self._minimum
 
+    @cached_property
+    def _push_plan(self) -> tuple:
+        """The walk `push_counts` makes, built once per system: a depth-first
+        search from the forbidden vertex over `incident_arcs`, as (arc id,
+        u, v, sign) steps.  A step with sign +1 (-1) first reaches v, the
+        arc's head (tail), from u; a step with sign 0 joins the already
+        reached tail u and head v."""
+        reached = {self.forbidden}
+        order = [self.forbidden]
+        steps = []
+        while order:
+            for arc in self.graph.incident_arcs(order.pop()):
+                if arc.tail not in reached:
+                    step = (arc.id, arc.head, arc.tail, -1)
+                elif arc.head not in reached:
+                    step = (arc.id, arc.tail, arc.head, 1)
+                else:
+                    step = (arc.id, arc.tail, arc.head, 0)
+                if step[3]:
+                    reached.add(step[2])
+                    order.append(step[2])
+                steps.append(step)
+        return tuple(steps)
+
     def push_counts(self, x: Bond) -> PushCount:
-        """Per-vertex push counts of x relative to the minimum bond."""
+        """Per-vertex push counts of x relative to the minimum bond, one
+        pass over the push plan: O(|A|)."""
         m = self.minimum_bond()
         offset = {a: x.values[a] - m.values[a] for a in self._arc_order}
         counts = {self.forbidden: 0}
-        order = [self.forbidden]
-        while order:
-            frontier = order.pop()
-            for arc in self.graph.incident_arcs(frontier):
-                known_tail = arc.tail in counts
-                known_head = arc.head in counts
-                if known_tail and known_head:
-                    if counts[arc.tail] - counts[arc.head] != offset[arc.id]:
-                        raise GraphError(
-                            f"labeling is not a bond of this system: arc {arc.id!r} "
-                            "disagrees with its push-count difference"
-                        )
-                elif known_tail:
-                    counts[arc.head] = counts[arc.tail] - offset[arc.id]
-                    order.append(arc.head)
-                else:
-                    counts[arc.tail] = counts[arc.head] + offset[arc.id]
-                    order.append(arc.tail)
+        for arc_id, u, v, sign in self._push_plan:
+            if sign:
+                counts[v] = counts[u] - sign * offset[arc_id]
+            elif counts[u] - counts[v] != offset[arc_id]:
+                raise GraphError(
+                    f"labeling is not a bond of this system: arc {arc_id!r} "
+                    "disagrees with its push-count difference"
+                )
         negatives = [v for v in counts if counts[v] < 0]
         if negatives:
             bad = sorted(negatives, key=id_key)[0]
@@ -484,15 +563,52 @@ def _as_int(table: Mapping, arc_id, what: str) -> int:
     return value
 
 
-def _reachable(adj: Mapping, start) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+def _has_cycle(parent: list) -> bool:
+    """Whether the parent links (-1 for none) close a cycle, in O(n)."""
+    mark = [0] * len(parent)
+    for start in range(len(parent)):
+        v = start
+        while v >= 0 and not mark[v]:
+            mark[v] = start + 1
+            v = parent[v]
+        if v >= 0 and mark[v] == start + 1:
+            return True
+    return False
+
+
+def _strong_components(succ: list, pred: list) -> list:
+    """A component label for each vertex of a digraph given as successor
+    and predecessor index lists: Kosaraju's two searches with explicit
+    stacks, O(n + m)."""
+    n = len(succ)
+    seen = [False] * n
+    finished = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    label = [-1] * n
+    for root in reversed(finished):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for w in pred[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = root
+                        stack.append(w)
+    return label
 
 
 def find_initial_bond(system: BondSystem) -> Bond:

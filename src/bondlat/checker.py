@@ -434,12 +434,15 @@ def brute_uld(p: FinitePoset) -> BruteReport:
     """
     if p.n == 0:
         return BruteReport(False, "empty", (), False, None, None, None)
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if p.meet(i, j) is None:
-                return BruteReport(False, (i, j, "meet"), (), False, None, None, None)
-            if p.join(i, j) is None:
-                return BruteReport(False, (i, j, "join"), (), False, None, None, None)
+    # Two elements have a meet exactly when their common down-set is one
+    # element's down-set, and a join when their common up-set is one
+    # element's up-set: one set lookup each, in the order `meet`/`join` ask.
+    downs, ups = set(p.below), set(p.above)
+    for i, j in combinations(range(p.n), 2):
+        if (p.below[i] & p.below[j]) not in downs:
+            return BruteReport(False, (i, j, "meet"), (), False, None, None, None)
+        if (p.above[i] & p.above[j]) not in ups:
+            return BruteReport(False, (i, j, "join"), (), False, None, None, None)
     irreducibles = tuple(p.meet_irreducible_indices())
     mask = sum(1 << m for m in irreducibles)
     certificate = None

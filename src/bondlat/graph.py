@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Hashable, Iterable, Mapping
 
 TAIL = "tail"
@@ -90,6 +92,7 @@ class Multigraph:
         for v in self.vertices:
             self._out[v].sort(key=lambda a: id_key(a.id))
             self._in[v].sort(key=lambda a: id_key(a.id))
+        self._incident: dict = {}
 
     def __eq__(self, other):
         return (
@@ -116,12 +119,19 @@ class Multigraph:
     def in_arcs(self, v) -> list[Arc]:
         return list(self._in[v])
 
-    def incident_arcs(self, v) -> list[Arc]:
-        """All arcs touching v, loops listed once, ascending by id."""
-        seen = {}
-        for arc in self._out[v] + self._in[v]:
-            seen[arc.id] = arc
-        return sorted(seen.values(), key=lambda a: id_key(a.id))
+    def incident_arcs(self, v) -> tuple[Arc, ...]:
+        """All arcs touching v, loops listed once, ascending by id; sorted on
+        the first call for v and returned again after."""
+        arcs = self._incident.get(v)
+        if arcs is None:
+            seen = {arc.id: arc for arc in self._out[v] + self._in[v]}
+            arcs = self._incident[v] = tuple(sorted(seen.values(), key=lambda a: id_key(a.id)))
+        return arcs
+
+    @cached_property
+    def arcs_by_id(self) -> tuple[Arc, ...]:
+        """The arcs in ascending id order."""
+        return tuple(sorted(self.arcs, key=lambda a: id_key(a.id)))
 
     def out_degree(self, v) -> int:
         return len(self._out[v])
@@ -212,25 +222,31 @@ def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic spanning tree of the underlying undirected graph.
 
     Grows from the smallest vertex, repeatedly adding the smallest-id arc
-    with exactly one endpoint reached.  Raises on disconnected input,
-    naming two vertices with no connecting path.
+    with exactly one endpoint reached: Prim's algorithm with a heap of arc
+    ranks in id order, O(|A| log |A|).  An arc popped with both ends
+    reached never qualifies again, so it is dropped.  Raises on
+    disconnected input, naming two vertices with no connecting path.
     """
     if not g.vertices:
         raise GraphError("empty graph has no spanning tree")
     root = g.vertices[0]
+    ordered = g.arcs_by_id
+    rank = {arc.id: i for i, arc in enumerate(ordered)}
     reached = {root}
     tree: set = set()
-    ordered = sorted(g.arcs, key=lambda a: id_key(a.id))
+    heap = [rank[arc.id] for arc in g.incident_arcs(root)]  # ascending, so a heap
     while len(reached) < len(g.vertices):
-        for arc in ordered:
-            tail_in = arc.tail in reached
-            if tail_in != (arc.head in reached):
-                tree.add(arc.id)
-                reached.add(arc.head if tail_in else arc.tail)
-                break
-        else:
+        if not heap:
             stranded = next(v for v in g.vertices if v not in reached)
             raise GraphError(f"graph is disconnected: no path between {root!r} and {stranded!r}")
+        arc = ordered[heappop(heap)]
+        tail_in = arc.tail in reached
+        if tail_in != (arc.head in reached):
+            new = arc.head if tail_in else arc.tail
+            tree.add(arc.id)
+            reached.add(new)
+            for other in g.incident_arcs(new):
+                heappush(heap, rank[other.id])
     return frozenset(tree)
 
 
@@ -242,13 +258,13 @@ def _tree_adjacency(g: Multigraph, tree: frozenset) -> dict:
             raise GraphError(f"tree arc {arc_id!r} is a loop")
         adj[arc.tail].append((arc.head, arc, FORWARD))
         adj[arc.head].append((arc.tail, arc, BACKWARD))
-    for v in adj:
-        adj[v].sort(key=lambda item: id_key(item[1].id))
     return adj
 
 
 def _check_spanning_tree(g: Multigraph, tree: frozenset) -> dict:
-    """Validate `tree` and return parent links {v: (parent, arc, direction)}."""
+    """Validate `tree` and return parent links {v: (parent, arc, direction)},
+    breadth-first from the smallest vertex.  A tree's links do not depend on
+    the order its arcs are visited in."""
     if len(tree) != len(g.vertices) - 1:
         raise GraphError(f"a spanning tree here needs {len(g.vertices) - 1} arcs, got {len(tree)}")
     adj = _tree_adjacency(g, tree)
@@ -271,44 +287,27 @@ def fundamental_cycles(g: Multigraph, tree: frozenset) -> list[CycleVector]:
 
     The defining arc is traversed forward (+1) and the cycle closes through
     the tree path from its head back to its tail.  A loop closes on itself.
+    Each path is found by climbing from the deeper end, so a cycle costs
+    its own length.
     """
     parent = _check_spanning_tree(g, tree)
-
-    def climb_steps(v):
-        steps = []
-        while parent[v] is not None:
-            up, arc, _ = parent[v]
-            steps.append((v, up, arc))
-            v = up
-        return steps
-
+    depth: dict = {}
+    for v, link in parent.items():  # breadth-first, so parents come first
+        depth[v] = 0 if link is None else depth[link[0]] + 1
     cycles = []
-    for arc in sorted(g.arcs, key=lambda a: id_key(a.id)):
+    for arc in g.arcs_by_id:
         if arc.id in tree:
             continue
         signs = {arc.id: 1}
-        if not arc.is_loop():
-            from_head = climb_steps(arc.head)
-            from_tail = climb_steps(arc.tail)
-            head_chain = [arc.head] + [s[1] for s in from_head]
-            tail_chain = [arc.tail] + [s[1] for s in from_tail]
-            common = set(head_chain) & set(tail_chain)
-            meet = next(v for v in head_chain if v in common)
-            walk: list[tuple[Arc, int]] = []
-            for v, up, tarc in from_head:
-                if v == meet:
-                    break
-                walk.append((tarc, FORWARD if tarc.tail == v else BACKWARD))
-                if up == meet:
-                    break
-            descent: list[tuple[Arc, int]] = []
-            for v, up, tarc in from_tail:
-                if v == meet:
-                    break
-                descent.append((tarc, FORWARD if tarc.head == v else BACKWARD))
-                if up == meet:
-                    break
-            for tarc, direction in walk + list(reversed(descent)):
+        h, t = arc.head, arc.tail
+        while h != t:
+            # a link's direction is its arc's walked from parent to child;
+            # the cycle climbs from the head and comes down to the tail
+            if depth[h] >= depth[t]:
+                h, tarc, direction = parent[h]
+                signs[tarc.id] = -direction
+            else:
+                t, tarc, direction = parent[t]
                 signs[tarc.id] = direction
         cycles.append(CycleVector(signs))
     return cycles
@@ -322,14 +321,14 @@ def vertex_cut(g: Multigraph, inside: Iterable) -> VertexCut:
         raise GraphError(f"cut references unknown vertex {sorted(unknown, key=id_key)[0]!r}")
     forward = []
     backward = []
-    for arc in g.arcs:
+    for arc in g.arcs_by_id:
         tail_in = arc.tail in members
         head_in = arc.head in members
         if tail_in and not head_in:
             forward.append(arc.id)
         elif head_in and not tail_in:
             backward.append(arc.id)
-    return VertexCut(members, tuple(sorted(forward, key=id_key)), tuple(sorted(backward, key=id_key)))
+    return VertexCut(members, tuple(forward), tuple(backward))
 
 
 @dataclass(frozen=True)
@@ -426,7 +425,7 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
         for direction in (FORWARD, BACKWARD)
     }
     walks = []
-    for arc in sorted(g.arcs, key=lambda a: id_key(a.id)):
+    for arc in g.arcs_by_id:
         for direction in (FORWARD, BACKWARD):
             start = (arc.id, direction)
             if start not in unused:
@@ -470,7 +469,7 @@ def planar_dual(embedding: PlanarEmbedding) -> PlanarDual:
             face_of_dart[dart] = i
     g = embedding.host
     dual_arcs = []
-    for arc in sorted(g.arcs, key=lambda a: id_key(a.id)):
+    for arc in g.arcs_by_id:
         tail_face = face_of_dart[(arc.id, FORWARD)]
         head_face = face_of_dart[(arc.id, BACKWARD)]
         dual_arcs.append(Arc(arc.id, tail_face, head_face))

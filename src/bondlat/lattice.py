@@ -122,6 +122,7 @@ class CoverDigraph:
             covers = tuple(sorted(covers, key=lambda c: (c[0], c[1], id_key(c[2]))))
         self.covers = covers
         self._colored: ColoredDigraph | None = None
+        self._poset: FinitePoset | None = None
 
     @cached_property
     def elements(self) -> tuple:
@@ -156,7 +157,11 @@ class CoverDigraph:
         return [(lo, hi) for lo, hi, _ in self.covers]
 
     def to_poset(self) -> FinitePoset:
-        return FinitePoset.from_covers(tuple(range(self.n)), self.cover_pairs())
+        """The closure of the covers, built on the first call and returned
+        again after."""
+        if self._poset is None:
+            self._poset = FinitePoset.from_covers(tuple(range(self.n)), self.cover_pairs())
+        return self._poset
 
     def to_colored_digraph(self) -> ColoredDigraph:
         """The covers as one indexed `ColoredDigraph`, built on the first call

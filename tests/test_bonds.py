@@ -17,7 +17,9 @@ from bondlat import (
     flow_difference,
 )
 
-from util import star_system, tension_bonds, tri_graph, tri_system
+from bondlat.jsonio import parse_system
+
+from util import path_document, star_system, tension_bonds, tri_graph, tri_system
 
 ARCS = ("a1", "a2", "a3")
 
@@ -370,6 +372,46 @@ class TestOrder:
         s = tri_system()
         assert s.join(bond(1, 0, 0), bond(0, 0, 1)) == bond(0, 0, 1)
         assert s.meet(bond(0, 1, 0), bond(0, 0, 1)) == bond(0, 1, 0)
+
+
+def best_time(prepare, run, rounds=3) -> float:
+    """Least time of `run(prepare())` over a few rounds, `prepare` untimed."""
+    best = float("inf")
+    for _ in range(rounds):
+        arg = prepare()
+        start = time.perf_counter()
+        run(arg)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["with the path", "against the path"])
+class TestLongPath:
+    """A 2,000-vertex path.  An arc-order Bellman-Ford needs one round per
+    vertex on one of the two listings, and per-class reachability searches
+    and per-vertex spanning-tree rescans are quadratic on both."""
+
+    def test_initial_and_minimum_bond(self, reverse):
+        doc = path_document(2000, reverse)
+
+        def prepare():
+            return parse_system(doc), parse_system(doc).reduce()[0]
+
+        def run(systems):
+            system, reduced = systems
+            system.initial_bond()
+            assert reduced.check_bond(reduced.minimum_bond()).ok
+
+        assert best_time(prepare, run) < 0.05
+
+    def test_reduce(self, reverse):
+        doc = path_document(2000, reverse)
+
+        def run(system):
+            reduced, cmap = system.reduce()
+            assert len(cmap.forced) == 286 and len(reduced.graph.vertices) == 2000 - 286
+
+        assert best_time(lambda: parse_system(doc), run) < 0.2
 
 
 def test_brute_force_agrees_with_tension_oracle():

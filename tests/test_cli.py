@@ -18,6 +18,8 @@ from bondlat import Arc, Multigraph, bonds, cli, encode_potentials, jsonio
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
+from util import path_document
+
 _SEQ = itertools.count()
 
 
@@ -908,6 +910,21 @@ class TestScale:
         assert len(payload["elements"]) == 22_979
         assert "elements" not in vars(cd)
         assert len(built) <= 10
+
+
+    def test_meet_on_a_2000_vertex_path(self, tmp_path):
+        # an arc-order Bellman-Ford needs one round per vertex on one listing
+        payloads = []
+        for reverse in (False, True):
+            doc = path_document(2000, reverse)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                code, payload = run_cli(tmp_path, "meet", doc)
+                best = min(best, time.perf_counter() - start)
+            assert code == 0 and best < 0.5
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
 
 class TestBadInput:

@@ -9,6 +9,7 @@ from bondlat import (
     CapExceededError,
     ColorTally,
     CoverDigraph,
+    FinitePoset,
     GraphError,
     Multigraph,
     NotLatticeError,
@@ -220,6 +221,20 @@ class TestRepresentations:
     def test_star_bottom_needs_both(self):
         cd = enumerate_lattice(star_system())
         assert minimal_representation(cd, 0) == {1, 2}
+
+    def test_one_closure_poset_for_every_representation(self, monkeypatch):
+        built = []
+        real_init = FinitePoset.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(FinitePoset, "__init__", counting)
+        cd = enumerate_lattice(star_system())
+        reps = [minimal_representation(cd, i) for i in range(cd.n)]
+        assert reps == [{1, 2}, {1}, {2}, frozenset()]
+        assert len(built) == 1 and cd.to_poset() is built[0]
 
     def test_representation_meets_back(self):
         for s in (tri_system(), star_system()):

@@ -27,6 +27,7 @@ from bondlat import (
     ChipArrangement,
     CoverDigraph,
     FinitePoset,
+    InfeasibleSystemError,
     Multigraph,
     brute_uld,
     build_complete_game,
@@ -62,7 +63,14 @@ from bondlat.jsonio import (
     system_json,
 )
 
-from util import representation_report, tension_bonds, tension_potential, uld_certificate
+from util import (
+    arc_order_distances,
+    representation_report,
+    rigid_classes_by_reachability,
+    tension_bonds,
+    tension_potential,
+    uld_certificate,
+)
 
 
 @st.composite
@@ -325,6 +333,45 @@ def test_rigid_arcs_and_minimum_match_the_tension_oracle(s):
     ]
     least = [x for x, p in zip(bonds, potentials) if all(p[v] <= q[v] for q in potentials for v in p)]
     assert least == [cmap.expand(reduced.minimum_bond())]
+
+
+@st.composite
+def windowed_systems(draw):
+    """Systems whose reference may leave its windows, so some have no bond."""
+    g = draw(connected_graphs(max_extra=5))
+    reference, lower, upper = {}, {}, {}
+    for a in g.arcs:
+        lower[a.id] = draw(st.integers(-2, 2))
+        upper[a.id] = lower[a.id] + draw(st.integers(0, 2))
+        reference[a.id] = draw(st.integers(-3, 3))
+    return BondSystem(g, lower, upper, reference, draw(st.sampled_from(g.vertices)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_systems())
+def test_queue_distances_and_one_pass_classes_match_the_arc_order_oracles(s):
+    for source in s.graph.vertices:
+        for reverse in (False, True):
+            dist, certificate = arc_order_distances(s, source, reverse)
+            if certificate is None:
+                assert s._distances(source, reverse) == dist
+                continue
+            try:
+                s._distances(source, reverse)
+            except InfeasibleSystemError as exc:
+                got = (dict(exc.cycle.signs), exc.required, exc.window_min, exc.window_max)
+                assert got == certificate
+            else:
+                raise AssertionError("a negative cycle went unreported")
+    dist, certificate = arc_order_distances(s, s.forbidden)
+    event("infeasible" if certificate else "feasible")
+    if certificate is None:
+        x = Bond({a.id: s.reference[a.id] + dist[a.tail] - dist[a.head] for a in s.graph.arcs})
+        rep, forced = rigid_classes_by_reachability(s, x)
+        event("rigid arcs" if forced else "no rigid arc")
+        _, cmap = s.reduce()
+        assert (dict(cmap.vertex_map), dict(cmap.forced)) == (rep, forced)
+        assert list(cmap.vertex_map) == list(rep) and list(cmap.forced) == list(forced)
 
 
 @st.composite

@@ -3,8 +3,11 @@
 The oracles deliberately avoid the library's own machinery: bond
 enumeration goes through potential consistency instead of fundamental
 cycles, the order oracle walks arbitrary legal set pushes instead of
-single-vertex covers, and the meet-representation oracle tries every
-subset of meet-irreducibles instead of the library's hitting-set test.
+single-vertex covers, the meet-representation oracle tries every
+subset of meet-irreducibles instead of the library's hitting-set test,
+the distance oracle relaxes every constraint edge in arc order once per
+round instead of from a queue, and the rigid-class oracle intersects two
+reachability searches per vertex instead of one strong-component pass.
 """
 
 from __future__ import annotations
@@ -104,6 +107,25 @@ def m3_poset() -> FinitePoset:
 def n5_poset() -> FinitePoset:
     covers = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]
     return FinitePoset.from_covers(("bot", "a", "b", "c", "top"), covers)
+
+
+def path_document(n: int, reverse: bool) -> dict:
+    """A system document on the path 0 -> 1 -> ... -> n-1, its arcs listed
+    against the path when `reverse`.  Windows are [-1, 1] except on every
+    seventh arc, which is pinned at 0 and so rigid; bonds "x" and "y" are
+    given for the order commands."""
+    ids = [f"a{i}" for i in range(n - 1)]
+    arcs = [{"id": a, "tail": i, "head": i + 1} for i, a in enumerate(ids)]
+    width = {a: 0 if i % 7 == 0 else 1 for i, a in enumerate(ids)}
+    return {
+        "vertices": list(range(n)),
+        "arcs": arcs[::-1] if reverse else arcs,
+        "lower": {a: -w for a, w in width.items()},
+        "upper": width,
+        "reference": {a: 0 for a in ids},
+        "x": {a: 0 for a in ids},
+        "y": {a: w * (1 if i % 2 else -1) for i, (a, w) in enumerate(width.items())},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +259,85 @@ def representation_report(p: FinitePoset) -> tuple:
             return False, (p.labels[s], p.labels[other]), representations
         representations[s] = tuple(sorted(minimal[0]))
     return True, None, representations
+
+
+def arc_order_distances(system: BondSystem, source, reverse: bool = False):
+    """(distances, None) or (None, certificate) for the difference
+    constraints p(tail) - p(head) = x - reference in [lower - reference,
+    upper - reference], shortest distances from `source` (to it when
+    `reverse`).  Bellman-Ford relaxes every edge in arc order, once per
+    round for n - 1 rounds; an edge that still relaxes after them closes a
+    negative cycle through the predecessor links, and the certificate is
+    (signs, required, window_min, window_max) of that cycle."""
+    g = system.graph
+    edges = []
+    for a in g.arcs:
+        edges.append((a.head, a.tail, system.upper[a.id] - system.reference[a.id], a.id, -1))
+        edges.append((a.tail, a.head, system.reference[a.id] - system.lower[a.id], a.id, 1))
+    if reverse:
+        edges = [(v, u, w, arc_id, -sign) for u, v, w, arc_id, sign in edges]
+    dist = {v: float("inf") for v in g.vertices}
+    dist[source] = 0
+    pred = {}
+    for _ in range(len(g.vertices) - 1):
+        for u, v, w, arc_id, sign in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                pred[v] = (u, arc_id, sign)
+    bad = next(((u, v, arc_id, sign) for u, v, w, arc_id, sign in edges if dist[u] + w < dist[v]), None)
+    if bad is None:
+        return dist, None
+    u, v, arc_id, sign = bad
+    pred[v] = (u, arc_id, sign)
+    for _ in range(len(g.vertices)):  # step back onto the cycle
+        v = pred[v][0]
+    signs = {}
+    u = v
+    while True:
+        u, arc_id, sign = pred[u]
+        signs[arc_id] = sign
+        if u == v:
+            break
+    required = sum(s * system.reference[a] for a, s in signs.items())
+    low = {1: system.lower, -1: system.upper}
+    high = {1: system.upper, -1: system.lower}
+    return None, (
+        signs,
+        required,
+        sum(s * low[s][a] for a, s in signs.items()),
+        sum(s * high[s][a] for a, s in signs.items()),
+    )
+
+
+def rigid_classes_by_reachability(system: BondSystem, x: Bond) -> tuple[dict, dict]:
+    """(vertex -> least vertex of its class, rigid arc -> value) from the
+    tight edges of the bond x: each class is what a vertex reaches along
+    tight edges intersected with what reaches it, named by its first
+    vertex in graph order."""
+    succ = {v: [] for v in system.graph.vertices}
+    pred = {v: [] for v in system.graph.vertices}
+    for a in system.graph.arcs:
+        if x.values[a.id] == system.upper[a.id]:
+            succ[a.head].append(a.tail)
+            pred[a.tail].append(a.head)
+        if x.values[a.id] == system.lower[a.id]:
+            succ[a.tail].append(a.head)
+            pred[a.head].append(a.tail)
+    rep = {}
+    for v in system.graph.vertices:
+        if v not in rep:
+            for u in _reach(succ, v) & _reach(pred, v):
+                rep[u] = v
+    forced = {a.id: x.values[a.id] for a in system.graph.arcs if rep[a.tail] == rep[a.head]}
+    return {v: rep[v] for v in system.graph.vertices}, forced
+
+
+def _reach(adj: dict, start) -> set:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
