@@ -26,13 +26,15 @@ graph.  The minimum bond is x(a) = reference(a) - d(tail, f) + d(head, f),
 with d the shortest constraint-graph distance and f the forbidden vertex.
 
 Costs, for n vertices and m arcs.  Distances come from a FIFO-queue
-Bellman-Ford pass, linear on trees and O(n m) at worst; an infeasible
-system pays one more arc-order pass, O(n m), for its certificate.  So
-`initial_bond` (the `find-bond` command) and `minimum_bond` each cost one
-distance pass.  `reduce` adds one strong-component pass over the tight
-edges, O(n + m), and builds the contracted graph in O(m log m).  After one
-`minimum_bond`, `push_counts`, `meet`, `join` and `leq` cost O(m) per call:
-they walk a plan of the push-count search that is built once per system.
+Bellman-Ford pass, linear on trees and O(n m) at worst; a distance resting
+on n edges proves a negative cycle, and the infeasible system then pays one
+arc-order pass, O(n m), for its certificate.  `initial_bond` (the
+`find-bond` command) costs one distance pass.  `reduce` adds one
+strong-component pass over the tight edges, O(n + m), and builds the
+contracted graph in O(m log m); the reduced system's `minimum_bond` costs
+one more pass.  After it, `push_counts`, `meet`, `join` and `leq` cost O(m)
+per call: they walk `Multigraph.search_plan`, built once per root, which
+`PotentialFamily.decode` walks too.
 """
 
 from __future__ import annotations
@@ -178,7 +180,6 @@ class BondSystem:
         self._arc_order = tuple(a.id for a in graph.arcs)
         self._dist_cache: dict = {}
         self._index = {v: i for i, v in enumerate(graph.vertices)}
-        self._adjacency: dict = {}
         self._classes: tuple | None = None
         self._minimum: Bond | None = None
 
@@ -214,70 +215,58 @@ class BondSystem:
     def is_bond(self, x: Bond) -> bool:
         return self.check_bond(x).ok
 
-    def _constraint_edges(self) -> list:
-        """Difference constraints on p with x = reference + p(tail) - p(head):
-        edge (u, v, w, arc, sign) encodes p(v) <= p(u) + w; traversing it
-        walks the arc forward (sign +1) or backward (-1)."""
+    @cached_property
+    def _edges(self) -> tuple:
+        """Difference constraints on p with x = reference + p(tail) - p(head),
+        two per arc in arc order: edge (u, v, w, arc, sign) on `_index` encodes
+        p(v) <= p(u) + w and walks the arc forward (sign 1) or backward (-1)."""
+        index = self._index
         edges = []
         for a in self.graph.arcs:
-            edges.append((a.head, a.tail, self.upper[a.id] - self.reference[a.id], a.id, -1))
-            edges.append((a.tail, a.head, self.reference[a.id] - self.lower[a.id], a.id, 1))
-        return edges
-
-    def _constraint_adjacency(self, reverse: bool) -> list:
-        """The weights of `_constraint_edges`, with every edge reversed when
-        `reverse`, as per-vertex lists of (head index, weight) in `_index`
-        order; built on the first call for each direction."""
-        adj = self._adjacency.get(reverse)
-        if adj is None:
-            index = self._index
-            adj = self._adjacency[reverse] = [[] for _ in index]
-            for a in self.graph.arcs:
-                t, h = index[a.tail], index[a.head]
-                if reverse:
-                    t, h = h, t
-                adj[h].append((t, self.upper[a.id] - self.reference[a.id]))
-                adj[t].append((h, self.reference[a.id] - self.lower[a.id]))
-        return adj
+            t, h = index[a.tail], index[a.head]
+            edges.append((h, t, self.upper[a.id] - self.reference[a.id], a.id, -1))
+            edges.append((t, h, self.reference[a.id] - self.lower[a.id], a.id, 1))
+        return tuple(edges)
 
     def _distances(self, source, reverse: bool = False) -> dict:
         """Shortest constraint-graph distances from `source`, or to it when
         `reverse`, raising an InfeasibleSystemError on a negative cycle.
 
-        A FIFO-queue Bellman-Ford pass.  Every n pops from 2n on (a pass
-        that finds no negative cycle seldom needs more than n), the parent
-        links are checked for a cycle.  Only a negative cycle makes one, and
-        one appears soon once a negative cycle is reachable.  The certificate
-        then comes from `_certificate`, so it does not depend on the queue
-        order.
+        A FIFO-queue Bellman-Ford pass that counts the edges each distance
+        rests on.  A count of n means a chain of relaxations visited some
+        vertex twice, its distance falling in between, so the closed walk
+        between the visits is negative.  The certificate then comes from
+        `_certificate`, so it does not depend on the queue order.
         """
         key = (source, reverse)
         if key in self._dist_cache:
             return self._dist_cache[key]
-        adj = self._constraint_adjacency(reverse)
-        n = len(adj)
+        n = len(self._index)
+        adj: list = [[] for _ in range(n)]
+        for u, v, w, _, _ in self._edges:
+            if reverse:
+                u, v = v, u
+            adj[u].append((v, w))
         dist = [_INF] * n
-        parent = [-1] * n
+        length = [0] * n
         queued = [False] * n
         start = self._index[source]
         dist[start] = 0
         queued[start] = True
         queue = deque([start])
-        pops = 0
         while queue:
             u = queue.popleft()
             queued[u] = False
-            du = dist[u]
+            du, step = dist[u], length[u] + 1
             for v, w in adj[u]:
                 if du + w < dist[v]:
+                    if step == n:
+                        raise self._certificate(source, reverse)
                     dist[v] = du + w
-                    parent[v] = u
+                    length[v] = step
                     if not queued[v]:
                         queued[v] = True
                         queue.append(v)
-            pops += 1
-            if pops % n == 0 and pops > n and _has_cycle(parent):
-                raise self._certificate(source, reverse)
         result = dict(zip(self.graph.vertices, dist))
         self._dist_cache[key] = result
         return result
@@ -287,13 +276,12 @@ class BondSystem:
         n - 1 rounds over the constraint edges in arc order, then the first
         edge that still relaxes leads back to a negative cycle of `pred`
         links.  O(|V| |A|); run only once a negative cycle is known to exist."""
-        index = self._index
-        edges = [(index[u], index[v], w, a, sign) for u, v, w, a, sign in self._constraint_edges()]
+        edges = self._edges
         if reverse:
             edges = [(v, u, w, a, -sign) for u, v, w, a, sign in edges]
-        n = len(index)
+        n = len(self._index)
         dist = [_INF] * n
-        dist[index[source]] = 0
+        dist[self._index[source]] = 0
         pred: list = [None] * n  # the edge that last lowered each vertex
         # a reachable negative cycle lowers some vertex in every round, so
         # all n - 1 rounds run
@@ -344,8 +332,8 @@ class BondSystem:
             self.reference[a.id] + up[a.tail],
         )
 
-    def _rigid_classes(self) -> tuple[dict, dict]:
-        """(vertex -> least member of its class, rigid arc id -> forced value).
+    def _rigid_classes(self) -> tuple[dict, dict, Bond]:
+        """(vertex -> least member of its class, rigid arc -> forced value, x).
 
         A class holds the vertices whose potential offsets are equal in every
         bond: those that reach each other along tight edges of x =
@@ -374,7 +362,7 @@ class BondSystem:
                 for v, c in zip(self.graph.vertices, _strong_components(succ, pred))
             }
             forced = {a.id: x.values[a.id] for a in self.graph.arcs if rep[a.tail] == rep[a.head]}
-            self._classes = rep, forced
+            self._classes = rep, forced, x
         return self._classes
 
     def is_reduced(self) -> bool:
@@ -386,12 +374,13 @@ class BondSystem:
         Returns the rigid-free system plus the map reconstructing full
         bonds from reduced ones.  The reduced reference is an actual bond
         restricted to the surviving arcs, which keeps every cycle target
-        consistent with the forced values that left the graph.
+        consistent with the forced values that left the graph.  Contracting
+        the classes leaves each vertex in a class of its own, so the reduced
+        system is marked as such and its `minimum_bond` costs one pass.
         """
-        rep, forced = self._rigid_classes()
+        rep, forced, anchor = self._rigid_classes()
         if not forced:
             return self, ContractionMap({}, rep)
-        anchor = self.initial_bond()
         survivors = [
             Arc(a.id, rep[a.tail], rep[a.head]) for a in self.graph.arcs if a.id not in forced
         ]
@@ -403,6 +392,7 @@ class BondSystem:
             {i: anchor.values[i] for i in keep_ids},
             rep[self.forbidden],
         )
+        system._classes = {v: v for v in system.graph.vertices}, {}, Bond(system.reference)
         return system, ContractionMap(forced, rep)
 
     # ------------------------------------------------------------------
@@ -453,37 +443,13 @@ class BondSystem:
             )
         return self._minimum
 
-    @cached_property
-    def _push_plan(self) -> tuple:
-        """The walk `push_counts` makes, built once per system: a depth-first
-        search from the forbidden vertex over `incident_arcs`, as (arc id,
-        u, v, sign) steps.  A step with sign +1 (-1) first reaches v, the
-        arc's head (tail), from u; a step with sign 0 joins the already
-        reached tail u and head v."""
-        reached = {self.forbidden}
-        order = [self.forbidden]
-        steps = []
-        while order:
-            for arc in self.graph.incident_arcs(order.pop()):
-                if arc.tail not in reached:
-                    step = (arc.id, arc.head, arc.tail, -1)
-                elif arc.head not in reached:
-                    step = (arc.id, arc.tail, arc.head, 1)
-                else:
-                    step = (arc.id, arc.tail, arc.head, 0)
-                if step[3]:
-                    reached.add(step[2])
-                    order.append(step[2])
-                steps.append(step)
-        return tuple(steps)
-
     def push_counts(self, x: Bond) -> PushCount:
         """Per-vertex push counts of x relative to the minimum bond, one
-        pass over the push plan: O(|A|)."""
+        pass over the graph's search plan from the forbidden vertex: O(|A|)."""
         m = self.minimum_bond()
         offset = {a: x.values[a] - m.values[a] for a in self._arc_order}
         counts = {self.forbidden: 0}
-        for arc_id, u, v, sign in self._push_plan:
+        for arc_id, u, v, sign in self.graph.search_plan(self.forbidden):
             if sign:
                 counts[v] = counts[u] - sign * offset[arc_id]
             elif counts[u] - counts[v] != offset[arc_id]:
@@ -561,19 +527,6 @@ def _as_int(table: Mapping, arc_id, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphError(f"{what} value for arc {arc_id!r} must be an integer, got {value!r}")
     return value
-
-
-def _has_cycle(parent: list) -> bool:
-    """Whether the parent links (-1 for none) close a cycle, in O(n)."""
-    mark = [0] * len(parent)
-    for start in range(len(parent)):
-        v = start
-        while v >= 0 and not mark[v]:
-            mark[v] = start + 1
-            v = parent[v]
-        if v >= 0 and mark[v] == start + 1:
-            return True
-    return False
 
 
 def _strong_components(succ: list, pred: list) -> list:

@@ -93,6 +93,7 @@ class Multigraph:
             self._out[v].sort(key=lambda a: id_key(a.id))
             self._in[v].sort(key=lambda a: id_key(a.id))
         self._incident: dict = {}
+        self._plans: dict = {}
 
     def __eq__(self, other):
         return (
@@ -127,6 +128,32 @@ class Multigraph:
             seen = {arc.id: arc for arc in self._out[v] + self._in[v]}
             arcs = self._incident[v] = tuple(sorted(seen.values(), key=lambda a: id_key(a.id)))
         return arcs
+
+    def search_plan(self, root) -> tuple:
+        """A depth-first search from `root` over `incident_arcs`, as (arc id,
+        u, v, sign) steps; built on the first call for `root` and returned
+        again after.  A step with sign +1 (-1) first reaches v, the arc's
+        head (tail), from u; a step with sign 0 joins the already reached
+        tail u and head v."""
+        plan = self._plans.get(root)
+        if plan is None:
+            reached = {root}
+            order = [root]
+            steps = []
+            while order:
+                for arc in self.incident_arcs(order.pop()):
+                    if arc.tail not in reached:
+                        step = (arc.id, arc.head, arc.tail, -1)
+                    elif arc.head not in reached:
+                        step = (arc.id, arc.tail, arc.head, 1)
+                    else:
+                        step = (arc.id, arc.tail, arc.head, 0)
+                    if step[3]:
+                        reached.add(step[2])
+                        order.append(step[2])
+                    steps.append(step)
+            plan = self._plans[root] = tuple(steps)
+        return plan
 
     @cached_property
     def arcs_by_id(self) -> tuple[Arc, ...]:
@@ -250,7 +277,12 @@ def spanning_tree(g: Multigraph) -> frozenset:
     return frozenset(tree)
 
 
-def _tree_adjacency(g: Multigraph, tree: frozenset) -> dict:
+def _check_spanning_tree(g: Multigraph, tree: frozenset) -> dict:
+    """Validate `tree` and return parent links {v: (parent, arc, direction)},
+    breadth-first from the smallest vertex.  A tree's links do not depend on
+    the order its arcs are visited in."""
+    if len(tree) != len(g.vertices) - 1:
+        raise GraphError(f"a spanning tree here needs {len(g.vertices) - 1} arcs, got {len(tree)}")
     adj: dict = {v: [] for v in g.vertices}
     for arc_id in tree:
         arc = g.arc(arc_id)
@@ -258,16 +290,6 @@ def _tree_adjacency(g: Multigraph, tree: frozenset) -> dict:
             raise GraphError(f"tree arc {arc_id!r} is a loop")
         adj[arc.tail].append((arc.head, arc, FORWARD))
         adj[arc.head].append((arc.tail, arc, BACKWARD))
-    return adj
-
-
-def _check_spanning_tree(g: Multigraph, tree: frozenset) -> dict:
-    """Validate `tree` and return parent links {v: (parent, arc, direction)},
-    breadth-first from the smallest vertex.  A tree's links do not depend on
-    the order its arcs are visited in."""
-    if len(tree) != len(g.vertices) - 1:
-        raise GraphError(f"a spanning tree here needs {len(g.vertices) - 1} arcs, got {len(tree)}")
-    adj = _tree_adjacency(g, tree)
     root = g.vertices[0]
     parent: dict = {root: None}
     queue = deque([root])
@@ -316,7 +338,7 @@ def fundamental_cycles(g: Multigraph, tree: frozenset) -> list[CycleVector]:
 def vertex_cut(g: Multigraph, inside: Iterable) -> VertexCut:
     """Cut induced by a vertex set; loops and internal arcs never cross."""
     members = frozenset(inside)
-    unknown = [v for v in members if not g.has_vertex(v)]
+    unknown = members.difference(g._out)
     if unknown:
         raise GraphError(f"cut references unknown vertex {sorted(unknown, key=id_key)[0]!r}")
     forward = []

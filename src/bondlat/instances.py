@@ -26,6 +26,7 @@ from .graph import (
     PlanarDual,
     PlanarEmbedding,
     TAIL,
+    _check_spanning_tree,
     fundamental_cycles,
     id_key,
     planar_dual,
@@ -216,37 +217,17 @@ def _flow_with_excess(g: Multigraph, excess: Mapping) -> dict:
     Non-tree arcs carry zero; each tree arc then carries the accumulated
     excess of the subtree it separates, signed by its direction.
     """
-    tree = spanning_tree(g)
-    root = g.vertices[0]
-    parent: dict = {root: None}
-    order = [root]
-    adjacency: dict = {v: [] for v in g.vertices}
-    for arc_id in tree:
-        a = g.arc(arc_id)
-        adjacency[a.tail].append((a.head, a))
-        adjacency[a.head].append((a.tail, a))
-    from collections import deque
-
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w, a in adjacency[v]:
-            if w not in parent:
-                parent[w] = (v, a)
-                order.append(w)
-                queue.append(w)
+    parent = _check_spanning_tree(g, spanning_tree(g))
     flow = {a.id: 0 for a in g.arcs}
     subtotal = dict(excess)
-    for v in reversed(order):
-        if parent[v] is None:
-            continue
-        up, arc = parent[v]
+    for v, link in reversed(parent.items()):  # breadth-first, so children first
+        if link is None:  # the root, last
+            break
+        up, arc, direction = link
         # arc crosses the subtree cut at v; inflow into the subtree must
-        # equal the subtree's total excess
-        if arc.head == v:
-            flow[arc.id] = subtotal[v]
-        else:
-            flow[arc.id] = -subtotal[v]
+        # equal the subtree's total excess, and the arc points into it
+        # exactly when it runs forward from the parent
+        flow[arc.id] = direction * subtotal[v]
         subtotal[up] += subtotal[v]
     return flow
 
@@ -352,24 +333,16 @@ class PotentialFamily:
     anchor: Hashable
 
     def decode(self, bond: Bond) -> dict:
-        """Bond -> potential, by signed path sums from the anchor."""
-        g = self.system.graph
+        """Bond -> potential, by signed path sums along the graph's search
+        plan from the anchor."""
         potential = {self.anchor: 0}
-        stack = [self.anchor]
-        while stack:
-            v = stack.pop()
-            for arc in g.incident_arcs(v):
-                if arc.tail in potential and arc.head in potential:
-                    if potential[arc.head] - potential[arc.tail] != bond.values[arc.id]:
-                        raise GraphError(
-                            f"labeling has nonzero flow-difference around a cycle through {arc.id!r}"
-                        )
-                elif arc.tail in potential:
-                    potential[arc.head] = potential[arc.tail] + bond.values[arc.id]
-                    stack.append(arc.head)
-                else:
-                    potential[arc.tail] = potential[arc.head] - bond.values[arc.id]
-                    stack.append(arc.tail)
+        for arc_id, u, v, sign in self.system.graph.search_plan(self.anchor):
+            if sign:
+                potential[v] = potential[u] + sign * bond.values[arc_id]
+            elif potential[v] - potential[u] != bond.values[arc_id]:
+                raise GraphError(
+                    f"labeling has nonzero flow-difference around a cycle through {arc_id!r}"
+                )
         return potential
 
     def encode(self, potential: Mapping) -> Bond:

@@ -216,6 +216,21 @@ class TestReduce:
             assert lo < hi
 
 
+    def test_reduced_minimum_costs_one_distance_pass(self, monkeypatch):
+        reduced, contraction = parse_system(path_document(30, False)).reduce()
+        assert contraction.forced
+        calls = []
+        distances = BondSystem._distances
+
+        def counted(system, source, reverse=False):
+            calls.append((source, reverse))
+            return distances(system, source, reverse)
+
+        monkeypatch.setattr(BondSystem, "_distances", counted)
+        reduced.minimum_bond()
+        assert calls == [(reduced.forbidden, True)]
+
+
 class TestPush:
     def test_single_vertex(self):
         s = tri_system()

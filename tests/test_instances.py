@@ -296,6 +296,37 @@ class TestPotentials:
         assert family.decode(m) == {1: 0, 2: 2, 3: 4}
 
 
+def two_cycle_family(anchor):
+    """Potentials on the cycles a b c and b d e, which share arc b."""
+    g = Multigraph(
+        [1, 2, 3, 4],
+        [Arc("a", 1, 2), Arc("b", 2, 3), Arc("c", 3, 1), Arc("d", 3, 4), Arc("e", 4, 2)],
+    )
+    return encode_potentials(g, dict.fromkeys("abcde", -5), dict.fromkeys("abcde", 5), anchor)
+
+
+@pytest.mark.parametrize("anchor, arc", [(1, "b"), (2, "d"), (3, "e"), (4, "b")])
+def test_decode_and_push_counts_name_the_first_arc_of_one_search(anchor, arc):
+    # both cycles break the labeling; the arc named is the first one the
+    # depth-first search from the anchor finds with both ends reached
+    family = two_cycle_family(anchor)
+    broken = Bond(dict.fromkeys("abcde", 1))
+    with pytest.raises(GraphError) as exc:
+        family.decode(broken)
+    assert str(exc.value) == f"labeling has nonzero flow-difference around a cycle through {arc!r}"
+    with pytest.raises(GraphError) as exc:
+        family.system.push_counts(broken)
+    assert str(exc.value) == (
+        f"labeling is not a bond of this system: arc {arc!r} disagrees with its push-count difference"
+    )
+
+
+def test_decode_from_an_anchor_that_is_not_the_smallest_vertex():
+    family = two_cycle_family(3)
+    potential = family.decode(Bond({"a": 2, "b": -1, "c": -1, "d": 3, "e": -2}))
+    assert list(potential.items()) == [(3, 0), (2, 1), (1, -1), (4, 3)]
+
+
 def test_c_orientation_lattice_composes_with_enumerate():
     family = encode_c_orientations(tri_graph(), {"a3": 1})
     reduced, contraction = family.system.reduce()

@@ -374,6 +374,19 @@ def test_queue_distances_and_one_pass_classes_match_the_arc_order_oracles(s):
         assert list(cmap.vertex_map) == list(rep) and list(cmap.forced) == list(forced)
 
 
+@settings(max_examples=300, deadline=None)
+@given(windowed_systems())
+def test_a_reduced_system_is_reduced_when_built_afresh(s):
+    try:
+        reduced, _ = s.reduce()
+    except InfeasibleSystemError:
+        event("infeasible")
+        return
+    fresh = BondSystem(reduced.graph, reduced.lower, reduced.upper, reduced.reference, reduced.forbidden)
+    assert fresh.is_reduced()
+    assert fresh.minimum_bond() == reduced.minimum_bond()
+
+
 @st.composite
 def system_docs(draw):
     """System documents on 1-5 vertices, each with "x" and "y" labelings.
