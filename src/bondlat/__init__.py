@@ -20,7 +20,6 @@ from .bonds import (
     ContractionMap,
     InfeasibleError,
     InfeasibleSystemError,
-    PushCount,
     ValidityReport,
     arc_value_range,
     find_initial_bond,
@@ -97,7 +96,6 @@ from .instances import (
 )
 from .lattice import (
     CapExceededError,
-    ColorTally,
     CoverDigraph,
     NotLatticeError,
     NotUldError,

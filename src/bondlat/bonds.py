@@ -32,15 +32,16 @@ arc-order pass, O(n m), for its certificate.  `initial_bond` (the
 `find-bond` command) costs one distance pass.  `reduce` adds one
 strong-component pass over the tight edges, O(n + m), and builds the
 contracted graph in O(m log m); the reduced system's `minimum_bond` costs
-one more pass.  After it, `push_counts`, `meet`, `join` and `leq` cost O(m)
-per call: they walk `Multigraph.search_plan`, built once per root, which
-`PotentialFamily.decode` walks too.
+one more pass.  After it, `push_counts` costs O(m) per call: it walks
+`Multigraph.search_plan`, built once per root, which `PotentialFamily.decode`
+walks too.  Push counts are `Counter`s, so `leq`, `meet` and `join` are
+their `<=`, `&` and `|`, at O(m) per call.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -92,23 +93,6 @@ class Bond:
 
     def __eq__(self, other):
         return isinstance(other, Bond) and dict(self.values) == dict(other.values)
-
-
-@dataclass(frozen=True)
-class PushCount:
-    """How often each vertex was pushed to reach a bond from the minimum.
-
-    The forbidden vertex never appears; every listed count is >= 0 and
-    x(a) - minimum(a) = count(tail) - count(head) on every arc.
-    """
-
-    counts: Mapping
-
-    def count(self, v) -> int:
-        return self.counts.get(v, 0)
-
-    def as_tuple(self, vertex_order: Iterable) -> tuple:
-        return tuple(self.counts.get(v, 0) for v in vertex_order)
 
 
 @dataclass(frozen=True)
@@ -443,9 +427,10 @@ class BondSystem:
             )
         return self._minimum
 
-    def push_counts(self, x: Bond) -> PushCount:
-        """Per-vertex push counts of x relative to the minimum bond, one
-        pass over the graph's search plan from the forbidden vertex: O(|A|)."""
+    def push_counts(self, x: Bond) -> Counter:
+        """Push counts of x relative to the minimum bond, a `Counter` over
+        every pushable vertex, from one pass over the graph's search plan
+        from the forbidden vertex: O(|A|)."""
         m = self.minimum_bond()
         offset = {a: x.values[a] - m.values[a] for a in self._arc_order}
         counts = {self.forbidden: 0}
@@ -464,35 +449,25 @@ class BondSystem:
                 f"labeling lies below the minimum bond (vertex {bad!r} has negative push count)"
             )
         del counts[self.forbidden]
-        return PushCount(counts)
+        return Counter(counts)
 
-    def bond_from_counts(self, counts: PushCount | Mapping) -> Bond:
-        table = counts.counts if isinstance(counts, PushCount) else counts
+    def bond_from_counts(self, counts: Mapping) -> Bond:
         m = self.minimum_bond()
         values = {}
         for a in self.graph.arcs:
-            ct = 0 if a.tail == self.forbidden else table.get(a.tail, 0)
-            ch = 0 if a.head == self.forbidden else table.get(a.head, 0)
+            ct = 0 if a.tail == self.forbidden else counts.get(a.tail, 0)
+            ch = 0 if a.head == self.forbidden else counts.get(a.head, 0)
             values[a.id] = m.values[a.id] + ct - ch
         return Bond(values)
 
     def leq(self, x: Bond, y: Bond) -> bool:
-        cx = self.push_counts(x)
-        cy = self.push_counts(y)
-        verts = self.pushable_vertices()
-        return all(cx.count(v) <= cy.count(v) for v in verts)
+        return self.push_counts(x) <= self.push_counts(y)
 
     def meet(self, x: Bond, y: Bond) -> Bond:
-        cx = self.push_counts(x)
-        cy = self.push_counts(y)
-        low = {v: min(cx.count(v), cy.count(v)) for v in self.pushable_vertices()}
-        return self.bond_from_counts(low)
+        return self.bond_from_counts(self.push_counts(x) & self.push_counts(y))
 
     def join(self, x: Bond, y: Bond) -> Bond:
-        cx = self.push_counts(x)
-        cy = self.push_counts(y)
-        high = {v: max(cx.count(v), cy.count(v)) for v in self.pushable_vertices()}
-        return self.bond_from_counts(high)
+        return self.bond_from_counts(self.push_counts(x) | self.push_counts(y))
 
     # ------------------------------------------------------------------
     # brute-force oracle (testing aid, deliberately independent of pushes)

@@ -16,9 +16,9 @@ maximal lower bound of a unique minimal set of meet-irreducibles.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .checker import (
     ColoredDigraph,
@@ -41,40 +41,57 @@ class ChipError(ValueError):
     """Illegal chip-firing move or malformed arrangement."""
 
 
-@dataclass(frozen=True)
-class ChipArrangement:
-    """Nonnegative chip counts on every vertex of a game graph."""
-
-    chips: Mapping
-
-    def count(self, v) -> int:
-        return self.chips.get(v, 0)
-
-    def total(self) -> int:
-        return sum(self.chips.values())
-
-    def as_tuple(self, vertex_order: Iterable) -> tuple:
-        return tuple(self.chips.get(v, 0) for v in vertex_order)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChipArrangement):
-            return NotImplemented
-        mine = {v: n for v, n in self.chips.items() if n}
-        theirs = {v: n for v, n in other.chips.items() if n}
-        return mine == theirs
+ChipArrangement = Counter  # chips per vertex; a vertex not listed holds none
 
 
 def _check_arrangement(g: Multigraph, arrangement: ChipArrangement):
-    for v, n in arrangement.chips.items():
+    for v, n in arrangement.items():
         if not g.has_vertex(v):
             raise ChipError(f"arrangement places chips on unknown vertex {v!r}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ChipError(f"vertex {v!r} must hold a nonnegative integer number of chips")
 
 
+def _rules(g: Multigraph, vertices) -> list:
+    """The move rule of each of `vertices`: (its index in graph order, its
+    out-degree, ((head index, arcs to that head), ...))."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rules = []
+    for v in vertices:
+        arcs, heads = g.out_arcs(v), {}
+        for arc in arcs:
+            h = index[arc.head]
+            heads[h] = heads.get(h, 0) + 1
+        rules.append((index[v], len(arcs), tuple(heads.items())))
+    return rules
+
+
+def _step(rule: tuple, chips: tuple, sign: int) -> tuple | None:
+    """The count tuple after firing (sign 1) or unfiring (sign -1) by `rule`,
+    or None when the move is illegal.  Firing needs the out-degree on the
+    vertex; unfiring needs one chip per arc on every out-neighbor, the
+    vertex itself included when it has a loop."""
+    i, out, heads = rule
+    if not out or (chips[i] < out if sign > 0 else any(chips[h] < k for h, k in heads)):
+        return None
+    row = list(chips)
+    row[i] -= sign * out
+    for h, k in heads:
+        row[h] += sign * k
+    return tuple(row)
+
+
+def _arrangement(order, row: tuple) -> ChipArrangement:
+    return ChipArrangement(dict(zip(order, row)))
+
+
+def _move(g: Multigraph, arrangement: ChipArrangement, v, sign: int) -> ChipArrangement | None:
+    row = _step(_rules(g, [v])[0], tuple(arrangement[w] for w in g.vertices), sign)
+    return None if row is None else _arrangement(g.vertices, row)
+
+
 def can_fire(g: Multigraph, arrangement: ChipArrangement, v) -> bool:
-    out = g.out_degree(v)
-    return out >= 1 and arrangement.count(v) >= out
+    return _move(g, arrangement, v, 1) is not None
 
 
 def fire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
@@ -84,35 +101,23 @@ def fire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
     out = g.out_degree(v)
     if out == 0:
         raise ChipError(f"vertex {v!r} has no out-arcs and can never fire")
-    if arrangement.count(v) < out:
-        raise ChipError(
-            f"vertex {v!r} holds {arrangement.count(v)} chips but needs {out} to fire"
-        )
-    chips = dict(arrangement.chips)
-    chips[v] = chips.get(v, 0) - out
-    for arc in g.out_arcs(v):
-        chips[arc.head] = chips.get(arc.head, 0) + 1
-    return ChipArrangement(chips)
+    if arrangement[v] < out:
+        raise ChipError(f"vertex {v!r} holds {arrangement[v]} chips but needs {out} to fire")
+    return _move(g, arrangement, v, 1)
 
 
 def can_unfire(g: Multigraph, arrangement: ChipArrangement, v) -> bool:
     # every out-neighbor must return one chip per parallel arc; loops make
     # v its own out-neighbor, which keeps fire(unfire(s, v), v) = s exact
-    out = g.out_degree(v)
-    if out == 0:
-        return False
-    needed = Counter(arc.head for arc in g.out_arcs(v))
-    return all(arrangement.count(w) >= k for w, k in needed.items())
+    return _move(g, arrangement, v, -1) is not None
+
 
 def unfire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
     """Pull one chip back along every out-arc of v (the inverse of fire)."""
-    if not can_unfire(g, arrangement, v):
+    moved = _move(g, arrangement, v, -1)
+    if moved is None:
         raise ChipError(f"cannot unfire vertex {v!r}: some out-neighbor lacks chips")
-    chips = dict(arrangement.chips)
-    chips[v] = chips.get(v, 0) + g.out_degree(v)
-    for arc in g.out_arcs(v):
-        chips[arc.head] = chips.get(arc.head, 0) - 1
-    return ChipArrangement(chips)
+    return moved
 
 
 @dataclass(frozen=True)
@@ -146,37 +151,37 @@ class GameGraph:
 
 
 def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> GameGraph:
-    """Breadth-first exploration of all arrangements reachable by firing."""
+    """Breadth-first exploration of all arrangements reachable by firing.
+
+    States are count tuples in vertex order while the walk runs: each is
+    its own dedupe key, and the row list grows in breadth-first order."""
     _check_arrangement(g, start)
     order = g.vertices
-    key = start.as_tuple(order)
-    states = [start]
-    index = {key: 0}
+    rules = list(zip(order, _rules(g, order)))
+    rows = [tuple(start[v] for v in order)]
+    index = {rows[0]: 0}
     moves = []
-    queue = deque([0])
     capped = False
-    while queue:
-        i = queue.popleft()
-        current = states[i]
-        for v in order:
-            if not can_fire(g, current, v):
+    for i, row in enumerate(rows):
+        for v, rule in rules:
+            nxt = _step(rule, row, 1)
+            if nxt is None:
                 continue
-            nxt = fire(g, current, v)
-            k = nxt.as_tuple(order)
-            if k not in index:
-                if len(states) >= cap:
+            j = index.get(nxt)
+            if j is None:
+                if len(rows) >= cap:
                     capped = True
                     continue
-                index[k] = len(states)
-                states.append(nxt)
-                queue.append(index[k])
-            moves.append((i, index[k], v))
+                j = index[nxt] = len(rows)
+                rows.append(nxt)
+            moves.append((i, j, v))
     moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
+    states = tuple(_arrangement(order, row) for row in rows)
     if capped:
-        return GameGraph(g, tuple(states), moves, CAP_EXCEEDED)
+        return GameGraph(g, states, moves, CAP_EXCEEDED)
     colored = ColoredDigraph.from_triples(len(states), moves)
     verdict = CYCLIC if _find_directed_cycle(colored.out) else FINITE
-    return GameGraph(g, tuple(states), moves, verdict, colored)
+    return GameGraph(g, states, moves, verdict, colored)
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def certify_game(game: GameGraph) -> GameCertificate:
     verdict = certify_uld_cover(cd)
     terminal = game.states[game.terminal_index()]
     try:
-        counts = tuple(Counter(t.multiplicities) for t in color_tallies(cd.reversed()))
+        counts = tuple(color_tallies(cd.reversed()))
     except TallyError as exc:
         return GameCertificate(verdict, terminal, (), False, exc.witness)
     return GameCertificate(verdict, terminal, counts, True, None)
@@ -239,7 +244,7 @@ class CompleteGame:
     """Closure of a start arrangement under both fire and unfire moves.
 
     All moves are stored in fire direction.  `complete` is False when the
-    radius or state cap interrupted the walk.
+    cap interrupted the walk.
     """
 
     graph: Multigraph
@@ -258,51 +263,41 @@ class CompleteGame:
         return FinitePoset.from_covers(tuple(range(len(self.states))), [(i, j) for i, j, _ in self.moves])
 
 
-def build_complete_game(
-    g: Multigraph,
-    start: ChipArrangement,
-    radius: int = 100_000,
-    state_cap: int = 100_000,
-) -> CompleteGame:
-    """Breadth-first closure under fire and unfire up to a move radius."""
+def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> CompleteGame:
+    """Breadth-first closure under fire and unfire.  States at distance
+    `cap` from the start are not expanded, and the walk stops once it holds
+    more than `cap` states; either leaves the closure incomplete."""
     _check_arrangement(g, start)
     order = g.vertices
-    states = [start]
-    index = {start.as_tuple(order): 0}
+    rules = list(zip(order, _rules(g, order)))
+    rows = [tuple(start[v] for v in order)]
+    index = {rows[0]: 0}
     distance = [0]
     moves: set = set()
-    queue = deque([0])
     complete = True
-
-    def register(state) -> int:
-        k = state.as_tuple(order)
-        j = index.get(k)
-        if j is None:
-            j = len(states)
-            index[k] = j
-            states.append(state)
-            distance.append(distance[i] + 1)
-            queue.append(j)
-        return j
-
-    while queue:
-        i = queue.popleft()
-        if len(states) > state_cap:
+    for i, row in enumerate(rows):
+        if len(rows) > cap:
             complete = False
             break
-        if distance[i] >= radius:
+        if distance[i] >= cap:
             complete = False
             continue
-        current = states[i]
-        for v in order:
-            if can_fire(g, current, v):
-                moves.add((i, register(fire(g, current, v)), v))
-            if can_unfire(g, current, v):
-                moves.add((register(unfire(g, current, v)), i, v))
+        for v, rule in rules:
+            for sign in (1, -1):
+                nxt = _step(rule, row, sign)
+                if nxt is None:
+                    continue
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(rows)
+                    rows.append(nxt)
+                    distance.append(distance[i] + 1)
+                moves.add((i, j, v) if sign > 0 else (j, i, v))
     moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
-    colored = ColoredDigraph.from_triples(len(states), moves)
+    colored = ColoredDigraph.from_triples(len(rows), moves)
     acyclic = _find_directed_cycle(colored.out) is None
-    return CompleteGame(g, tuple(states), moves, complete, acyclic, colored)
+    states = tuple(_arrangement(order, row) for row in rows)
+    return CompleteGame(g, states, moves, complete, acyclic, colored)
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def _component_dot(args, system, reduced, cmap, cd):
         # covers are pushes colored by the pushed vertex, so an element's
         # color tally is its push counts from the minimum
         order = reduced.pushable_vertices()
-        labels = [",".join(str(t.count(v)) for v in order) for t in color_tallies(cd)]
+        labels = [",".join(str(t[v]) for v in order) for t in color_tallies(cd)]
         comments = [
             f"push counts in vertex order: {', '.join(str(v) for v in order)}",
             f"forbidden vertex: {reduced.forbidden}",
@@ -305,7 +305,7 @@ def _cmd_potentials(args, doc):
 def _cmd_chipfire(args, doc):
     g, start = jsonio.parse_chip_input(doc)
     if args.ccfg:
-        game = build_complete_game(g, start, radius=args.cap, state_cap=args.cap)
+        game = build_complete_game(g, start, cap=args.cap)
         payload = jsonio.complete_game_json(game)
         dot = game_dot(game) if args.dot else None
         if game.complete and game.acyclic:

@@ -470,7 +470,7 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
 
 @dataclass(frozen=True)
 class PlanarDual:
-    """Dual graph with face list and the primal-to-dual arc bijection.
+    """Dual graph with its face list and its embedding.
 
     Dual vertex i is faces[i]; dual arcs reuse primal arc ids.  Each dual
     arc leaves the face holding the primal arc's forward dart, entering
@@ -479,7 +479,6 @@ class PlanarDual:
 
     graph: Multigraph
     faces: tuple
-    arc_map: Mapping
     embedding: PlanarEmbedding
 
 
@@ -504,5 +503,4 @@ def planar_dual(embedding: PlanarEmbedding) -> PlanarDual:
             ring.append(ArcEnd(arc_id, TAIL if direction == FORWARD else HEAD))
         rotation[i] = tuple(ring)
     dual_embedding = PlanarEmbedding(dual, rotation)
-    arc_map = {arc.id: arc.id for arc in g.arcs}
-    return PlanarDual(dual, tuple(walks), arc_map, dual_embedding)
+    return PlanarDual(dual, tuple(walks), dual_embedding)

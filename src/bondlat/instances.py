@@ -158,10 +158,10 @@ class FlowFamily:
 
     def decode(self, bond: Bond) -> dict:
         """Bond of the dual system -> flow labeling of the primal arcs."""
-        return {a: bond.values[self.dual.arc_map[a]] for a in self.dual.arc_map}
+        return {a.id: bond.values[a.id] for a in self.spec.embedding.host.arcs}
 
     def encode(self, flow: Mapping) -> Bond:
-        return Bond({self.dual.arc_map[a]: flow[a] for a in self.dual.arc_map})
+        return Bond({a.id: flow[a.id] for a in self.spec.embedding.host.arcs})
 
 
 class ExcessImbalanceError(InfeasibleError):
@@ -196,10 +196,10 @@ def encode_flows(spec: FlowSpec, unbounded_face: int = 0) -> FlowFamily:
     lower = {}
     upper = {}
     reference = {}
-    for primal_id, dual_id in dual.arc_map.items():
-        lower[dual_id] = _window_value(spec.lower, primal_id, "lower")
-        upper[dual_id] = _window_value(spec.upper, primal_id, "upper")
-        reference[dual_id] = anchor_flow[primal_id]
+    for a in g.arcs:
+        lower[a.id] = _window_value(spec.lower, a.id, "lower")
+        upper[a.id] = _window_value(spec.upper, a.id, "upper")
+        reference[a.id] = anchor_flow[a.id]
     system = BondSystem(dual.graph, lower, upper, reference, unbounded_face)
     return FlowFamily(system, spec, dual)
 

@@ -399,27 +399,20 @@ def parse_chip_input(doc) -> tuple[Multigraph, ChipArrangement]:
 # serialization
 
 
-def _sorted_ids(ids):
-    return sorted(ids, key=id_key)
-
-
 def graph_json(g: Multigraph) -> dict:
     return {
         "vertices": list(g.vertices),
-        "arcs": [
-            {"id": a.id, "tail": a.tail, "head": a.head}
-            for a in sorted(g.arcs, key=lambda a: id_key(a.id))
-        ],
+        "arcs": [{"id": a.id, "tail": a.tail, "head": a.head} for a in g.arcs_by_id],
     }
 
 
 def bond_json(x: Bond, g: Multigraph) -> dict:
-    return {str(a.id): x.value(a.id) for a in sorted(g.arcs, key=lambda a: id_key(a.id))}
+    return {str(a.id): x.value(a.id) for a in g.arcs_by_id}
 
 
 def system_json(system: BondSystem) -> dict:
     doc = graph_json(system.graph)
-    order = _sorted_ids(a.id for a in system.graph.arcs)
+    order = [a.id for a in system.graph.arcs_by_id]
     doc["lower"] = {str(a): system.lower[a] for a in order}
     doc["upper"] = {str(a): system.upper[a] for a in order}
     doc["reference"] = {str(a): system.reference[a] for a in order}
@@ -467,7 +460,7 @@ def cover_digraph_json(cd: CoverDigraph, forced: Mapping | None = None) -> dict:
 
     Covers are [lower index, upper index, pushed vertex] triples.
     """
-    order = _sorted_ids(dict.fromkeys((*cd.arc_order, *(forced or {}))))
+    order = sorted(dict.fromkeys((*cd.arc_order, *(forced or {}))), key=id_key)
     return {
         "elements": RowTable(cd.value_rows(order, forced), [str(a) for a in order]),
         "covers": RowTable(cd.covers),
@@ -505,7 +498,7 @@ def brute_report_json(report: BruteReport) -> dict:
 def _states_moves_json(game) -> dict:
     order = game.graph.vertices
     return {
-        "states": RowTable([s.as_tuple(order) for s in game.states], [str(v) for v in order]),
+        "states": RowTable([tuple(s[v] for v in order) for s in game.states], [str(v) for v in order]),
         "moves": RowTable(game.moves),
     }
 
@@ -524,7 +517,7 @@ def game_certificate_json(cert: GameCertificate, game: GameGraph) -> dict:
     return {
         "ok": cert.ok,
         "cover_verdict": cover_verdict_json(cert.verdict),
-        "terminal": {str(v): cert.terminal.count(v) for v in order},
+        "terminal": {str(v): cert.terminal[v] for v in order},
         "multisets_consistent": cert.multisets_consistent,
         "multiset_witness": _jsonable(cert.multiset_witness),
     }

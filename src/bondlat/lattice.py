@@ -11,7 +11,7 @@ order, so a push is one masked add and a sort per layer ranks the layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import cached_property
 from itertools import count
 from operator import add, eq, itemgetter, lt
@@ -60,33 +60,6 @@ class NotUldError(PosetError):
             f"element {x} has two minimal meet-representations {rep_a} and {rep_b}; not ULD"
         )
         self.certificate = certificate
-
-
-@dataclass(frozen=True)
-class ColorTally:
-    """Multiset of cover colors collected along any source-to-element path."""
-
-    multiplicities: Mapping
-
-    def count(self, color) -> int:
-        return self.multiplicities.get(color, 0)
-
-    def dominates(self, other: "ColorTally") -> bool:
-        return all(self.count(c) >= n for c, n in other.multiplicities.items())
-
-    def join(self, other: "ColorTally") -> "ColorTally":
-        colors = set(self.multiplicities) | set(other.multiplicities)
-        return ColorTally({c: max(self.count(c), other.count(c)) for c in colors})
-
-    def as_tuple(self, color_order: Iterable) -> tuple:
-        return tuple(self.count(c) for c in color_order)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColorTally):
-            return NotImplemented
-        mine = {c: n for c, n in self.multiplicities.items() if n}
-        theirs = {c: n for c, n in other.multiplicities.items() if n}
-        return mine == theirs
 
 
 class CoverDigraph:
@@ -251,7 +224,7 @@ class TallyError(PosetError):
     """Path-dependent colorsets: the digraph is not a certified cover graph.
 
     When two paths disagree, `witness` is (element, tally, other tally) with
-    the tallies as dicts; it is None for the other failures.
+    the tallies as `Counter`s; it is None for the other failures.
     """
 
     def __init__(self, message: str, witness=None):
@@ -259,13 +232,14 @@ class TallyError(PosetError):
         self.witness = witness
 
 
-def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[ColorTally]:
+def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[Counter]:
     """Colorset coordinates of every element, verified path-independent.
 
-    Walks the indexed out-lists from the unique source in topological
-    order.  Every incoming cover of an element must predict the same
-    multiset; a disagreement raises TallyError naming the element and one
-    parent.  On a bond lattice the tallies are the push counts; on a
+    Each tally is a `Counter` of the colors it holds, in first-seen arc
+    order.  Walks the indexed out-lists from the unique source in
+    topological order.  Every incoming cover of an element must predict
+    the same multiset; a disagreement raises TallyError naming the element
+    and one parent.  On a bond lattice the tallies are the push counts; on a
     reversed chip-firing move digraph they are the firing multisets.
     """
     colored = cd.to_colored_digraph() if isinstance(cd, CoverDigraph) else cd
@@ -286,15 +260,15 @@ def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[ColorTally]:
                 raise TallyError(
                     f"element {j} gets different colorsets along different paths "
                     f"(via cover from {i})",
-                    (j, _tally(slot, counts[j]).multiplicities, _tally(slot, candidate).multiplicities),
+                    (j, _tally(slot, counts[j]), _tally(slot, candidate)),
                 )
     if any(t is None for t in counts):
         raise TallyError("some element is unreachable from the source")
     return [_tally(slot, t) for t in counts]
 
 
-def _tally(slot: Mapping, counts: tuple) -> ColorTally:
-    return ColorTally({c: n for c, n in zip(slot, counts) if n})
+def _tally(slot: Mapping, counts: tuple) -> Counter:
+    return Counter({c: n for c, n in zip(slot, counts) if n})
 
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:

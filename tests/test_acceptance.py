@@ -215,7 +215,7 @@ def test_criterion_4_color_tallies_embed_and_join():
         vertices = [v for v in reduced.graph.vertices if v != reduced.forbidden]
         for i, x in enumerate(cd.elements):
             counts = reduced.push_counts(x)
-            if any(tallies[i].count(v) != counts.count(v) for v in vertices):
+            if any(tallies[i][v] != counts[v] for v in vertices):
                 bad += 1
         poset = cd.to_poset()
         n = cd.n
@@ -225,12 +225,12 @@ def test_criterion_4_color_tallies_embed_and_join():
                 if poset.leq(i, j):
                     above[i] |= 1 << j
         by_above = {above[i]: i for i in range(n)}
-        key = {tallies[i].as_tuple(vertices): i for i in range(n)}
+        key = {tuple(tallies[i][v] for v in vertices): i for i in range(n)}
         for i in range(n):
             for j in range(n):
-                if poset.leq(i, j) != tallies[j].dominates(tallies[i]):
+                if poset.leq(i, j) != (tallies[j] >= tallies[i]):
                     bad += 1
-                joined = tallies[i].join(tallies[j]).as_tuple(vertices)
+                joined = tuple((tallies[i] | tallies[j])[v] for v in vertices)
                 if key.get(joined) != by_above.get(above[i] & above[j]):
                     bad += 1
     _record(

@@ -141,7 +141,7 @@ class TestBuildGame:
         game = build_game(chain_graph(), ChipArrangement({1: 2}))
         assert game.verdict == FINITE and game.complete
         order = (1, 2, 3)
-        assert [s.as_tuple(order) for s in game.states] == [
+        assert [tuple(s[v] for v in order) for s in game.states] == [
             (2, 0, 0),
             (0, 1, 1),
             (0, 0, 2),
@@ -269,7 +269,7 @@ class TestCompleteGame:
         assert game.complete and game.acyclic
         order = (1, 2, 3)
         # unfiring 2 out of (0,1,1) legally reaches (0,2,0) as well
-        assert sorted(s.as_tuple(order) for s in game.states) == [
+        assert sorted(tuple(s[v] for v in order) for s in game.states) == [
             (0, 0, 2),
             (0, 1, 1),
             (0, 2, 0),
@@ -277,18 +277,18 @@ class TestCompleteGame:
         ]
         # moves are stored in fire direction regardless of discovery side
         poset = game.to_poset()
-        key = {s.as_tuple(order): i for i, s in enumerate(game.states)}
+        key = {tuple(s[v] for v in order): i for i, s in enumerate(game.states)}
         assert poset.leq(key[(2, 0, 0)], key[(0, 0, 2)])
 
     def test_closure_is_start_independent(self):
         seen = []
         for start in (ChipArrangement({1: 2}), ChipArrangement({3: 2})):
             game = build_complete_game(chain_graph(), start)
-            seen.append(sorted(s.as_tuple((1, 2, 3)) for s in game.states))
+            seen.append(sorted(tuple(s[v] for v in (1, 2, 3)) for s in game.states))
         assert seen[0] == seen[1]
 
     def test_radius_interrupts(self):
-        game = build_complete_game(chain_graph(), ChipArrangement({1: 2}), radius=0)
+        game = build_complete_game(chain_graph(), ChipArrangement({1: 2}), cap=0)
         assert not game.complete
         assert len(game.states) == 1
 
@@ -299,7 +299,7 @@ class TestCompleteGame:
             game.to_poset()
 
     def test_representation_check_needs_completeness(self):
-        game = build_complete_game(chain_graph(), ChipArrangement({1: 2}), radius=0)
+        game = build_complete_game(chain_graph(), ChipArrangement({1: 2}), cap=0)
         with pytest.raises(ChipError):
             check_complete_game_representation(game)
 

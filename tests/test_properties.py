@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from bondlat import (
@@ -32,7 +33,9 @@ from bondlat import (
     brute_uld,
     build_complete_game,
     build_game,
+    ChipError,
     can_fire,
+    can_unfire,
     certify_game,
     certify_lld_cover,
     certify_uld_cover,
@@ -42,6 +45,7 @@ from bondlat import (
     fundamental_cycles,
     maximal_firing_sequences,
     spanning_tree,
+    unfire,
     unique_minimal_representation_report,
     vertex_cut,
 )
@@ -65,6 +69,12 @@ from bondlat.jsonio import (
 
 from util import (
     arc_order_distances,
+    oracle_can_fire,
+    oracle_can_unfire,
+    oracle_complete_game,
+    oracle_fire,
+    oracle_game,
+    oracle_unfire,
     representation_report,
     rigid_classes_by_reachability,
     tension_bonds,
@@ -496,7 +506,7 @@ def test_pushcount_labels_are_push_counts(s):
     reduced, _ = s.reduce()
     order = reduced.pushable_vertices()
     expected = [
-        ",".join(str(reduced.push_counts(x).count(v)) for v in order)
+        ",".join(str(reduced.push_counts(x)[v]) for v in order)
         for x in enumerate_lattice(reduced).elements
     ]
     with tempfile.TemporaryDirectory() as tmp:
@@ -813,7 +823,7 @@ def test_chipfire_exits_cleanly_and_orders_by_reachability(doc):
         assert payload["acyclic"] == (not cyclic)
         if payload["complete"] and payload["acyclic"]:
             g, start = parse_chip_input(doc)
-            game = build_complete_game(g, start, radius=200, state_cap=200)
+            game = build_complete_game(g, start, cap=200)
             assert [list(m) for m in game.moves] == payload["moves"]
             poset = game.to_poset()
             n = len(game.states)
@@ -833,6 +843,43 @@ def test_firing_counts_are_the_multiset_of_every_maximal_sequence(doc):
     for i in range(len(game.states)):
         for seq in maximal_firing_sequences(game, start=i):
             assert counts[i] == Counter(seq)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chip_docs(), st.integers(0, 8))
+def test_capped_games_match_the_dict_oracle_move_for_move(doc, cap):
+    g, start = parse_chip_input(doc)
+    rows = lambda game: [tuple(s[v] for v in g.vertices) for s in game.states]
+    game = build_game(g, start, cap=cap)
+    states, moves, verdict = oracle_game(g, dict(start), cap)
+    event(f"game {verdict}")
+    assert (rows(game), game.moves, game.verdict) == (states, moves, verdict)
+    assert game.complete == (verdict != "cap exceeded")
+    closure = build_complete_game(g, start, cap=cap)
+    states, moves, complete, acyclic = oracle_complete_game(g, dict(start), cap)
+    event(f"closure complete={complete} acyclic={acyclic}")
+    assert (rows(closure), closure.moves) == (states, moves)
+    assert (closure.complete, closure.acyclic) == (complete, acyclic)
+
+
+@given(chip_docs(), st.data())
+def test_fire_and_unfire_match_the_dict_oracle(doc, data):
+    g, _ = parse_chip_input(doc)
+    chips = ChipArrangement({v: data.draw(st.integers(0, 3)) for v in g.vertices})
+    for v in g.vertices:
+        for move, legal, oracle_legal, oracle_move in (
+            (fire, can_fire, oracle_can_fire, oracle_fire),
+            (unfire, can_unfire, oracle_can_unfire, oracle_unfire),
+        ):
+            expected = oracle_legal(g, dict(chips), v)
+            assert legal(g, chips, v) == expected
+            if not expected:
+                with pytest.raises(ChipError):
+                    move(g, chips, v)
+                continue
+            after = move(g, chips, v)
+            assert after == Counter(oracle_move(g, dict(chips), v))
+            assert set(after) <= set(g.vertices)
 
 
 # Ids for the writer properties: ints, and short strings mixing ASCII,
@@ -913,4 +960,4 @@ def test_writer_matches_json_dumps_on_games(doc, names):
     if game.verdict == "finite":
         payload["certificate"] = game_certificate_json(certify_game(game), game)
     _assert_written_as_json_dumps(payload)
-    _assert_written_as_json_dumps(complete_game_json(build_complete_game(g, start, radius=6, state_cap=50)))
+    _assert_written_as_json_dumps(complete_game_json(build_complete_game(g, start, cap=6)))

@@ -6,14 +6,16 @@ cycles, the order oracle walks arbitrary legal set pushes instead of
 single-vertex covers, the meet-representation oracle tries every
 subset of meet-irreducibles instead of the library's hitting-set test,
 the distance oracle relaxes every constraint edge in arc order once per
-round instead of from a queue, and the rigid-class oracle intersects two
-reachability searches per vertex instead of one strong-component pass.
+round instead of from a queue, the rigid-class oracle intersects two
+reachability searches per vertex instead of one strong-component pass, and
+the chip-firing oracle copies a dict arrangement per move instead of
+stepping count tuples by a per-vertex move rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from bondlat import (
     Arc,
@@ -26,7 +28,7 @@ from bondlat import (
     PlanarEmbedding,
     PosetError,
 )
-from bondlat.graph import HEAD, TAIL
+from bondlat.graph import HEAD, TAIL, id_key
 
 
 def tri_graph() -> Multigraph:
@@ -341,3 +343,130 @@ def _reach(adj: dict, start) -> set:
                 seen.add(u)
                 stack.append(u)
     return seen
+
+
+# Chip-firing oracle: arrangements are dicts, every move copies one, and
+# the explorers key states by their count tuples in vertex order.
+
+
+def oracle_can_fire(g: Multigraph, chips: dict, v) -> bool:
+    out = g.out_degree(v)
+    return out >= 1 and chips.get(v, 0) >= out
+
+
+def oracle_fire(g: Multigraph, chips: dict, v) -> dict:
+    chips = dict(chips)
+    chips[v] = chips.get(v, 0) - g.out_degree(v)
+    for arc in g.out_arcs(v):
+        chips[arc.head] = chips.get(arc.head, 0) + 1
+    return chips
+
+
+def oracle_can_unfire(g: Multigraph, chips: dict, v) -> bool:
+    # every out-neighbor returns one chip per parallel arc, v itself for a loop
+    out = g.out_degree(v)
+    if out == 0:
+        return False
+    needed = Counter(arc.head for arc in g.out_arcs(v))
+    return all(chips.get(w, 0) >= k for w, k in needed.items())
+
+
+def oracle_unfire(g: Multigraph, chips: dict, v) -> dict:
+    chips = dict(chips)
+    chips[v] = chips.get(v, 0) + g.out_degree(v)
+    for arc in g.out_arcs(v):
+        chips[arc.head] = chips.get(arc.head, 0) - 1
+    return chips
+
+
+def oracle_game(g: Multigraph, start: dict, cap: int) -> tuple[list, tuple, str]:
+    """(states as count tuples, sorted moves, verdict) of the firing game,
+    with `build_game`'s cap rule: a new state past `cap` is dropped."""
+    order = g.vertices
+    key = tuple(start.get(v, 0) for v in order)
+    states = [start]
+    index = {key: 0}
+    moves = []
+    queue = deque([0])
+    capped = False
+    while queue:
+        i = queue.popleft()
+        current = states[i]
+        for v in order:
+            if not oracle_can_fire(g, current, v):
+                continue
+            nxt = oracle_fire(g, current, v)
+            k = tuple(nxt.get(w, 0) for w in order)
+            if k not in index:
+                if len(states) >= cap:
+                    capped = True
+                    continue
+                index[k] = len(states)
+                states.append(nxt)
+                queue.append(index[k])
+            moves.append((i, index[k], v))
+    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
+    if capped:
+        verdict = "cap exceeded"
+    else:
+        verdict = "finite" if _acyclic(len(states), moves) else "cyclic"
+    return list(index), moves, verdict
+
+
+def oracle_complete_game(g: Multigraph, start: dict, cap: int) -> tuple[list, tuple, bool, bool]:
+    """(states as count tuples, sorted moves, complete, acyclic) of the
+    closure under fire and unfire, with `build_complete_game`'s cap rule:
+    no expansion at distance `cap`, and a stop past `cap` states."""
+    order = g.vertices
+    states = [start]
+    index = {tuple(start.get(v, 0) for v in order): 0}
+    distance = [0]
+    moves: set = set()
+    queue = deque([0])
+    complete = True
+
+    def register(state) -> int:
+        k = tuple(state.get(v, 0) for v in order)
+        j = index.get(k)
+        if j is None:
+            j = len(states)
+            index[k] = j
+            states.append(state)
+            distance.append(distance[i] + 1)
+            queue.append(j)
+        return j
+
+    while queue:
+        i = queue.popleft()
+        if len(states) > cap:
+            complete = False
+            break
+        if distance[i] >= cap:
+            complete = False
+            continue
+        current = states[i]
+        for v in order:
+            if oracle_can_fire(g, current, v):
+                moves.add((i, register(oracle_fire(g, current, v)), v))
+            if oracle_can_unfire(g, current, v):
+                moves.add((register(oracle_unfire(g, current, v)), i, v))
+    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
+    return list(index), moves, complete, _acyclic(len(states), moves)
+
+
+def _acyclic(n: int, moves) -> bool:
+    """Kahn's algorithm: every state drains when no move closes a cycle."""
+    indegree = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in moves:
+        succ[i].append(j)
+        indegree[j] += 1
+    ready = [i for i in range(n) if not indegree[i]]
+    drained = 0
+    while ready:
+        drained += 1
+        for j in succ[ready.pop()]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return drained == n
