@@ -7,9 +7,12 @@ into a diamond with the two colors swapped.  A finite, connected, acyclic
 digraph with a unique source passing both checks has a transitive closure
 that is an upper locally distributive (ULD) lattice-order; the reversed
 digraph certifies the lower (LLD) side, and both together certify
-distributivity.  Every check walks the per-vertex arc lists of one indexed
-form (`ColoredDigraph.out` / `into`); bond lattices, their reversals and
-chip-firing games all reach it without building a `Multigraph`.
+distributivity.  Every check walks the arc lists of one index
+(`ColoredDigraph.out` / `into`) through a `far` slot, the arc tuple slot of
+the end it walks to: ULD reads `out` toward heads, and LLD and the chip-game
+firing tallies read `into` toward tails, with no reversed copy.  One Kahn
+pass settles the structure; the ordered checks that name the first failure
+run only when it fails.
 
 The poset route takes an explicit finite poset, verifies the lattice
 property and decides whether every element is the meet of a unique
@@ -47,9 +50,8 @@ class ColoredDigraph:
     `graph.vertices` order, `arcs` are (tail index, head index, arc id,
     color) in ascending `id_key` order of the ids, and `out[i]` / `into[i]`
     list the arcs leaving / entering vertex i in that order.  `from_triples`
-    and `reversed` fill only this form; `graph` and `colors` are then built
-    when first read.  LLD certification runs the ULD chain on `reversed()`,
-    the same indexed arcs with their ends swapped.
+    fills only this form; `graph` and `colors` are then built when first
+    read.
     """
 
     def __init__(self, graph: Multigraph, colors: Mapping):
@@ -95,11 +97,6 @@ class ColoredDigraph:
     def color(self, arc_id):
         return self.colors[arc_id]
 
-    def reversed(self) -> "ColoredDigraph":
-        cd = ColoredDigraph.__new__(ColoredDigraph)
-        cd._index(self.labels, [(h, t, k, c) for t, h, k, c in self.arcs])
-        return cd
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -110,49 +107,55 @@ class AxiomReport:
         return self.ok
 
 
-def check_distinct_fork_colors(cd: ColoredDigraph) -> AxiomReport:
+def check_distinct_fork_colors(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     """Arcs from one vertex to two distinct heads must differ in color.
 
     Parallel arcs to the same head may share a color.  Witnesses are
-    (vertex, arc, arc, color) with the two offending arcs.
+    (vertex, arc, arc, color) with the two offending arcs.  Far 0 checks
+    the reversed digraph: `into` lists, with tails as heads.
     """
     witnesses = []
-    for v, outs in zip(cd.labels, cd.out):
+    for v, arcs in zip(cd.labels, cd.out if far else cd.into):
         by_color: dict = {}
-        for arc in outs:
+        for arc in arcs:
             c = arc[3]
             if c in by_color:
                 other = by_color[c]
-                if other[1] != arc[1]:
+                if other[far] != arc[far]:
                     witnesses.append((v, other[2], arc[2], c))
             else:
                 by_color[c] = arc
     return AxiomReport(not witnesses, tuple(witnesses))
 
 
-def check_fork_completion(cd: ColoredDigraph) -> AxiomReport:
+def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     """Every two-colored fork must complete to a diamond with swapped colors.
 
     For arcs (v,u) and (v,w) with u != w there must be a vertex z carrying
     arcs (u,z) colored like (v,w) and (w,z) colored like (v,u).  Witnesses
-    are incompletable forks (v, u, w).  The `color -> heads` tables keep
-    every head, so forks with repeated colors are judged exactly too.
+    are incompletable forks (v, u, w); far 0 checks the reversed digraph.
+    The `color -> heads` tables keep every head, so forks with repeated
+    colors are judged exactly too.
     """
+    arc_lists = cd.out if far else cd.into
     heads_by_color = []
-    for outs in cd.out:
+    for arcs in arc_lists:
         table: dict = {}
-        for _, head, _, color in outs:
-            table.setdefault(color, []).append(head)
+        for arc in arcs:
+            table.setdefault(arc[3], []).append(arc[far])
         heads_by_color.append(table)
     labels = cd.labels
     witnesses: dict = {}  # insertion-ordered set
-    for v, outs in enumerate(cd.out):
-        for i, (_, u, _, cu) in enumerate(outs):
-            for _, w, _, cw in outs[i + 1:]:
+    for v, arcs in enumerate(arc_lists):
+        for i, arc in enumerate(arcs):
+            u, cu = arc[far], arc[3]
+            from_u = heads_by_color[u]
+            for other in arcs[i + 1:]:
+                w = other[far]
                 if u == w:
                     continue
                 from_w = heads_by_color[w].get(cu, ())
-                for z in heads_by_color[u].get(cw, ()):
+                for z in from_u.get(other[3], ()):
                     if z in from_w:
                         break
                 else:
@@ -186,53 +189,58 @@ class CoverVerdict:
         return self.closure() if self.closure is not None else None
 
 
-def topological_order(succ: Sequence[Sequence[int]]) -> list[int] | None:
+def topological_order(succ: Sequence[Sequence], far: int | None = None) -> list[int] | None:
     """Kahn's algorithm on successor lists over 0..n-1, or None on a cycle.
 
-    A FIFO queue starts from the sources in index order, and each vertex
-    releases its successors in list order, so the order is deterministic.
+    Given `far`, `succ` holds arc lists and slot `far` of an arc is the
+    successor.  A FIFO queue starts from the sources in index order, and
+    each vertex releases its successors in list order, so the order is
+    deterministic.
     """
+    if far is None:  # read each successor as a one-slot arc
+        succ, far = [[(j,) for j in heads] for heads in succ], 0
     n = len(succ)
     indeg = [0] * n
-    for heads in succ:
-        for j in heads:
-            indeg[j] += 1
+    for arcs in succ:
+        for arc in arcs:
+            indeg[arc[far]] += 1
     queue = deque(i for i in range(n) if indeg[i] == 0)
     order = []
     while queue:
         i = queue.popleft()
         order.append(i)
-        for j in succ[i]:
+        for arc in succ[i]:
+            j = arc[far]
             indeg[j] -= 1
             if indeg[j] == 0:
                 queue.append(j)
     return order if len(order) == n else None
 
 
-def _find_directed_cycle(out: Sequence[Sequence[tuple]]) -> list[int] | None:
+def _find_directed_cycle(arc_lists: Sequence[Sequence[tuple]], far: int = 1) -> list[int] | None:
     """Depth-first search for a directed cycle, closed by its first vertex.
 
-    `out[i]` lists the (tail, head, ...) arcs leaving vertex i; the cycle is
-    a list of vertex indices.  An explicit stack of out-arc iterators
-    replaces recursion, so paths of any length are searched without
-    touching the interpreter's stack.
+    `arc_lists[i]` lists the arcs walked from vertex i, and slot `far` of
+    each is the vertex it reaches; the cycle is a list of vertex indices.
+    An explicit stack of arc iterators replaces recursion, so paths of any
+    length are searched without touching the interpreter's stack.
     """
-    state = [0] * len(out)  # 0 new, 1 open, 2 done
-    for root in range(len(out)):
+    state = [0] * len(arc_lists)  # 0 new, 1 open, 2 done
+    for root in range(len(arc_lists)):
         if state[root]:
             continue
         state[root] = 1
         path = [root]
-        pending = [iter(out[root])]
+        pending = [iter(arc_lists[root])]
         while pending:
             for arc in pending[-1]:
-                w = arc[1]
+                w = arc[far]
                 if state[w] == 1:
                     return path[path.index(w):] + [w]
                 if state[w] == 0:
                     state[w] = 1
                     path.append(w)
-                    pending.append(iter(out[w]))
+                    pending.append(iter(arc_lists[w]))
                     break
             else:
                 state[path.pop()] = 2
@@ -247,43 +255,47 @@ def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
     the verdict's `poset` is the transitive closure, ordered by "reachable
     along arcs"; it is computed when `poset` is first read.
     """
-    labels = cd.labels
-    if not labels:
-        return CoverVerdict("empty", False)
-    seen = [False] * len(labels)
-    stack = [0]
-    while stack:  # undirected reachability from vertex 0
-        i = stack.pop()
-        if not seen[i]:
-            seen[i] = True
-            stack += [arc[1] for arc in cd.out[i]] + [arc[0] for arc in cd.into[i]]
-    if not all(seen):
-        return CoverVerdict("disconnected", False, witness=(labels[0], labels[seen.index(False)]))
-    cycle = _find_directed_cycle(cd.out)
-    if cycle:
-        return CoverVerdict("cyclic", False, witness=tuple(labels[i] for i in cycle))
-    sources = [v for v, ins in zip(labels, cd.into) if not ins]
-    if len(sources) != 1:
-        return CoverVerdict("no unique source", False, witness=tuple(sources))
-    fork = check_distinct_fork_colors(cd)
-    if not fork:
-        return CoverVerdict("fork coloring violated", False, witness=fork.witnesses)
-    completion = check_fork_completion(cd)
-    if not completion:
-        return CoverVerdict("fork completion violated", False, witness=completion.witnesses)
-    return CoverVerdict(ULD, True, closure=lambda: _closure_poset(cd))
+    return _certify_cover(cd, 1)
 
 
 def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
-    """Dual certification: the reversed digraph must be a ULD cover graph.
+    """Dual certification: the chain on the reversed digraph, read from
+    the `into` lists.  Its closure's dual is the closure of `cd`."""
+    return _certify_cover(cd, 0)
 
-    The dual of the reversed digraph's closure is the closure of `cd`.
-    """
-    verdict = certify_uld_cover(cd.reversed())
-    renames = {ULD: LLD, "no unique source": "no unique sink"}
-    status = renames.get(verdict.status, verdict.status)
-    closure = (lambda: _closure_poset(cd)) if verdict.ok else None
-    return CoverVerdict(status, verdict.ok, verdict.witness, closure)
+
+def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
+    """The ULD chain on `cd` (far 1) or on its reversal (far 0).  If Kahn
+    orders every vertex and one has no arc behind it, that source reaches
+    all, so the digraph is connected; otherwise connectivity, cycles and
+    sources are searched for in turn to name the first failure."""
+    labels = cd.labels
+    if not labels:
+        return CoverVerdict("empty", False)
+    ahead, behind = (cd.out, cd.into) if far else (cd.into, cd.out)
+    order = topological_order(ahead, far)
+    if order is None or behind.count([]) != 1:
+        seen = [False] * len(labels)
+        stack = [0]
+        while stack:  # undirected reachability from vertex 0
+            i = stack.pop()
+            if not seen[i]:
+                seen[i] = True
+                stack += [arc[1] for arc in cd.out[i]] + [arc[0] for arc in cd.into[i]]
+        if not all(seen):
+            return CoverVerdict("disconnected", False, witness=(labels[0], labels[seen.index(False)]))
+        if order is None:
+            cycle = _find_directed_cycle(ahead, far)
+            return CoverVerdict("cyclic", False, witness=tuple(labels[i] for i in cycle))
+        ends = tuple(v for v, arcs in zip(labels, behind) if not arcs)
+        return CoverVerdict("no unique source" if far else "no unique sink", False, witness=ends)
+    fork = check_distinct_fork_colors(cd, far)
+    if not fork:
+        return CoverVerdict("fork coloring violated", False, witness=fork.witnesses)
+    completion = check_fork_completion(cd, far)
+    if not completion:
+        return CoverVerdict("fork completion violated", False, witness=completion.witnesses)
+    return CoverVerdict(ULD if far else LLD, True, closure=lambda: _closure_poset(cd))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ out-arc) may fire, sending one chip along every out-arc; loops return their
 chips.  The reachable arrangements with moves colored by the fired vertex
 form a digraph whose certification mirrors the bond-lattice machinery: a
 finite game has a unique final arrangement and every maximal firing
-sequence fires the same multiset of vertices.
+sequence fires the same multiset of vertices.  States are count tuples
+(`rows`), and firing tallies are count tuples walked along the move index's
+`into` lists; `states` and `firing_counts` build `Counter`s on first read.
 
 The bidirectional closure also walks unfirings (pulling one chip back along
 every out-arc), recorded as reversed fire moves.  Its order is generally
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .checker import (
@@ -25,12 +28,12 @@ from .checker import (
     CoverVerdict,
     FinitePoset,
     PosetError,
-    _find_directed_cycle,
     certify_uld_cover,
     meet_representations,
+    topological_order,
 )
 from .graph import Multigraph, id_key
-from .lattice import TallyError, color_tallies
+from .lattice import TallyError, _tally, _tally_rows
 
 FINITE = "finite"
 CYCLIC = "cyclic"
@@ -121,16 +124,30 @@ def unfire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
 
 
 @dataclass(frozen=True)
-class GameGraph:
-    """Reachable arrangements and fire moves from a start arrangement.
-
-    Moves are (from index, to index, fired vertex).  `verdict` is "finite"
-    (all states explored, no directed cycle), "cyclic", or "cap exceeded".
-    """
+class _Explored:
+    """What both explorers find."""
 
     graph: Multigraph
-    states: tuple
-    moves: tuple
+    rows: tuple   # chip count tuples in vertex order
+    moves: tuple  # (from index, to index, fired vertex)
+
+    @cached_property
+    def states(self) -> tuple:  # one ChipArrangement per row
+        return tuple(_arrangement(self.graph.vertices, row) for row in self.rows)
+
+    def to_colored_digraph(self) -> ColoredDigraph:
+        """The move index the explorer made, or a new one for a hand-built game."""
+        return self.colored or ColoredDigraph.from_triples(len(self.rows), self.moves)
+
+
+@dataclass(frozen=True)
+class GameGraph(_Explored):
+    """Reachable arrangements and fire moves from a start arrangement.
+
+    `verdict` is "finite" (all states explored, no directed cycle),
+    "cyclic", or "cap exceeded".
+    """
+
     verdict: str
     colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
 
@@ -140,21 +157,23 @@ class GameGraph:
 
     def terminal_index(self) -> int:
         targets = {m[0] for m in self.moves}
-        stuck = [i for i in range(len(self.states)) if i not in targets]
+        stuck = [i for i in range(len(self.rows)) if i not in targets]
         if len(stuck) != 1:
             raise ChipError(f"expected a unique final arrangement, found {len(stuck)}")
         return stuck[0]
 
-    def to_colored_digraph(self) -> ColoredDigraph:
-        """The move index `build_game` made, or a new one for a hand-built game."""
-        return self.colored or ColoredDigraph.from_triples(len(self.states), self.moves)
+
+def _sorted_moves(g: Multigraph, moves) -> tuple:
+    """Moves by (from, to, fired vertex in `id_key` order)."""
+    rank = {v: r for r, v in enumerate(sorted(g.vertices, key=id_key))}
+    return tuple(sorted(moves, key=lambda m: (m[0], m[1], rank[m[2]])))
 
 
 def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> GameGraph:
     """Breadth-first exploration of all arrangements reachable by firing.
 
-    States are count tuples in vertex order while the walk runs: each is
-    its own dedupe key, and the row list grows in breadth-first order."""
+    States are count tuples in vertex order: each is its own dedupe key,
+    and the row list grows in breadth-first order."""
     _check_arrangement(g, start)
     order = g.vertices
     rules = list(zip(order, _rules(g, order)))
@@ -175,22 +194,24 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
                 j = index[nxt] = len(rows)
                 rows.append(nxt)
             moves.append((i, j, v))
-    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
-    states = tuple(_arrangement(order, row) for row in rows)
+    moves = _sorted_moves(g, moves)
     if capped:
-        return GameGraph(g, states, moves, CAP_EXCEEDED)
-    colored = ColoredDigraph.from_triples(len(states), moves)
-    verdict = CYCLIC if _find_directed_cycle(colored.out) else FINITE
-    return GameGraph(g, states, moves, verdict, colored)
+        return GameGraph(g, tuple(rows), moves, CAP_EXCEEDED)
+    colored = ColoredDigraph.from_triples(len(rows), moves)
+    verdict = CYCLIC if topological_order(colored.out, 1) is None else FINITE
+    return GameGraph(g, tuple(rows), moves, verdict, colored)
 
 
 @dataclass(frozen=True)
 class GameCertificate:
-    """Certification of a finite game's move digraph."""
+    """Certification of a finite game's move digraph.  `firing_rows[i]`
+    counts, per vertex of `fired`, the fires on any maximal run from state
+    i; both are () when two runs differ."""
 
     verdict: CoverVerdict
     terminal: ChipArrangement
-    firing_counts: tuple           # per state: Counter of fires on any maximal run; () if they differ
+    fired: tuple
+    firing_rows: tuple
     multisets_consistent: bool
     multiset_witness: object       # (state, fires, other fires) when two runs differ
 
@@ -198,24 +219,28 @@ class GameCertificate:
     def ok(self) -> bool:
         return self.verdict.ok and self.multisets_consistent
 
+    @cached_property
+    def firing_counts(self) -> tuple:  # one Counter per firing row
+        return tuple(_tally(self.fired, row) for row in self.firing_rows)
+
 
 def certify_game(game: GameGraph) -> GameCertificate:
     """Certify the move digraph and the run-invariance of firing multisets.
 
-    The firing multiset of a state is its color tally in the reversed move
-    digraph, whose unique source is the terminal arrangement; a state
+    The firing multiset of a state is its color tally walked back along
+    the moves (the `into` lists) from the terminal arrangement; a state
     whose moves predict different multisets is the witness.
     """
     if game.verdict != FINITE:
         raise ChipError(f"only finite games can be certified (verdict: {game.verdict})")
     cd = game.to_colored_digraph()
     verdict = certify_uld_cover(cd)
-    terminal = game.states[game.terminal_index()]
+    terminal = _arrangement(game.graph.vertices, game.rows[game.terminal_index()])
     try:
-        counts = tuple(color_tallies(cd.reversed()))
+        fired, rows = _tally_rows(cd, 0)
     except TallyError as exc:
-        return GameCertificate(verdict, terminal, (), False, exc.witness)
-    return GameCertificate(verdict, terminal, counts, True, None)
+        return GameCertificate(verdict, terminal, (), (), False, exc.witness)
+    return GameCertificate(verdict, terminal, fired, tuple(rows), True, None)
 
 
 def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_000):
@@ -240,27 +265,21 @@ def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_00
 
 
 @dataclass(frozen=True)
-class CompleteGame:
+class CompleteGame(_Explored):
     """Closure of a start arrangement under both fire and unfire moves.
 
     All moves are stored in fire direction.  `complete` is False when the
     cap interrupted the walk.
     """
 
-    graph: Multigraph
-    states: tuple
-    moves: tuple
     complete: bool
     acyclic: bool
     colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
 
-    def to_colored_digraph(self) -> ColoredDigraph:
-        return self.colored or ColoredDigraph.from_triples(len(self.states), self.moves)
-
     def to_poset(self) -> FinitePoset:
         if not self.acyclic:
             raise PosetError("complete game digraph is cyclic; it induces no order")
-        return FinitePoset.from_covers(tuple(range(len(self.states))), [(i, j) for i, j, _ in self.moves])
+        return FinitePoset.from_covers(tuple(range(len(self.rows))), [(i, j) for i, j, _ in self.moves])
 
 
 def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> CompleteGame:
@@ -293,11 +312,10 @@ def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_00
                     rows.append(nxt)
                     distance.append(distance[i] + 1)
                 moves.add((i, j, v) if sign > 0 else (j, i, v))
-    moves = tuple(sorted(moves, key=lambda m: (m[0], m[1], id_key(m[2]))))
+    moves = _sorted_moves(g, moves)
     colored = ColoredDigraph.from_triples(len(rows), moves)
-    acyclic = _find_directed_cycle(colored.out) is None
-    states = tuple(_arrangement(order, row) for row in rows)
-    return CompleteGame(g, states, moves, complete, acyclic, colored)
+    acyclic = topological_order(colored.out, 1) is not None
+    return CompleteGame(g, tuple(rows), moves, complete, acyclic, colored)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,6 @@ def game_dot(game: GameGraph, comments: Iterable[str] = ()) -> str:
     """DOT text for a game's move digraph; moves are labeled by the fired
     vertex and states by their chip counts in vertex order."""
     order = game.graph.vertices
-    labels = [",".join(str(s[v]) for v in order) for s in game.states]
+    labels = [",".join(map(str, row)) for row in game.rows]
     head = [f"chips in vertex order: {', '.join(str(v) for v in order)}"]
-    return _render(len(game.states), labels, game.moves, list(head) + list(comments))
+    return _render(len(game.rows), labels, game.moves, list(head) + list(comments))

@@ -21,6 +21,7 @@ order, so equal objects always produce identical bytes.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
@@ -129,7 +130,7 @@ class RowTable(Sequence):
         inner, deeper = newline + "  ", newline + "    "
         if self.keys is None:
             head = "[" + deeper + "%d," + deeper + "%d," + deeper
-            colors = {c for *_, c in self.rows}
+            colors = set(map(itemgetter(2), self.rows))
             shapes = {c: head + json.dumps(c).replace("%", "%%") + inner + "]" for c in colors}
             lines = [shapes[c] % (i, j) for i, j, c in self.rows]
         else:
@@ -498,7 +499,7 @@ def brute_report_json(report: BruteReport) -> dict:
 def _states_moves_json(game) -> dict:
     order = game.graph.vertices
     return {
-        "states": RowTable([tuple(s[v] for v in order) for s in game.states], [str(v) for v in order]),
+        "states": RowTable(game.rows, [str(v) for v in order]),
         "moves": RowTable(game.moves),
     }
 

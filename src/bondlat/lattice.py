@@ -7,6 +7,10 @@ discovery layers coincide with rank; within a layer elements are ordered
 lexicographically by bond values, which makes the output canonical.  The
 walk packs each element into one int whose order is that lexicographic
 order, so a push is one masked add and a sort per layer ranks the layer.
+
+The tally walk keeps count tuples and reads `out` lists, or `into` lists
+from the sink for chip-game firing tallies; `color_tallies` builds the
+`Counter`s.
 """
 
 from __future__ import annotations
@@ -233,25 +237,36 @@ class TallyError(PosetError):
 
 
 def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[Counter]:
-    """Colorset coordinates of every element, verified path-independent.
-
-    Each tally is a `Counter` of the colors it holds, in first-seen arc
-    order.  Walks the indexed out-lists from the unique source in
-    topological order.  Every incoming cover of an element must predict
-    the same multiset; a disagreement raises TallyError naming the element
-    and one parent.  On a bond lattice the tallies are the push counts; on a
-    reversed chip-firing move digraph they are the firing multisets.
-    """
+    """Colorset coordinates of every element, verified path-independent:
+    `Counter`s of `_tally_rows`, in first-seen arc order.  On a bond
+    lattice the tallies are the push counts."""
     colored = cd.to_colored_digraph() if isinstance(cd, CoverDigraph) else cd
-    order = topological_order([[arc[1] for arc in outs] for outs in colored.out])
+    colors, rows = _tally_rows(colored)
+    return [_tally(colors, t) for t in rows]
+
+
+def _tally_rows(colored: ColoredDigraph, far: int = 1) -> tuple[tuple, list[tuple]]:
+    """The colors in first-seen arc order, and each element's count tuple
+    over them.
+
+    Walks the arc lists from the unique source in topological order; `far`
+    is the arc slot of the far end, as in the checker, so far 0 walks
+    `into` from the unique sink.  Every arc into an element must predict
+    the same counts; a disagreement raises TallyError naming the element
+    and one parent.  On a chip-firing move digraph, far 0 gives the firing
+    multisets.
+    """
+    ahead, behind = (colored.out, colored.into) if far else (colored.into, colored.out)
+    order = topological_order(ahead, far)
     if order is None:
         raise PosetError("cover digraph contains a directed cycle")
     slot = {c: k for k, c in enumerate(dict.fromkeys(arc[3] for arc in colored.arcs))}
-    counts: list[tuple | None] = [None] * len(colored.out)
-    counts[_unique_end(colored.into, "source")] = (0,) * len(slot)
+    counts: list[tuple | None] = [None] * len(ahead)
+    counts[_unique_end(behind, "source")] = (0,) * len(slot)
+    ends = itemgetter(far, 3)
     for i in order:
         t = counts[i]
-        for _, j, _, color in colored.out[i]:
+        for j, color in map(ends, ahead[i]):
             k = slot[color]
             candidate = t[:k] + (t[k] + 1,) + t[k + 1 :]
             if counts[j] is None:
@@ -262,13 +277,11 @@ def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[Counter]:
                     f"(via cover from {i})",
                     (j, _tally(slot, counts[j]), _tally(slot, candidate)),
                 )
-    if any(t is None for t in counts):
-        raise TallyError("some element is unreachable from the source")
-    return [_tally(slot, t) for t in counts]
+    return tuple(slot), counts
 
 
-def _tally(slot: Mapping, counts: tuple) -> Counter:
-    return Counter({c: n for c, n in zip(slot, counts) if n})
+def _tally(colors: Iterable, counts: tuple) -> Counter:
+    return Counter({c: n for c, n in zip(colors, counts) if n})
 
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:

@@ -26,6 +26,7 @@ from bondlat import (
 from bondlat.checker import ColoredDigraph
 from bondlat.chipfire import CAP_EXCEEDED, CYCLIC, FINITE
 from bondlat.cli import main
+from bondlat.jsonio import game_certificate_json, game_json
 
 from util import chain_poset, diamond_poset, m3_poset, two_source_poset
 
@@ -225,9 +226,9 @@ class TestCertifyGame:
     def test_inconsistent_multisets_detected(self):
         # hand-made move digraph: two runs to the terminal firing different
         # vertices; never produced by real chip-firing
-        states = (ChipArrangement({1: 2}), ChipArrangement({1: 1}), ChipArrangement({}))
+        rows = ((2, 0, 0), (1, 0, 0), (0, 0, 0))
         moves = ((0, 1, "a"), (0, 2, "b"), (1, 2, "c"))
-        fake = GameGraph(chain_graph(), states, moves, FINITE)
+        fake = GameGraph(chain_graph(), rows, moves, FINITE)
         cert = certify_game(fake)
         assert not cert.multisets_consistent and not cert.ok
         state, left, right = cert.multiset_witness
@@ -365,3 +366,15 @@ def test_chipfire_run_builds_one_move_index(tmp_path, monkeypatch):
     assert calls == [3]
     game = build_game(chain_graph(), ChipArrangement({1: 2}))
     assert game.to_colored_digraph() is game.to_colored_digraph()
+
+
+def test_certifying_and_writing_a_game_builds_no_counters():
+    # states and firing tallies stay count tuples until a caller reads them
+    game = build_game(fork_graph(), chips(v1=1, v2=1))
+    cert = certify_game(game)
+    game_json(game)
+    game_certificate_json(cert, game)
+    assert "states" not in vars(game) and "firing_counts" not in vars(cert)
+    assert game.rows == ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2))
+    assert game.states == tuple(ChipArrangement(dict(zip((1, 2, 3), row))) for row in game.rows)
+    assert cert.firing_counts == (Counter({1: 1, 2: 1}), Counter({2: 1}), Counter({1: 1}), Counter())

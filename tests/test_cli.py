@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from bondlat import Arc, Multigraph, bonds, cli, encode_potentials, jsonio
+from bondlat import Arc, ColoredDigraph, Multigraph, bonds, cli, encode_potentials, jsonio
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
@@ -874,6 +874,45 @@ class TestByteContract:
             assert proc.returncode == 0, proc.stderr
             runs.append((proc.stdout, dot.read_text(encoding="utf-8")))
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestOneIndex:
+    """A run indexes its digraph once: the lower-side certificate and the
+    firing tallies read the same arc lists from the other end."""
+
+    @staticmethod
+    def count_indexes(monkeypatch) -> list:
+        built = []
+        real = ColoredDigraph._index
+
+        def counting(self, labels, arcs):
+            built.append(len(arcs))
+            real(self, labels, arcs)
+
+        monkeypatch.setattr(ColoredDigraph, "_index", counting)
+        return built
+
+    def test_lattice_run_on_a_3x3_potential_grid(self, tmp_path, monkeypatch):
+        arcs = [Arc(f"h{v}", v, v + 1) for v in range(9) if v % 3 < 2]
+        arcs += [Arc(f"v{v}", v, v + 3) for v in range(6)]
+        system = encode_potentials(Multigraph(range(9), arcs), {a.id: -1 for a in arcs}, {a.id: 1 for a in arcs}, 0).system
+        built = self.count_indexes(monkeypatch)
+        code, payload = run_cli(tmp_path, "lattice", system_json(system))
+        assert code == 0
+        assert (payload["count"], payload["uld"]["ok"], payload["lld"]["ok"]) == (1665, True, True)
+        assert built == [len(payload["covers"])]
+
+    def test_chipfire_run(self, tmp_path, monkeypatch):
+        doc = {
+            "vertices": [0, 1, 2],
+            "arcs": [{"id": "l", "tail": 0, "head": 0}, {"id": "a", "tail": 0, "head": 1},
+                     {"id": "b", "tail": 0, "head": 1}, {"id": "c", "tail": 1, "head": 2}],
+            "chips": {"0": 4, "1": 1},
+        }
+        built = self.count_indexes(monkeypatch)
+        code, payload = run_cli(tmp_path, "chipfire", doc)
+        assert code == 0 and payload["certificate"]["ok"] is True
+        assert built == [len(payload["moves"])]
 
 
 class TestScale:

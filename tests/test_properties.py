@@ -49,7 +49,13 @@ from bondlat import (
     unique_minimal_representation_report,
     vertex_cut,
 )
-from bondlat.checker import ColoredDigraph, _find_directed_cycle, topological_order
+from bondlat.checker import (
+    ColoredDigraph,
+    _find_directed_cycle,
+    check_distinct_fork_colors,
+    check_fork_completion,
+    topological_order,
+)
 from bondlat.cli import main
 from bondlat.jsonio import (
     InputFormatError,
@@ -73,6 +79,8 @@ from util import (
     oracle_can_unfire,
     oracle_complete_game,
     oracle_fire,
+    oracle_cover_verdict,
+    oracle_fork_witnesses,
     oracle_game,
     oracle_unfire,
     representation_report,
@@ -751,6 +759,64 @@ def test_lld_is_uld_of_the_reversed_digraph(digraph, from_triples):
         assert lld.poset.above == uld.poset.dual().above
     else:
         assert lld.poset is None
+
+
+_VERTEX_IDS = [0, 1, 7, 30, "a", "b", "y10", (0, "q"), (2, 0)]
+_ARC_IDS = [*range(12), *(f"e{k}" for k in range(8)), ("t", 0), ("t", 1)]
+
+
+@st.composite
+def cover_multidigraphs(draw):
+    """Colored multidigraphs on 0-7 vertices in one to three parts.
+
+    Each part hangs every vertex off an earlier one by an arc pointing
+    forward or, one time in four, back, so a part may have several sources
+    or sinks.  Extra arcs are loops, parallel copies, forward arcs and
+    free arcs that close cycles.  Colors come from three, so they repeat.
+    Half are built from triples on 0..n-1, half from a `Multigraph` with
+    mixed vertex and arc ids.
+    """
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return ColoredDigraph.from_triples(0, [])
+    k = min(n, draw(st.sampled_from([1, 1, 1, 2, 3])))
+    cuts = sorted(draw(st.permutations(range(1, n)))[: k - 1])
+    color = st.integers(0, 2)
+    triples = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        for v in range(lo + 1, hi):
+            u = draw(st.integers(lo, v - 1))
+            triples.append((v, u, draw(color)) if draw(st.integers(0, 3)) == 0 else (u, v, draw(color)))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["forward", "forward", "forward", "loop", "parallel", "free"]))
+            t, h = draw(st.integers(lo, hi - 1)), draw(st.integers(lo, hi - 1))
+            if kind == "forward":
+                t, h = min(t, h), max(t, h)
+            elif kind == "loop":
+                h = t
+            elif kind == "parallel" and triples:
+                t, h, _ = draw(st.sampled_from(triples))
+            triples.append((t, h, draw(color)))
+    if draw(st.booleans()):
+        return ColoredDigraph.from_triples(n, triples)
+    vertices = draw(st.permutations(_VERTEX_IDS))[:n]
+    ids = draw(st.permutations(_ARC_IDS))[: len(triples)]
+    arcs = [Arc(a, vertices[t], vertices[h]) for a, (t, h, _) in zip(ids, triples)]
+    return ColoredDigraph(Multigraph(vertices, arcs), {a: c for a, (_, _, c) in zip(ids, triples)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(cover_multidigraphs())
+def test_cover_verdicts_match_the_ordered_chain_oracle(cd):
+    # one Kahn pass read from either end must name the same first failure
+    # and witness as connectivity, cycle and source searches run in turn
+    for side, certify, far in (("uld", certify_uld_cover, 1), ("lld", certify_lld_cover, 0)):
+        verdict = certify(cd)
+        event(f"{side}: {verdict.status}")
+        assert (verdict.status, verdict.ok, verdict.witness) == oracle_cover_verdict(cd, side)
+        coloring, completion = oracle_fork_witnesses(cd, side)
+        for report, witnesses in ((check_distinct_fork_colors(cd, far), coloring), (check_fork_completion(cd, far), completion)):
+            assert (report.ok, report.witnesses) == (not witnesses, witnesses)
 
 
 @st.composite

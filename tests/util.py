@@ -9,7 +9,9 @@ the distance oracle relaxes every constraint edge in arc order once per
 round instead of from a queue, the rigid-class oracle intersects two
 reachability searches per vertex instead of one strong-component pass, and
 the chip-firing oracle copies a dict arrangement per move instead of
-stepping count tuples by a per-vertex move rule.
+stepping count tuples by a per-vertex move rule, and the cover-verdict
+oracle copies the reversed arcs for the lower side and runs every
+structure check in order instead of one Kahn pass read from either end.
 """
 
 from __future__ import annotations
@@ -470,3 +472,103 @@ def _acyclic(n: int, moves) -> bool:
             if not indegree[j]:
                 ready.append(j)
     return drained == n
+
+
+# Cover-verdict oracle: the lower side is the upper side of a reversed copy
+# of the arcs, and connectivity, cycles and sources are each searched for
+# in turn before the fork checks.
+
+
+def oracle_cover_verdict(cd: ColoredDigraph, side: str) -> tuple:
+    """(status, ok, witness) of certifying `cd` as a ULD ("uld") or LLD
+    ("lld") cover graph; the first failing check names the witness."""
+    labels, out, into = _oracle_lists(cd, side)
+    if not labels:
+        return "empty", False, None
+    seen = {0}
+    stack = [0]
+    while stack:  # undirected reachability from vertex 0
+        i = stack.pop()
+        for j in [arc[1] for arc in out[i]] + [arc[0] for arc in into[i]]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) < len(labels):
+        missing = min(set(range(len(labels))) - seen)
+        return "disconnected", False, (labels[0], labels[missing])
+    cycle = _oracle_cycle(out)
+    if cycle:
+        return "cyclic", False, tuple(labels[i] for i in cycle)
+    sources = tuple(v for v, ins in zip(labels, into) if not ins)
+    if len(sources) != 1:
+        return ("no unique source" if side == "uld" else "no unique sink"), False, sources
+    coloring, completion = oracle_fork_witnesses(cd, side)
+    if coloring:
+        return "fork coloring violated", False, coloring
+    if completion:
+        return "fork completion violated", False, completion
+    return side, True, None
+
+
+def oracle_fork_witnesses(cd: ColoredDigraph, side: str) -> tuple[tuple, tuple]:
+    """The witnesses of the two fork checks on `cd` ("uld") or on its
+    reversal ("lld"): (vertex, arc, arc, color) for an arc whose color
+    first appeared on an arc to another end, and (v, u, w) for a fork that
+    no pair of swapped-color arcs closes."""
+    labels, out, _ = _oracle_lists(cd, side)
+    coloring = []
+    completion: dict = {}
+    for v, arcs in enumerate(out):
+        for k, arc in enumerate(arcs):
+            first = next(a for a in arcs if a[3] == arc[3])
+            if first[1] != arc[1]:
+                coloring.append((labels[v], first[2], arc[2], arc[3]))
+            for other in arcs[k + 1:]:
+                u, w = arc[1], other[1]
+                closed = any(
+                    a[1] == b[1]
+                    for a in out[u] if a[3] == other[3]
+                    for b in out[w] if b[3] == arc[3]
+                )
+                if u != w and not closed:
+                    completion[(labels[v], labels[u], labels[w])] = None
+    return tuple(coloring), tuple(completion)
+
+
+def _oracle_lists(cd: ColoredDigraph, side: str) -> tuple:
+    """Labels and per-vertex out/in arc lists, of a reversed copy of the
+    arcs when `side` is "lld"."""
+    arcs = cd.arcs if side == "uld" else [(h, t, k, c) for t, h, k, c in cd.arcs]
+    out: list[list] = [[] for _ in cd.labels]
+    into: list[list] = [[] for _ in cd.labels]
+    for arc in arcs:
+        out[arc[0]].append(arc)
+        into[arc[1]].append(arc)
+    return cd.labels, out, into
+
+
+def _oracle_cycle(out: list) -> list | None:
+    """The first directed cycle a depth-first search from each vertex in
+    index order closes, as its vertices with the first repeated at the end."""
+    state = [0] * len(out)  # 0 new, 1 on the path, 2 done
+
+    def visit(path: list) -> list | None:
+        for arc in out[path[-1]]:
+            w = arc[1]
+            if state[w] == 1:
+                return path[path.index(w):] + [w]
+            if state[w] == 0:
+                state[w] = 1
+                found = visit(path + [w])
+                if found:
+                    return found
+        state[path[-1]] = 2
+        return None
+
+    for root in range(len(out)):
+        if not state[root]:
+            state[root] = 1
+            found = visit([root])
+            if found:
+                return found
+    return None
