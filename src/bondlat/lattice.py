@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import count
+from itertools import count, cycle, repeat
 from operator import add, eq, itemgetter, lt
 from struct import Struct
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -71,7 +71,9 @@ class CoverDigraph:
 
     Given `arc_order`, the elements are bonds passed as tuples of their arc
     values in that order.  `vectors` keeps those tuples, and `elements`
-    turns them into `Bond`s when first read.
+    turns them into `Bond`s when first read.  The constructor checks and
+    sorts the covers; `enumerate_lattice` builds through `_from_walk`, which
+    does not, since the walk's covers are in range, loop-free and sorted.
     """
 
     def __init__(
@@ -100,6 +102,15 @@ class CoverDigraph:
         self.covers = covers
         self._colored: ColoredDigraph | None = None
         self._poset: FinitePoset | None = None
+
+    @classmethod
+    def _from_walk(cls, vectors: Iterable[tuple], covers: list, arc_order: tuple) -> "CoverDigraph":
+        """The walk's digraph, unchecked: a cover joins rank r to rank r + 1 in
+        layer order, so it is in range, no self-loop, and comes sorted."""
+        cd = cls.__new__(cls)
+        cd.vectors, cd.covers, cd.arc_order = tuple(vectors), tuple(covers), arc_order
+        cd._colored = cd._poset = None
+        return cd
 
     @cached_property
     def elements(self) -> tuple:
@@ -174,8 +185,8 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     of v's arcs, `(key + addend) & mask == want` tests the push and `key +
     delta` makes it.  Moves run in order of delta, so each layer's covers
     come out sorted.  The keys become arc
-    value tuples once, at the end.  Raises CapExceededError past `cap`
-    elements, GraphError on rigid arcs.
+    value tuples once, at the end, by one `struct` unpack.  Raises
+    CapExceededError past `cap` elements, GraphError on rigid arcs.
     """
     minimum = system.minimum_bond()  # also enforces reducedness
     arcs = system.graph.arcs
@@ -218,10 +229,10 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
         index = dict(zip(layer, count(len(keys))))
         covers += [(i, index[y], v) for i, y, v in pending]
         keys += layer
-    row = Struct(f">{len(arcs)}{_FIELD_CODES[width]}")
-    unpack, size = row.unpack, row.size
-    vectors = [tuple(map(add, unpack(k.to_bytes(size, "big")), lows)) for k in keys]
-    return CoverDigraph(vectors, covers, arc_order)
+    m, blob = len(arcs), b"".join(map(int.to_bytes, keys, repeat(len(arcs) * width // 8), repeat("big")))
+    flat = Struct(f">{m * len(keys)}{_FIELD_CODES[width]}").unpack(blob)
+    vectors = zip(*[map(add, flat, cycle(lows))] * m) if m else [()] * len(keys)
+    return CoverDigraph._from_walk(vectors, covers, arc_order)
 
 
 class TallyError(PosetError):

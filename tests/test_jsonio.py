@@ -1,10 +1,14 @@
 """JSON input parsing (with positioned errors) and canonical serialization."""
 
+import json
+
 import pytest
 
 from bondlat import Bond, ChipArrangement, faces
 from bondlat.jsonio import (
+    BLOCK_ROWS,
     InputFormatError,
+    RowTable,
     bond_json,
     cover_digraph_json,
     cycle_json,
@@ -28,7 +32,7 @@ from bondlat.jsonio import (
 from bondlat.bonds import InfeasibleSystemError
 from bondlat.graph import CycleVector
 
-from util import tri_system
+from util import first_difference, tri_system
 
 
 def tri_doc(**extra):
@@ -470,3 +474,25 @@ class TestSerialization:
         for table in (doc["elements"], doc["covers"]):
             assert table[:2] == list(table)[:2] and table[::-1] == list(table)[::-1]
             assert table[5:] == []
+
+
+TRIPLE_COLORS = {
+    "int": (3, -1, 0, 12),
+    "str": ("v%d", 'q"1', "back\\slash", "caf\u00e9 \u2603", "%%s", "plain"),
+}
+
+
+@pytest.mark.parametrize("colors", sorted(TRIPLE_COLORS))
+@pytest.mark.parametrize("n", [0, 7, 8, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_triple_tables_write_what_json_dumps_writes_at_every_block_edge(n, colors):
+    palette = TRIPLE_COLORS[colors]
+    rows = tuple((k // 3, k // 3 + 1 + k % 5, palette[k * 7 % len(palette)]) for k in range(n))
+    plain = [list(row) for row in rows]
+    for name in ("covers", "moves"):
+        for shape in (
+            lambda table: table,
+            lambda table: {"count": n, name: table},
+            lambda table: {"product_size": 1, "components": [{"vertices": [1], name: table}]},
+        ):
+            expected = json.dumps(shape(plain), indent=2, ensure_ascii=True) + "\n"
+            assert first_difference(dumps(shape(RowTable(rows))), expected) is None

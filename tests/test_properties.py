@@ -405,6 +405,21 @@ def test_a_reduced_system_is_reduced_when_built_afresh(s):
     assert fresh.minimum_bond() == reduced.minimum_bond()
 
 
+@settings(max_examples=300, deadline=None)
+@given(windowed_systems())
+def test_the_checking_constructor_accepts_the_walk_unchanged(s):
+    # the walk builds its digraph unchecked; the public constructor checks
+    # range, self-loops and order, so it must take the walk's covers as they are
+    try:
+        reduced, _ = s.reduce()
+    except InfeasibleSystemError:
+        event("infeasible")
+        return
+    cd = enumerate_lattice(reduced)
+    checked = CoverDigraph(cd.vectors, cd.covers, cd.arc_order)
+    assert checked.covers == cd.covers and checked.vectors == cd.vectors
+
+
 @st.composite
 def system_docs(draw):
     """System documents on 1-5 vertices, each with "x" and "y" labelings.

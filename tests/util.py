@@ -11,7 +11,9 @@ reachability searches per vertex instead of one strong-component pass, and
 the chip-firing oracle copies a dict arrangement per move instead of
 stepping count tuples by a per-vertex move rule, and the cover-verdict
 oracle copies the reversed arcs for the lower side and runs every
-structure check in order instead of one Kahn pass read from either end.
+structure check in order instead of one Kahn pass read from either end,
+and the DOT oracle writes one line at a time with f-strings instead of
+block templates.
 """
 
 from __future__ import annotations
@@ -572,3 +574,48 @@ def _oracle_cycle(out: list) -> list | None:
             if found:
                 return found
     return None
+
+
+_DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02", "#a6761d", "#666666")
+
+
+def oracle_dot(count: int, node_labels, edges, comments) -> str:
+    """DOT text of `count` labelled nodes and (tail, head, key) edges, one
+    line at a time: keys take palette colours in their sorted order (ints
+    first, then strings), and quoted text escapes backslashes and quotes."""
+
+    def quoted(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    def key_order(key):
+        return (0, key) if isinstance(key, int) and not isinstance(key, bool) else (1, str(key))
+
+    colors = {}
+    for key in sorted({key for _, _, key in edges}, key=key_order):
+        colors[key] = _DOT_PALETTE[len(colors) % len(_DOT_PALETTE)]
+    lines = ["digraph {", "  rankdir=BT;", "  node [shape=box];"]
+    for comment in comments:
+        lines.append(f"  // {comment}")
+    for i in range(count):
+        lines.append(f"  n{i} [label={quoted(node_labels[i])}];")
+    for i, j, key in edges:
+        lines.append(f"  n{i} -> n{j} [label={quoted(str(key))}, color={quoted(colors[key])}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got: str, expected: str):
+    """None when the texts are equal, else (line number, got line, expected
+    line) at the first line that differs; a cheap report on texts whose
+    full diff would take minutes."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for k in range(max(len(got_lines), len(expected_lines))):
+        pair = [lines[k] if k < len(lines) else None for lines in (got_lines, expected_lines)]
+        if pair[0] != pair[1]:
+            return (k, *pair)
+    return None
+
+
+def oracle_labels(rows) -> list[str]:
+    """Each row's values, comma-joined."""
+    return [",".join(str(x) for x in row) for row in rows]
