@@ -8,11 +8,12 @@ digraph with a unique source passing both checks has a transitive closure
 that is an upper locally distributive (ULD) lattice-order; the reversed
 digraph certifies the lower (LLD) side, and both together certify
 distributivity.  Every check walks the arc lists of one index
-(`ColoredDigraph.out` / `into`) through a `far` slot, the arc tuple slot of
-the end it walks to: ULD reads `out` toward heads, and LLD and the chip-game
-firing tallies read `into` toward tails, with no reversed copy.  One Kahn
-pass settles the structure; the ordered checks that name the first failure
-run only when it fails.
+(`ColoredDigraph.out` / `into`) of (tail, head, color) triples, the very
+covers or moves given, through a `far` slot, the slot of the end it walks
+to: ULD reads `out` toward heads, and LLD and the chip-game firing tallies
+read `into` toward tails, with no reversed copy.  One Kahn pass per side,
+kept by the index, settles the structure; the ordered checks that name the
+first failure run only when it fails.
 
 The poset route takes an explicit finite poset, verifies the lattice
 property and decides whether every element is the meet of a unique
@@ -27,11 +28,11 @@ element with several, to name two of them as the certificate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .graph import Arc, GraphError, Multigraph, id_key
 
@@ -47,11 +48,11 @@ class ColoredDigraph:
     """A digraph together with a color on every arc, in an indexed form.
 
     Every check reads the indexed form: `labels` are the vertices in
-    `graph.vertices` order, `arcs` are (tail index, head index, arc id,
-    color) in ascending `id_key` order of the ids, and `out[i]` / `into[i]`
+    `graph.vertices` order, `arcs` are (tail index, head index, color) in
+    ascending `id_key` order of `ids`, the arc ids, and `out[i]` / `into[i]`
     list the arcs leaving / entering vertex i in that order.  `from_triples`
-    fills only this form; `graph` and `colors` are then built when first
-    read.
+    keeps the triples it is given, with ids 0..m-1, and builds `graph` and
+    `colors` when first read.  `order(far)` keeps each side's Kahn order.
     """
 
     def __init__(self, graph: Multigraph, colors: Mapping):
@@ -60,42 +61,44 @@ class ColoredDigraph:
                 raise GraphError(f"arc {a.id!r} has no color")
         index = {v: i for i, v in enumerate(graph.vertices)}
         arcs = sorted(graph.arcs, key=lambda a: id_key(a.id))
-        self._index(graph.vertices, [(index[a.tail], index[a.head], a.id, colors[a.id]) for a in arcs])
-        self.graph = graph
-        self.colors = colors
+        triples = tuple((index[a.tail], index[a.head], colors[a.id]) for a in arcs)
+        self._index(graph.vertices, triples, tuple(a.id for a in arcs))
+        self.graph, self.colors = graph, colors
 
-    def _index(self, labels: Sequence, arcs: list[tuple]):
-        self.labels = tuple(labels)
-        self.arcs = arcs
+    def _index(self, labels: Sequence, arcs: tuple, ids: Sequence):
+        self.labels, self.arcs, self.ids = tuple(labels), arcs, ids
         self.out: list[list[tuple]] = [[] for _ in self.labels]
         self.into: list[list[tuple]] = [[] for _ in self.labels]
         for arc in arcs:
             self.out[arc[0]].append(arc)
             self.into[arc[1]].append(arc)
+        self._orders: dict = {}
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
         """Digraph on 0..n-1 whose arc k is the k-th (tail, head, color) triple."""
-        arcs = []
-        for k, (tail, head, color) in enumerate(triples):
+        arcs = tuple(triples)
+        for k, (tail, head, _) in enumerate(arcs):
             if not (0 <= tail < n and 0 <= head < n):
                 raise GraphError(f"arc {k!r} references unknown vertex {tail!r} or {head!r}")
-            arcs.append((tail, head, k, color))
         cd = cls.__new__(cls)
-        cd._index(range(n), arcs)
+        cd._index(range(n), arcs, range(len(arcs)))
         return cd
 
     @cached_property
     def graph(self) -> Multigraph:
         labels = self.labels
-        return Multigraph(labels, [Arc(k, labels[t], labels[h]) for t, h, k, _ in self.arcs])
+        return Multigraph(labels, [Arc(k, labels[t], labels[h]) for k, (t, h, _) in zip(self.ids, self.arcs)])
 
     @cached_property
     def colors(self) -> dict:
-        return {k: c for _, _, k, c in self.arcs}
+        return {k: arc[2] for k, arc in zip(self.ids, self.arcs)}
 
-    def color(self, arc_id):
-        return self.colors[arc_id]
+    def order(self, far: int = 1) -> list[int] | None:
+        """`topological_order` of `out` (far 1) or `into` (far 0), made once."""
+        if far not in self._orders:
+            self._orders[far] = topological_order(self.out if far else self.into, far)
+        return self._orders[far]
 
 
 @dataclass(frozen=True)
@@ -111,21 +114,33 @@ def check_distinct_fork_colors(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     """Arcs from one vertex to two distinct heads must differ in color.
 
     Parallel arcs to the same head may share a color.  Witnesses are
-    (vertex, arc, arc, color) with the two offending arcs.  Far 0 checks
-    the reversed digraph: `into` lists, with tails as heads.
+    (vertex, arc id, arc id, color) with the two offending arcs.  Far 0
+    checks the reversed digraph: `into` lists, with tails as heads.  A
+    failing vertex's arcs are named by position, as one triple may be two.
     """
-    witnesses = []
-    for v, arcs in zip(cd.labels, cd.out if far else cd.into):
+    failed = []
+    for arcs in cd.out if far else cd.into:
         by_color: dict = {}
         for arc in arcs:
-            c = arc[3]
+            c = arc[2]
             if c in by_color:
-                other = by_color[c]
-                if other[far] != arc[far]:
-                    witnesses.append((v, other[2], arc[2], c))
+                if by_color[c][far] != arc[far]:
+                    failed.append(arc[1 - far])
+                    break
             else:
                 by_color[c] = arc
-    return AxiomReport(not witnesses, tuple(witnesses))
+    witnesses = []
+    if failed:
+        arcs, positions = cd.arcs, [[] for _ in cd.labels]
+        for k, arc in enumerate(arcs):
+            positions[arc[1 - far]].append(k)
+        for i in failed:
+            first: dict = {}
+            for k in positions[i]:
+                j = first.setdefault(arcs[k][2], k)
+                if arcs[j][far] != arcs[k][far]:
+                    witnesses.append((cd.labels[i], cd.ids[j], cd.ids[k], arcs[k][2]))
+    return AxiomReport(not failed, tuple(witnesses))
 
 
 def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
@@ -142,20 +157,20 @@ def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     for arcs in arc_lists:
         table: dict = {}
         for arc in arcs:
-            table.setdefault(arc[3], []).append(arc[far])
+            table.setdefault(arc[2], []).append(arc[far])
         heads_by_color.append(table)
     labels = cd.labels
     witnesses: dict = {}  # insertion-ordered set
     for v, arcs in enumerate(arc_lists):
         for i, arc in enumerate(arcs):
-            u, cu = arc[far], arc[3]
+            u, cu = arc[far], arc[2]
             from_u = heads_by_color[u]
             for other in arcs[i + 1:]:
                 w = other[far]
                 if u == w:
                     continue
                 from_w = heads_by_color[w].get(cu, ())
-                for z in from_u.get(other[3], ()):
+                for z in from_u.get(other[2], ()):
                     if z in from_w:
                         break
                 else:
@@ -169,24 +184,16 @@ class CoverVerdict:
 
     `status` is one of "uld", "lld", "empty", "disconnected", "cyclic",
     "no unique source", "no unique sink", "fork coloring violated",
-    "fork completion violated".
-
-    On success `poset` is the transitive closure of the certified digraph
-    as a FinitePoset; it is computed when `poset` is first read, so
-    certification itself runs only the local checks.  It is None on failure.
+    "fork completion violated".  It holds no closure: a caller that wants
+    one builds it from the certified digraph (`FinitePoset.from_covers`).
     """
 
     status: str
     ok: bool
     witness: object = None
-    closure: Callable[[], "FinitePoset"] | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.ok
-
-    @cached_property
-    def poset(self) -> "FinitePoset | None":
-        return self.closure() if self.closure is not None else None
 
 
 def topological_order(succ: Sequence[Sequence], far: int | None = None) -> list[int] | None:
@@ -249,18 +256,13 @@ def _find_directed_cycle(arc_lists: Sequence[Sequence[tuple]], far: int = 1) -> 
 
 
 def certify_uld_cover(cd: ColoredDigraph) -> CoverVerdict:
-    """Run the full hypothesis chain; first failure wins.
-
-    Every check is local to the digraph's indexed arc lists.  On success
-    the verdict's `poset` is the transitive closure, ordered by "reachable
-    along arcs"; it is computed when `poset` is first read.
-    """
+    """Run the full hypothesis chain on the `out` lists; first failure wins."""
     return _certify_cover(cd, 1)
 
 
 def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
     """Dual certification: the chain on the reversed digraph, read from
-    the `into` lists.  Its closure's dual is the closure of `cd`."""
+    the `into` lists."""
     return _certify_cover(cd, 0)
 
 
@@ -273,7 +275,7 @@ def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     if not labels:
         return CoverVerdict("empty", False)
     ahead, behind = (cd.out, cd.into) if far else (cd.into, cd.out)
-    order = topological_order(ahead, far)
+    order = cd.order(far)
     if order is None or behind.count([]) != 1:
         seen = [False] * len(labels)
         stack = [0]
@@ -295,7 +297,7 @@ def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     completion = check_fork_completion(cd, far)
     if not completion:
         return CoverVerdict("fork completion violated", False, witness=completion.witnesses)
-    return CoverVerdict(ULD if far else LLD, True, closure=lambda: _closure_poset(cd))
+    return CoverVerdict(ULD if far else LLD, True)
 
 
 @dataclass(frozen=True)
@@ -310,10 +312,6 @@ class DistributiveVerdict:
 
 def certify_distributive_cover(cd: ColoredDigraph) -> DistributiveVerdict:
     return DistributiveVerdict(certify_uld_cover(cd), certify_lld_cover(cd))
-
-
-def _closure_poset(cd: ColoredDigraph) -> "FinitePoset":
-    return FinitePoset.from_covers(cd.labels, [(t, h) for t, h, _, _ in cd.arcs])
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -30,7 +30,6 @@ from .checker import (
     PosetError,
     certify_uld_cover,
     meet_representations,
-    topological_order,
 )
 from .graph import Multigraph, id_key
 from .lattice import TallyError, _tally, _tally_rows
@@ -198,7 +197,7 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
     if capped:
         return GameGraph(g, tuple(rows), moves, CAP_EXCEEDED)
     colored = ColoredDigraph.from_triples(len(rows), moves)
-    verdict = CYCLIC if topological_order(colored.out, 1) is None else FINITE
+    verdict = CYCLIC if colored.order(1) is None else FINITE
     return GameGraph(g, tuple(rows), moves, verdict, colored)
 
 
@@ -260,7 +259,7 @@ def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_00
                 raise ChipError(f"more than {limit} maximal firing sequences")
             yield prefix
             continue
-        for _, j, _, v in reversed(out[i]):
+        for _, j, v in reversed(out[i]):
             stack.append((j, prefix + (v,)))
 
 
@@ -314,7 +313,7 @@ def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_00
                 moves.add((i, j, v) if sign > 0 else (j, i, v))
     moves = _sorted_moves(g, moves)
     colored = ColoredDigraph.from_triples(len(rows), moves)
-    acyclic = topological_order(colored.out, 1) is not None
+    acyclic = colored.order(1) is not None
     return CompleteGame(g, tuple(rows), moves, complete, acyclic, colored)
 
 

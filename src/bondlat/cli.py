@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 
 from . import jsonio
 from .bonds import InfeasibleSystemError, find_initial_bond
@@ -68,14 +69,15 @@ def _load(path: str):
     return jsonio.loads(text)
 
 
+_WRITE_SLICE = 1 << 16  # characters per write, so the text is never encoded whole
+
+
 def _emit(path: str, text: str, stdout: bool = True):
     """Write `text` to `path`, or to stdout for "-" when `stdout`."""
     try:
-        if stdout and path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        with nullcontext(sys.stdout) if stdout and path == "-" else open(path, "w", encoding="utf-8") as handle:
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         raise OSError(f"{path}: cannot write output: {exc.strerror}") from None
 

@@ -30,7 +30,6 @@ from .checker import (
     brute_uld,
     lost_irreducibles,
     meet_representations,
-    topological_order,
 )
 from .graph import id_key
 
@@ -268,13 +267,13 @@ def _tally_rows(colored: ColoredDigraph, far: int = 1) -> tuple[tuple, list[tupl
     multisets.
     """
     ahead, behind = (colored.out, colored.into) if far else (colored.into, colored.out)
-    order = topological_order(ahead, far)
+    order = colored.order(far)
     if order is None:
         raise PosetError("cover digraph contains a directed cycle")
-    slot = {c: k for k, c in enumerate(dict.fromkeys(arc[3] for arc in colored.arcs))}
+    slot = {c: k for k, c in enumerate(dict.fromkeys(arc[2] for arc in colored.arcs))}
     counts: list[tuple | None] = [None] * len(ahead)
     counts[_unique_end(behind, "source")] = (0,) * len(slot)
-    ends = itemgetter(far, 3)
+    ends = itemgetter(far, 2)
     for i in order:
         t = counts[i]
         for j, color in map(ends, ahead[i]):

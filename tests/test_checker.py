@@ -1,5 +1,8 @@
 """Colored-digraph certification and brute-force poset analysis."""
 
+from itertools import chain
+from operator import is_
+
 import pytest
 
 from bondlat import (
@@ -12,6 +15,7 @@ from bondlat import (
     PosetError,
     TraceError,
     brute_uld,
+    build_complete_game,
     build_game,
     certify_distributive_cover,
     certify_game,
@@ -29,6 +33,7 @@ from bondlat.jsonio import dumps, system_json
 
 from util import (
     chain_poset,
+    closure_poset,
     cyclic_u_digraph,
     diamond_poset,
     m3_poset,
@@ -72,6 +77,33 @@ class TestForkColors:
 
     def test_cyclic_example_passes(self):
         assert check_distinct_fork_colors(cyclic_u_digraph())
+
+    def test_witnesses_name_mixed_ids_in_id_order(self):
+        # arcs listed out of id order, with int and str ids: witnesses pair
+        # the first arc of a color in id order with each later one
+        g = Multigraph(
+            ["r", "x", "y", "z"],
+            [Arc("q", "r", "y"), Arc(7, "r", "x"), Arc("p", "x", "z"), Arc("s", "y", "z"), Arc(3, "r", "z")],
+        )
+        cd = ColoredDigraph(g, {"q": 1, 7: 1, "p": 2, "s": 2, 3: 1})
+        assert cd.ids == (3, 7, "p", "q", "s")
+        assert check_distinct_fork_colors(cd).witnesses == (("r", 3, 7, 1), ("r", 3, "q", 1))
+        assert check_distinct_fork_colors(cd, 0).witnesses == (("z", "p", "s", 2),)
+        uld, lld = certify_uld_cover(cd), certify_lld_cover(cd)
+        assert (uld.status, uld.witness) == ("fork coloring violated", (("r", 3, 7, 1), ("r", 3, "q", 1)))
+        assert (lld.status, lld.witness) == ("fork coloring violated", (("z", "p", "s", 2),))
+
+    def test_one_triple_object_for_two_arcs_keeps_both_ids(self):
+        a, b = (0, 1, 0), (0, 2, 0)
+        assert check_distinct_fork_colors(ColoredDigraph.from_triples(3, [a, b, b])).witnesses == (
+            (0, 0, 1, 0),
+            (0, 0, 2, 0),
+        )
+        a, b = (1, 0, 0), (2, 0, 0)
+        assert check_distinct_fork_colors(ColoredDigraph.from_triples(3, [a, b, b]), 0).witnesses == (
+            (0, 0, 1, 0),
+            (0, 0, 2, 0),
+        )
 
 
 class TestForkCompletion:
@@ -151,9 +183,10 @@ class TestCertifyUld:
         assert verdict.witness == (("a", "b", "c"),)
 
     def test_diamond_is_uld(self):
-        verdict = certify_uld_cover(diamond_cover())
+        cd = diamond_cover()
+        verdict = certify_uld_cover(cd)
         assert verdict.status == "uld" and verdict.ok
-        p = verdict.poset
+        p = closure_poset(cd)
         bot, top = p.labels.index("bot"), p.labels.index("top")
         assert p.leq(bot, top) and not p.leq(top, bot)
         assert sorted(p.covers()) == sorted(
@@ -173,10 +206,14 @@ class TestCertifyLld:
         assert verdict.status == "lld" and verdict.ok
 
     def test_lld_poset_keeps_the_original_orientation(self):
-        up = certify_uld_cover(diamond_cover()).poset
-        down = certify_lld_cover(diamond_cover()).poset
-        assert up.labels == down.labels
-        assert up.above == down.above
+        # the lower side reads the index without reversing it, so the
+        # closure of the digraph it certified still runs bottom to top
+        cd = diamond_cover()
+        arcs = cd.arcs
+        assert certify_lld_cover(cd).ok and cd.arcs is arcs
+        down = closure_poset(cd)
+        bot, top = down.labels.index("bot"), down.labels.index("top")
+        assert down.leq(bot, top) and not down.leq(top, bot)
 
     def test_two_sinks(self):
         verdict = certify_lld_cover(vee())
@@ -201,16 +238,46 @@ def grid_graph() -> Multigraph:
     return Multigraph(range(9), arcs)
 
 
-class TestLazyClosure:
-    def test_certification_builds_no_closure_until_read(self, monkeypatch, tmp_path):
+class TestOneArcShape:
+    def test_index_holds_the_cover_and_move_triples(self):
+        g = grid_graph()
+        system = encode_potentials(g, {a.id: 0 for a in g.arcs}, {a.id: 1 for a in g.arcs}, 0).system
+        cd = enumerate_lattice(system.reduce()[0])
+        games = [build_game(g, ChipArrangement({0: 4})), build_complete_game(g, ChipArrangement({0: 4}))]
+        for arcs, colored in [(cd.covers, cd.to_colored_digraph())] + [(x.moves, x.to_colored_digraph()) for x in games]:
+            assert len(colored.arcs) == len(arcs) > 0
+            assert all(map(is_, colored.arcs, arcs))
+            for lists in (colored.out, colored.into):
+                assert sorted(map(id, chain.from_iterable(lists))) == sorted(map(id, arcs))
+            assert colored.ids == range(len(arcs))
+            assert colored.colors == {k: c for k, (_, _, c) in enumerate(arcs)}
+
+    def test_each_side_orders_once(self, monkeypatch):
         calls = []
-        real = checker._closure_poset
+        real = checker.topological_order
 
-        def counting(g):
-            calls.append(g)
-            return real(g)
+        def counting(succ, far=None):
+            calls.append(far)
+            return real(succ, far)
 
-        monkeypatch.setattr(checker, "_closure_poset", counting)
+        monkeypatch.setattr(checker, "topological_order", counting)
+        cd = ColoredDigraph.from_triples(3, [(0, 1, 0), (1, 2, 1)])
+        assert cd.order(1) == [0, 1, 2] and cd.order(1) is cd.order(1)
+        assert cd.order(0) == [2, 1, 0]
+        assert certify_uld_cover(cd).ok and certify_lld_cover(cd).ok
+        assert calls == [1, 0]
+
+
+class TestLazyClosure:
+    def test_certification_builds_no_closure(self, monkeypatch, tmp_path):
+        calls = []
+        real = FinitePoset.__init__
+
+        def counting(self, *args):
+            calls.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(FinitePoset, "__init__", counting)
         g = grid_graph()
         system = encode_potentials(g, {a.id: 0 for a in g.arcs}, {a.id: 1 for a in g.arcs}, 0).system
         cd = enumerate_lattice(system.reduce()[0])
@@ -224,14 +291,6 @@ class TestLazyClosure:
         assert main(["lattice", "--input", str(source), "--output", str(sink)]) == 0
         assert uld.ok and lld.ok and cert.ok
         assert calls == []
-
-        expected = FinitePoset.from_covers(range(cd.n), [(lo, hi) for lo, hi, _ in cd.covers])
-        assert uld.poset.above == expected.above
-        assert lld.poset.above == expected.above
-        moves = FinitePoset.from_covers(range(len(game.states)), [(i, j) for i, j, _ in game.moves])
-        assert cert.verdict.poset.above == moves.above
-        assert uld.poset is uld.poset
-        assert len(calls) == 3
 
     def test_certification_builds_no_multigraph(self, monkeypatch):
         g = grid_graph()
@@ -253,10 +312,6 @@ class TestLazyClosure:
         cert = certify_game(game)
         assert uld.ok and lld.ok and cert.ok
         assert builds == []
-
-    def test_failed_verdict_has_no_poset(self):
-        assert certify_uld_cover(vee()).poset is None
-        assert certify_lld_cover(vee()).poset is None
 
 
 def test_distributive_needs_both_sides():

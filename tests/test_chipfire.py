@@ -343,7 +343,7 @@ def test_game_to_colored_digraph_colors_by_fired_vertex():
     for k, (i, j, v) in enumerate(game.moves):
         arc = cd.graph.arc(k)
         assert (arc.tail, arc.head) == (i, j)
-        assert cd.color(k) == v
+        assert cd.colors[k] == v
 
 
 def test_chipfire_run_builds_one_move_index(tmp_path, monkeypatch):

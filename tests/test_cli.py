@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from bondlat import Arc, ColoredDigraph, Multigraph, bonds, cli, encode_potentials, jsonio
+from bondlat import Arc, ColoredDigraph, Multigraph, bonds, checker, chipfire, cli, encode_potentials, jsonio, lattice
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
@@ -885,9 +885,9 @@ class TestOneIndex:
         built = []
         real = ColoredDigraph._index
 
-        def counting(self, labels, arcs):
+        def counting(self, labels, arcs, ids):
             built.append(len(arcs))
-            real(self, labels, arcs)
+            real(self, labels, arcs, ids)
 
         monkeypatch.setattr(ColoredDigraph, "_index", counting)
         return built
@@ -913,6 +913,35 @@ class TestOneIndex:
         code, payload = run_cli(tmp_path, "chipfire", doc)
         assert code == 0 and payload["certificate"]["ok"] is True
         assert built == [len(payload["moves"])]
+
+    @staticmethod
+    def count_kahn_passes(monkeypatch) -> list:
+        passes = []
+        real = checker.topological_order
+
+        def counting(succ, far=None):
+            passes.append(far)
+            return real(succ, far)
+
+        for module in (checker, chipfire, lattice):
+            if hasattr(module, "topological_order"):
+                monkeypatch.setattr(module, "topological_order", counting)
+        return passes
+
+    def test_chipfire_run_orders_each_side_once(self, tmp_path, monkeypatch):
+        # the cycle check and the ULD chain share the forward pass; the
+        # firing tallies take the backward one
+        passes = self.count_kahn_passes(monkeypatch)
+        code, payload = run_cli(tmp_path, "chipfire", chain_chip_doc({"1": 2}))
+        assert code == 0 and payload["certificate"]["ok"] is True
+        assert passes == [1, 0]
+
+    def test_pushcount_lattice_run_orders_each_side_once(self, tmp_path, monkeypatch):
+        # the push-count tallies walk the forward order the ULD chain made
+        passes = self.count_kahn_passes(monkeypatch)
+        code, payload = run_cli(tmp_path, "lattice", mixed_doc(), "--dot", str(tmp_path / "l.dot"), "--coords", "pushcount")
+        assert code == 0 and payload["uld"]["ok"] and payload["lld"]["ok"]
+        assert passes == [1, 0]
 
 
 class TestScale:
@@ -1024,6 +1053,29 @@ class TestBadInput:
             assert (flag, code) == (flag, 2)
             err = capsys.readouterr().err
             assert err == f"output error: {missing}: cannot write output: No such file or directory\n"
+
+
+class TestSlicedWrites:
+    def test_slices_keep_the_bytes(self, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        doc = {
+            "vertices": ["r\u00e9", "x", "\u65e5\u672c", "z"],
+            "arcs": [{"id": "q\u00fc", "tail": "r\u00e9", "head": "\u65e5\u672c"}, {"id": 7, "tail": "r\u00e9", "head": "x"},
+                     {"id": "p", "tail": "x", "head": "z"}, {"id": "s", "tail": "\u65e5\u672c", "head": "z"}],
+            "colors": {"q\u00fc": 1, "7": 1, "p": 2, "s": 2},
+        }
+        payload = {"verdict": "fork coloring violated", "ok": False, "witness": [["r\u00e9", 7, "q\u00fc", 1]]}
+        source, sink = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_text(dumps(doc), encoding="utf-8")
+        capsysbinary.readouterr()
+        assert main(["check-uld", "--input", str(source), "--output", str(sink)]) == 1
+        assert main(["check-uld", "--input", str(source)]) == 1
+        expected = dumps(payload).encode("utf-8")
+        assert sink.read_bytes() == capsysbinary.readouterr().out == expected
+        # multi-byte characters straddle the slice boundaries
+        text = "\u00e9\u65e5\u672c\u00fc-" * 11
+        cli._emit(str(sink), text, stdout=False)
+        assert sink.read_bytes() == text.encode("utf-8")
 
 
 class TestParser:

@@ -381,7 +381,7 @@ class TestOtherParsers:
             "colors": {"e": 1},
         }
         cd = parse_colored_digraph(doc)
-        assert cd.color("e") == 1
+        assert cd.colors["e"] == 1
         with pytest.raises(InputFormatError):
             parse_colored_digraph({**doc, "colors": {}})
         with pytest.raises(InputFormatError) as exc:

@@ -10,8 +10,9 @@ round instead of from a queue, the rigid-class oracle intersects two
 reachability searches per vertex instead of one strong-component pass, and
 the chip-firing oracle copies a dict arrangement per move instead of
 stepping count tuples by a per-vertex move rule, and the cover-verdict
-oracle copies the reversed arcs for the lower side and runs every
-structure check in order instead of one Kahn pass read from either end,
+oracle reads the arcs from the public graph and colors, copies the
+reversed arcs for the lower side and runs every structure check in order
+instead of one Kahn pass read from either end,
 and the DOT oracle writes one line at a time with f-strings instead of
 block templates.
 """
@@ -476,6 +477,12 @@ def _acyclic(n: int, moves) -> bool:
     return drained == n
 
 
+def closure_poset(cd: ColoredDigraph) -> FinitePoset:
+    """The transitive closure of `cd`, over its labels, as a `FinitePoset`."""
+    index = {v: i for i, v in enumerate(cd.labels)}
+    return FinitePoset.from_covers(cd.labels, [(index[a.tail], index[a.head]) for a in cd.graph.arcs])
+
+
 # Cover-verdict oracle: the lower side is the upper side of a reversed copy
 # of the arcs, and connectivity, cycles and sources are each searched for
 # in turn before the fork checks.
@@ -538,9 +545,13 @@ def oracle_fork_witnesses(cd: ColoredDigraph, side: str) -> tuple[tuple, tuple]:
 
 
 def _oracle_lists(cd: ColoredDigraph, side: str) -> tuple:
-    """Labels and per-vertex out/in arc lists, of a reversed copy of the
-    arcs when `side` is "lld"."""
-    arcs = cd.arcs if side == "uld" else [(h, t, k, c) for t, h, k, c in cd.arcs]
+    """Labels and per-vertex out/in lists of (tail index, head index, arc
+    id, color) arcs in ascending id order, read from the public `labels`,
+    `graph` and `colors`, of a reversed copy when `side` is "lld"."""
+    index = {v: i for i, v in enumerate(cd.labels)}
+    arcs = [(index[a.tail], index[a.head], a.id, cd.colors[a.id]) for a in cd.graph.arcs_by_id]
+    if side == "lld":
+        arcs = [(h, t, k, c) for t, h, k, c in arcs]
     out: list[list] = [[] for _ in cd.labels]
     into: list[list] = [[] for _ in cd.labels]
     for arc in arcs:
