@@ -5,8 +5,11 @@ one JSON document (--output, default stdout), and exits 0 on success, 1 on
 a domain rejection (infeasible system, failed certification, infinite
 game; the verdict is still written), or 2 on malformed input (not UTF-8,
 not JSON, or off the schema) or an output path that cannot be written.
-Outputs are deterministic byte-for-byte and compose: `reduce` output feeds
-`enumerate`, encoder outputs feed any system-taking subcommand.
+Handlers return a verdict's own exit code and raise every rejection;
+`main` maps each rejection to exit 1 and its verdict through one table,
+`_REJECTIONS`.  Outputs are deterministic byte-for-byte and compose:
+`reduce` output feeds `enumerate`, encoder outputs feed any system-taking
+subcommand.
 """
 
 from __future__ import annotations
@@ -84,14 +87,12 @@ def _emit(path: str, text: str, stdout: bool = True):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (exit code, payload, dot text or None)
+# and raises the rejections that `_REJECTIONS` maps
 
 
 def _cmd_reduce(args, doc):
     system = jsonio.parse_system(doc, args.forbidden)
-    try:
-        reduced, cmap = system.reduce()
-    except InfeasibleSystemError as exc:
-        return 1, jsonio.infeasible_json(exc), None
+    reduced, cmap = system.reduce()
     payload = jsonio.system_json(reduced)
     payload["contraction"] = jsonio.contraction_json(cmap)
     return 0, payload, None
@@ -99,10 +100,7 @@ def _cmd_reduce(args, doc):
 
 def _cmd_find_bond(args, doc):
     system = jsonio.parse_system(doc, args.forbidden)
-    try:
-        bond = find_initial_bond(system)
-    except InfeasibleSystemError as exc:
-        return 1, jsonio.infeasible_json(exc), None
+    bond = find_initial_bond(system)
     return 0, {"bond": jsonio.bond_json(bond, system.graph)}, None
 
 
@@ -150,12 +148,7 @@ def _run_enumerate(args, doc, analyze):
     systems = jsonio.parse_systems(doc, args.forbidden)
     if len(systems) > 1 and args.dot:
         raise InputFormatError("", "DOT export needs a connected input")
-    try:
-        built = [_enumerate_component(system, args.cap, analyze) for system in systems]
-    except InfeasibleSystemError as exc:
-        return 1, jsonio.infeasible_json(exc), None
-    except CapExceededError as exc:
-        return 1, {"verdict": "cap exceeded", "explored": exc.explored, "cap": exc.cap}, None
+    built = [_enumerate_component(system, args.cap, analyze) for system in systems]
     if len(built) == 1:
         payload, reduced, cmap, cd, ok = built[0]
         dot = _component_dot(args, systems[0], reduced, cmap, cd) if args.dot else None
@@ -170,14 +163,6 @@ def _run_enumerate(args, doc, analyze):
     all_ok = all(item[-1] for item in built)
     payload = {"product_size": product, "components": components}
     return (0 if all_ok else 1), payload, None
-
-
-def _cmd_enumerate(args, doc):
-    return _run_enumerate(args, doc, analyze=False)
-
-
-def _cmd_lattice(args, doc):
-    return _run_enumerate(args, doc, analyze=True)
 
 
 def _cmd_order_op(args, doc, op):
@@ -216,16 +201,7 @@ def _cmd_c_orient(args, doc):
     non_tree = [a.id for a in g.arcs if a.id not in tree]
     targets = jsonio.parse_arc_subset_map(doc, "targets", non_tree)
     forbidden = jsonio.parse_id(doc, "forbidden", args.forbidden)
-    try:
-        family = encode_c_orientations(g, targets, forbidden)
-    except ParityError as exc:
-        payload = {
-            "verdict": "parity",
-            "arc": exc.defining_arc,
-            "base_count": exc.base_count,
-            "target": exc.target,
-        }
-        return 1, payload, None
+    family = encode_c_orientations(g, targets, forbidden)
     payload = jsonio.system_json(family.system)
     payload["decode"] = {
         "kind": "c-orientation",
@@ -244,12 +220,7 @@ def _cmd_flows(args, doc):
         if isinstance(doc, dict) and "excess" in doc
         else {}
     )
-    try:
-        family = encode_flows(FlowSpec(embedding, lower, upper, excess), args.unbounded_face)
-    except ExcessImbalanceError as exc:
-        return 1, {"verdict": "excess imbalance", "total": exc.total}, None
-    except NonPlanarError as exc:
-        return 1, {"verdict": "nonplanar", "genus": exc.genus}, None
+    family = encode_flows(FlowSpec(embedding, lower, upper, excess), args.unbounded_face)
     payload = jsonio.system_json(family.system)
     payload["decode"] = {
         "kind": "flow",
@@ -271,10 +242,7 @@ def _cmd_alpha(args, doc):
             "edges": len(embedding.host.arcs),
         }
         return 1, payload, None
-    try:
-        family = encode_alpha_orientations(AlphaSpec(embedding, degrees), args.unbounded_face)
-    except NonPlanarError as exc:
-        return 1, {"verdict": "nonplanar", "genus": exc.genus}, None
+    family = encode_alpha_orientations(AlphaSpec(embedding, degrees), args.unbounded_face)
     payload = jsonio.system_json(family.system)
     payload["decode"] = {
         "kind": "alpha-orientation",
@@ -330,22 +298,23 @@ def _cmd_chipfire(args, doc):
 # parser assembly
 
 
-def _add_io(p: argparse.ArgumentParser):
+def _command(sub, name: str, handler, text: str, forbidden=True, dot=False) -> argparse.ArgumentParser:
+    """Declare subcommand `name`: --input and --output, then --forbidden and
+    --dot when asked; the caller adds the rest."""
+    p = sub.add_parser(name, help=text)
     p.add_argument("--input", default="-", help="input JSON path, or - for stdin")
     p.add_argument("--output", default="-", help="output JSON path, or - for stdout")
-
-
-def _add_forbidden(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--forbidden",
-        type=_cli_id,
-        default=None,
-        help="forbidden (anchor) vertex; integer-looking values parse as integers",
-    )
-
-
-def _add_dot(p: argparse.ArgumentParser):
-    p.add_argument("--dot", default=None, help="also write a Graphviz DOT file here")
+    if forbidden:
+        p.add_argument(
+            "--forbidden",
+            type=_cli_id,
+            default=None,
+            help="forbidden (anchor) vertex; integer-looking values parse as integers",
+        )
+    if dot:
+        p.add_argument("--dot", default=None, help="also write a Graphviz DOT file here")
+    p.set_defaults(handler=handler)
+    return p
 
 
 @functools.cache
@@ -356,85 +325,62 @@ def _build_parser() -> argparse.ArgumentParser:
         "prescribed cycle flow-differences, and their applications.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-
-    p = sub.add_parser("reduce", help="contract rigid arcs of a system")
-    _add_io(p)
-    _add_forbidden(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("find-bond", help="one bond of a system, or an infeasibility certificate")
-    _add_io(p)
-    _add_forbidden(p)
-    p.set_defaults(handler=_cmd_find_bond)
-
-    p = sub.add_parser("enumerate", help="all bonds with their cover relations")
-    _add_io(p)
-    _add_forbidden(p)
-    _add_dot(p)
-    p.add_argument("--cap", type=int, default=1_000_000, help="element cap (default 1000000)")
-    p.add_argument("--coords", choices=("bond", "pushcount"), default="bond", help="DOT node labels")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("lattice", help="enumerate plus certification and lattice analysis")
-    _add_io(p)
-    _add_forbidden(p)
-    _add_dot(p)
-    p.add_argument("--cap", type=int, default=1_000_000, help="element cap (default 1000000)")
-    p.add_argument("--coords", choices=("bond", "pushcount"), default="bond", help="DOT node labels")
-    p.set_defaults(handler=_cmd_lattice)
-
+    _command(sub, "reduce", _cmd_reduce, "contract rigid arcs of a system")
+    _command(sub, "find-bond", _cmd_find_bond, "one bond of a system, or an infeasibility certificate")
+    for name, analyze, text in (
+        ("enumerate", False, "all bonds with their cover relations"),
+        ("lattice", True, "enumerate plus certification and lattice analysis"),
+    ):
+        p = _command(sub, name, functools.partial(_run_enumerate, analyze=analyze), text, dot=True)
+        p.add_argument("--cap", type=int, default=1_000_000, help="element cap (default 1000000)")
+        p.add_argument("--coords", choices=("bond", "pushcount"), default="bond", help="DOT node labels")
     for name in ("meet", "join", "leq"):
-        p = sub.add_parser(name, help=f"{name} of the bonds under keys \"x\" and \"y\"")
-        _add_io(p)
-        _add_forbidden(p)
-        p.set_defaults(handler=functools.partial(_cmd_order_op, op=name))
-
-    p = sub.add_parser("check-uld", help="certify a colored cover digraph")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_check_uld)
-
-    p = sub.add_parser("check-poset", help="brute-force lattice/ULD analysis of a finite poset")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_check_poset)
-
-    p = sub.add_parser("c-orient", help="encode orientations with prescribed cycle flow-differences")
-    _add_io(p)
-    _add_forbidden(p)
-    p.set_defaults(handler=_cmd_c_orient)
-
-    p = sub.add_parser("flows", help="encode flows of a plane digraph on its dual")
-    _add_io(p)
-    p.add_argument("--unbounded-face", type=int, default=0, help="face index to forbid (default 0)")
-    p.set_defaults(handler=_cmd_flows)
-
-    p = sub.add_parser("alpha", help="encode orientations with prescribed out-degrees")
-    _add_io(p)
-    p.add_argument("--unbounded-face", type=int, default=0, help="face index to forbid (default 0)")
-    p.set_defaults(handler=_cmd_alpha)
-
-    p = sub.add_parser("potentials", help="encode anchored vertex potentials")
-    _add_io(p)
-    _add_forbidden(p)
-    p.set_defaults(handler=_cmd_potentials)
-
-    p = sub.add_parser("chipfire", help="explore and certify a chip-firing game")
-    _add_io(p)
-    _add_dot(p)
+        text = f"{name} of the bonds under keys \"x\" and \"y\""
+        _command(sub, name, functools.partial(_cmd_order_op, op=name), text)
+    _command(sub, "check-uld", _cmd_check_uld, "certify a colored cover digraph", forbidden=False)
+    text = "brute-force lattice/ULD analysis of a finite poset"
+    _command(sub, "check-poset", _cmd_check_poset, text, forbidden=False)
+    _command(sub, "c-orient", _cmd_c_orient, "encode orientations with prescribed cycle flow-differences")
+    for name, handler, text in (
+        ("flows", _cmd_flows, "encode flows of a plane digraph on its dual"),
+        ("alpha", _cmd_alpha, "encode orientations with prescribed out-degrees"),
+    ):
+        p = _command(sub, name, handler, text, forbidden=False)
+        p.add_argument("--unbounded-face", type=int, default=0, help="face index to forbid (default 0)")
+    _command(sub, "potentials", _cmd_potentials, "encode anchored vertex potentials")
+    text = "explore and certify a chip-firing game"
+    p = _command(sub, "chipfire", _cmd_chipfire, text, forbidden=False, dot=True)
     p.add_argument("--cap", type=int, default=100_000, help="state/radius cap (default 100000)")
     p.add_argument(
         "--ccfg",
         action="store_true",
         help="explore the complete game: unfiring moves too, plus the representation check",
     )
-    p.set_defaults(handler=_cmd_chipfire)
-
     return parser
+
+
+# Each domain rejection and the verdict `main` writes for it, with exit 1.
+_REJECTIONS = {
+    InfeasibleSystemError: jsonio.infeasible_json,
+    CapExceededError: lambda exc: {"verdict": "cap exceeded", "explored": exc.explored, "cap": exc.cap},
+    ParityError: lambda exc: {
+        "verdict": "parity",
+        "arc": exc.defining_arc,
+        "base_count": exc.base_count,
+        "target": exc.target,
+    },
+    ExcessImbalanceError: lambda exc: {"verdict": "excess imbalance", "total": exc.total},
+    NonPlanarError: lambda exc: {"verdict": "nonplanar", "genus": exc.genus},
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, payload, dot = args.handler(args, _load(args.input))
+    except tuple(_REJECTIONS) as exc:  # before GraphError, which NonPlanarError is
+        verdict = next(render for kind, render in _REJECTIONS.items() if isinstance(exc, kind))
+        code, payload, dot = 1, verdict(exc), None
     except (InputFormatError, GraphError, PosetError, ChipError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -58,9 +58,6 @@ class Arc:
     def is_loop(self) -> bool:
         return self.tail == self.head
 
-    def ends(self) -> tuple[tuple[Hashable, str], tuple[Hashable, str]]:
-        return (self.id, TAIL), (self.id, HEAD)
-
 
 class Multigraph:
     """Finite directed multigraph with identity-carrying arcs.
@@ -416,9 +413,6 @@ class FaceWalk:
     def __len__(self):
         return len(self.darts)
 
-    def arc_ids(self) -> list:
-        return [arc_id for arc_id, _ in self.darts]
-
 
 def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
     """All facial walks of a connected plane embedding.
@@ -470,7 +464,7 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
 
 @dataclass(frozen=True)
 class PlanarDual:
-    """Dual graph with its face list and its embedding.
+    """Dual graph with its face list, and its embedding on first read.
 
     Dual vertex i is faces[i]; dual arcs reuse primal arc ids.  Each dual
     arc leaves the face holding the primal arc's forward dart, entering
@@ -479,7 +473,14 @@ class PlanarDual:
 
     graph: Multigraph
     faces: tuple
-    embedding: PlanarEmbedding
+
+    @cached_property
+    def embedding(self) -> PlanarEmbedding:
+        # Rotation around a face vertex: the crossed arcs in boundary-walk order.
+        rotation = {}
+        for i, walk in enumerate(self.faces):
+            rotation[i] = tuple(ArcEnd(arc_id, TAIL if d == FORWARD else HEAD) for arc_id, d in walk.darts)
+        return PlanarEmbedding(self.graph, rotation)
 
 
 def planar_dual(embedding: PlanarEmbedding) -> PlanarDual:
@@ -494,13 +495,4 @@ def planar_dual(embedding: PlanarEmbedding) -> PlanarDual:
         tail_face = face_of_dart[(arc.id, FORWARD)]
         head_face = face_of_dart[(arc.id, BACKWARD)]
         dual_arcs.append(Arc(arc.id, tail_face, head_face))
-    dual = Multigraph(range(len(walks)), dual_arcs)
-    # Rotation around a face vertex: the crossed arcs in boundary-walk order.
-    rotation = {}
-    for i, walk in enumerate(walks):
-        ring = []
-        for arc_id, direction in walk.darts:
-            ring.append(ArcEnd(arc_id, TAIL if direction == FORWARD else HEAD))
-        rotation[i] = tuple(ring)
-    dual_embedding = PlanarEmbedding(dual, rotation)
-    return PlanarDual(dual, tuple(walks), dual_embedding)
+    return PlanarDual(Multigraph(range(len(walks)), dual_arcs), tuple(walks))

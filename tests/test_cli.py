@@ -14,7 +14,19 @@ import subprocess
 import sys
 import time
 
-from bondlat import Arc, ColoredDigraph, Multigraph, bonds, checker, chipfire, cli, encode_potentials, jsonio, lattice
+from bondlat import (
+    Arc,
+    ColoredDigraph,
+    Multigraph,
+    bonds,
+    checker,
+    chipfire,
+    cli,
+    encode_potentials,
+    graph,
+    jsonio,
+    lattice,
+)
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
@@ -99,6 +111,27 @@ def mixed_doc():
         "upper": {"x": 1, "7": 1, "2": 1, "1": 1, "b": 2, "a": 1, "10": 1},
         "reference": {"x": 0, "7": 0, "2": 1, "1": 0, "b": 1, "a": 0, "10": 0},
         "forbidden": 0,
+    }
+
+
+def k4_torus_doc():
+    """K4 with a rotation that traces 2 faces, not 4: genus 1."""
+    return {
+        "vertices": [1, 2, 3, 4],
+        "arcs": [
+            {"id": "a", "tail": 1, "head": 2},
+            {"id": "b", "tail": 1, "head": 3},
+            {"id": "c", "tail": 1, "head": 4},
+            {"id": "d", "tail": 2, "head": 3},
+            {"id": "e", "tail": 2, "head": 4},
+            {"id": "f", "tail": 3, "head": 4},
+        ],
+        "rotation": {
+            "1": [{"arc": "a", "end": "tail"}, {"arc": "b", "end": "tail"}, {"arc": "c", "end": "tail"}],
+            "2": [{"arc": "a", "end": "head"}, {"arc": "d", "end": "tail"}, {"arc": "e", "end": "tail"}],
+            "3": [{"arc": "d", "end": "head"}, {"arc": "b", "end": "head"}, {"arc": "f", "end": "tail"}],
+            "4": [{"arc": "f", "end": "head"}, {"arc": "e", "end": "head"}, {"arc": "c", "end": "head"}],
+        },
     }
 
 
@@ -594,29 +627,37 @@ class TestEncoders:
         assert payload == {"verdict": "excess imbalance", "total": 1}
 
     def test_flows_nonplanar_rotation(self, tmp_path):
-        doc = {
-            "vertices": [1, 2, 3, 4],
-            "arcs": [
-                {"id": "a", "tail": 1, "head": 2},
-                {"id": "b", "tail": 1, "head": 3},
-                {"id": "c", "tail": 1, "head": 4},
-                {"id": "d", "tail": 2, "head": 3},
-                {"id": "e", "tail": 2, "head": 4},
-                {"id": "f", "tail": 3, "head": 4},
-            ],
-            "rotation": {
-                "1": [{"arc": "a", "end": "tail"}, {"arc": "b", "end": "tail"}, {"arc": "c", "end": "tail"}],
-                "2": [{"arc": "a", "end": "head"}, {"arc": "d", "end": "tail"}, {"arc": "e", "end": "tail"}],
-                "3": [{"arc": "d", "end": "head"}, {"arc": "b", "end": "head"}, {"arc": "f", "end": "tail"}],
-                "4": [{"arc": "f", "end": "head"}, {"arc": "e", "end": "head"}, {"arc": "c", "end": "head"}],
-            },
-            "lower": {k: 0 for k in "abcdef"},
-            "upper": {k: 1 for k in "abcdef"},
-        }
+        doc = {**k4_torus_doc(), "lower": {k: 0 for k in "abcdef"}, "upper": {k: 1 for k in "abcdef"}}
         code, payload = run_cli(tmp_path, "flows", doc)
         assert code == 1
         assert payload["verdict"] == "nonplanar"
         assert payload["genus"] >= 1
+
+    def test_alpha_nonplanar_rotation(self, tmp_path):
+        # the out-degrees sum to the 6 arcs, so face tracing is reached and
+        # the NonPlanarError, a GraphError, still exits 1 with its verdict
+        doc = {**k4_torus_doc(), "out_degrees": {"1": 3, "2": 2, "3": 1, "4": 0}}
+        assert run_cli(tmp_path, "alpha", doc) == (1, {"verdict": "nonplanar", "genus": 1})
+
+    def test_only_the_primal_embedding_is_built(self, tmp_path, monkeypatch):
+        # the dual's embedding is built on first read, and no encoder reads it
+        built = []
+        original = graph.PlanarEmbedding.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(graph.PlanarEmbedding, "__init__", counting)
+        doc = {"vertices": [1, 2, 3], "arcs": tri_doc()["arcs"], "rotation": tri_rotation()}
+        windows = {"lower": {"a1": 0, "a2": 0, "a3": 0}, "upper": {"a1": 1, "a2": 1, "a3": 1}}
+        counts = []
+        for command, extra in (("flows", windows), ("alpha", {"out_degrees": {"1": 1, "2": 1, "3": 1}})):
+            built.clear()
+            assert run_cli(tmp_path, command, {**doc, **extra})[0] == 0
+            counts.append(len(built))
+        # the input's embedding, plus the reoriented reference's for alpha
+        assert counts == [1, 2]
 
     def test_alpha_composes_with_enumerate(self, tmp_path):
         doc = {
@@ -1096,6 +1137,32 @@ class TestParser:
         fresh = [run_proc(argv) for argv in calls]
         assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
         assert [code for code, _out, _err in in_process] == [0, 2]
+
+    def test_each_subcommand_declares_its_defaults(self):
+        io = {"input": "-", "output": "-"}
+        system = {**io, "forbidden": None}
+        listing = {**system, "dot": None, "cap": 1_000_000, "coords": "bond"}
+        plane = {**io, "unbounded_face": 0}
+        expected = {
+            "reduce": system,
+            "find-bond": system,
+            "enumerate": listing,
+            "lattice": listing,
+            "meet": system,
+            "join": system,
+            "leq": system,
+            "check-uld": io,
+            "check-poset": io,
+            "c-orient": system,
+            "flows": plane,
+            "alpha": plane,
+            "potentials": system,
+            "chipfire": {**io, "dot": None, "cap": 100_000, "ccfg": False},
+        }
+        for name, defaults in expected.items():
+            parsed = vars(cli._build_parser().parse_args([name]))
+            del parsed["handler"]
+            assert parsed == {**defaults, "command": name}, name
 
 
 class TestSubprocess:

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the library's own machinery: bond
 enumeration goes through potential consistency instead of fundamental
-cycles, the order oracle walks arbitrary legal set pushes instead of
-single-vertex covers, the meet-representation oracle tries every
-subset of meet-irreducibles instead of the library's hitting-set test,
+cycles, the order oracle walks arbitrary legal set pushes, each a signed
+cut vector added to a value tuple and checked against the windows,
+instead of the library's pushes and push counts, the meet-representation
+oracle tries every subset of meet-irreducibles instead of the library's
+hitting-set test,
 the distance oracle relaxes every constraint edge in arc order once per
 round instead of from a queue, the rigid-class oracle intersects two
 reachability searches per vertex instead of one strong-component pass, and
@@ -20,6 +22,7 @@ block templates.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 
 from bondlat import (
@@ -182,28 +185,45 @@ def tension_potential(g: Multigraph, diff: dict, root) -> dict | None:
 
 def push_reachability(system: BondSystem, elements: list[Bond]) -> dict:
     """Order oracle: leq[(i, j)] iff element j is reachable from element i
-    by legal pushes of arbitrary vertex sets avoiding the forbidden vertex."""
-    g = system.graph
-    others = [v for v in g.vertices if v != system.forbidden]
-    subsets = []
+    by legal pushes of arbitrary vertex sets avoiding the forbidden vertex.
+
+    Values are tuples in arc order.  Each vertex subset's push is one signed
+    cut vector, +1 on arcs leaving the subset and -1 on arcs entering it,
+    built once from the arcs' ends; a push is legal when every raised arc
+    stays at most its upper bound and every lowered arc at least its lower
+    bound, and it is made by adding the vector.  Each element's one-push
+    successors are found once, and reachability is a search over them."""
+    arcs = system.graph.arcs
+    lower = [system.lower[a.id] for a in arcs]
+    upper = [system.upper[a.id] for a in arcs]
+    others = [v for v in system.graph.vertices if v != system.forbidden]
+    pushes = []
     for size in range(1, len(others) + 1):
-        subsets.extend(itertools.combinations(others, size))
-    key_of = {x.as_tuple([a.id for a in g.arcs]): i for i, x in enumerate(elements)}
-    arc_order = [a.id for a in g.arcs]
+        for inside in itertools.combinations(others, size):
+            members = set(inside)
+            step = tuple((a.tail in members) - (a.head in members) for a in arcs)
+            raised = [k for k, sign in enumerate(step) if sign > 0]
+            lowered = [k for k, sign in enumerate(step) if sign < 0]
+            pushes.append((step, raised, lowered))
+    values = [tuple(x.values[a.id] for a in arcs) for x in elements]
+    index_of = {value: i for i, value in enumerate(values)}
+    successors = [
+        {
+            index_of[tuple(map(operator.add, value, step))]
+            for step, raised, lowered in pushes
+            if all(value[k] < upper[k] for k in raised) and all(value[k] > lower[k] for k in lowered)
+        }
+        for value in values
+    ]
     reach = {}
-    for i, x in enumerate(elements):
+    for i in range(len(values)):
         seen = {i}
-        queue = deque([x])
+        queue = deque([i])
         while queue:
-            current = queue.popleft()
-            for inside in subsets:
-                if not system.is_legal_push(current, inside):
-                    continue
-                nxt = system.push(current, inside)
-                j = key_of[nxt.as_tuple(arc_order)]
+            for j in successors[queue.popleft()]:
                 if j not in seen:
                     seen.add(j)
-                    queue.append(nxt)
+                    queue.append(j)
         for j in seen:
             reach[(i, j)] = True
     return reach
