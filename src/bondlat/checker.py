@@ -270,12 +270,13 @@ def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     """The ULD chain on `cd` (far 1) or on its reversal (far 0).  If Kahn
     orders every vertex and one has no arc behind it, that source reaches
     all, so the digraph is connected; otherwise connectivity, cycles and
-    sources are searched for in turn to name the first failure."""
+    sources are searched for in turn to name the first failure.  Both sides
+    read the forward order: a digraph is acyclic exactly when its reversal is."""
     labels = cd.labels
     if not labels:
         return CoverVerdict("empty", False)
     ahead, behind = (cd.out, cd.into) if far else (cd.into, cd.out)
-    order = cd.order(far)
+    order = cd.order(1)
     if order is None or behind.count([]) != 1:
         seen = [False] * len(labels)
         stack = [0]

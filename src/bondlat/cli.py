@@ -9,7 +9,9 @@ Handlers return a verdict's own exit code and raise every rejection;
 `main` maps each rejection to exit 1 and its verdict through one table,
 `_REJECTIONS`.  Outputs are deterministic byte-for-byte and compose:
 `reduce` output feeds `enumerate`, encoder outputs feed any system-taking
-subcommand.
+subcommand.  Output is streamed: each piece of `jsonio.iterdumps` is
+written as it is made, and a --dot file is rendered, a piece at a time,
+only after the JSON is written, so no whole-output string is ever held.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .chipfire import (
     certify_game,
     check_complete_game_representation,
 )
-from .dotexport import bond_labels, cover_digraph_dot, game_dot
+# perfbench/tracing.py wraps `dumps`, `cover_digraph_dot` and `game_dot` here; none is called
+from .dotexport import bond_labels, cover_digraph_dot, game_dot, iter_cover_digraph_dot, iter_game_dot
 from .graph import GraphError, NonPlanarError, id_key, spanning_tree
 from .instances import (
     AlphaSpec,
@@ -42,7 +45,7 @@ from .instances import (
     encode_flows,
     encode_potentials,
 )
-from .jsonio import InputFormatError, dumps
+from .jsonio import InputFormatError, dumps, iterdumps
 from .lattice import CapExceededError, color_tallies, enumerate_lattice, meet_irreducible_indices
 
 
@@ -72,22 +75,24 @@ def _load(path: str):
     return jsonio.loads(text)
 
 
-_WRITE_SLICE = 1 << 16  # characters per write, so the text is never encoded whole
+_WRITE_SLICE = 1 << 16  # characters per write, so no piece is encoded whole
 
 
-def _emit(path: str, text: str, stdout: bool = True):
-    """Write `text` to `path`, or to stdout for "-" when `stdout`."""
+def _emit(path: str, pieces, stdout: bool = True):
+    """Write each text of `pieces` as it is made to `path`, or to stdout
+    for "-" when `stdout`."""
     try:
         with nullcontext(sys.stdout) if stdout and path == "-" else open(path, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start : start + _WRITE_SLICE])
+            for text in pieces:
+                for start in range(0, len(text), _WRITE_SLICE):
+                    handle.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         raise OSError(f"{path}: cannot write output: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit code, payload, dot text or None)
-# and raises the rejections that `_REJECTIONS` maps
+# subcommand handlers; each returns (exit code, payload, a generator of DOT
+# pieces or None) and raises the rejections that `_REJECTIONS` maps
 
 
 def _cmd_reduce(args, doc):
@@ -141,7 +146,7 @@ def _component_dot(args, system, reduced, cmap, cd):
         arc_order = [a.id for a in system.graph.arcs]
         labels = bond_labels(cd, arc_order, cmap.forced)
         comments = [f"arc values in order: {', '.join(str(a) for a in arc_order)}"]
-    return cover_digraph_dot(cd, labels, comments)
+    yield from iter_cover_digraph_dot(cd, labels, comments)
 
 
 def _run_enumerate(args, doc, analyze):
@@ -277,7 +282,7 @@ def _cmd_chipfire(args, doc):
     if args.ccfg:
         game = build_complete_game(g, start, cap=args.cap)
         payload = jsonio.complete_game_json(game)
-        dot = game_dot(game) if args.dot else None
+        dot = iter_game_dot(game) if args.dot else None
         if game.complete and game.acyclic:
             report = check_complete_game_representation(game)
             payload["representation"] = jsonio.representation_json(report)
@@ -286,7 +291,7 @@ def _cmd_chipfire(args, doc):
         return 1, payload, dot
     game = build_game(g, start, cap=args.cap)
     payload = jsonio.game_json(game)
-    dot = game_dot(game) if args.dot else None
+    dot = iter_game_dot(game) if args.dot else None
     if game.verdict != FINITE:
         return 1, payload, dot
     certificate = certify_game(game)
@@ -385,7 +390,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(args.output, dumps(payload))
+        _emit(args.output, iterdumps(payload))
+        del payload  # its tables are not held while the DOT is made
         if dot is not None:
             _emit(args.dot, dot, stdout=False)
     except OSError as exc:

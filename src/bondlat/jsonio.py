@@ -15,14 +15,16 @@ feed the next command unchanged.
 
 Schema violations raise InputFormatError carrying a dotted path into the
 document (e.g. "arcs[3].head").  Serialization emits keys in a fixed
-order, so equal objects always produce identical bytes.
+order, so equal objects always produce identical bytes.  `iterdumps`
+streams the text, a block of table rows at a time; `dumps` joins it.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
 from .checker import (
@@ -69,7 +71,7 @@ def loads(text: str):
 
 def dumps(obj) -> str:
     """Canonical text form: two-space indent, keys in insertion order."""
-    return _encode(obj) + "\n"
+    return "".join(iterdumps(obj))
 
 
 class _HoldsTable(Exception):
@@ -88,29 +90,34 @@ def _refuse(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _encode(obj, newline: str = "\n") -> str:
-    """`json.dumps(obj, indent=2, ensure_ascii=True)` of the plain rows, with
-    `newline` (a line break and obj's indent) between lines.  The re-indent
-    is a plain replace: `ensure_ascii` escapes every newline in a string."""
+def iterdumps(obj, newline: str = "\n", tail: str = "\n") -> Iterator[str]:
+    """`dumps(obj)` in pieces: one per block of `BLOCK_ROWS` rows of each
+    table, one per other value, so a document without a table is one piece.
+    They join to `json.dumps(obj, indent=2, ensure_ascii=True)` of the plain
+    rows, with `newline` (a line break and obj's indent) between lines and
+    `tail` after the last.  The re-indent is a plain replace: `ensure_ascii`
+    escapes every newline in a string."""
     if isinstance(obj, RowTable):
-        return obj.json_text(newline)
+        yield from obj.json_pieces(newline, tail)
+        return
     try:
         text = json.dumps(obj, indent=2, ensure_ascii=True, default=_refuse)
     except _HoldsTable:
-        # one join over every piece, so no value's text is copied twice
         inner, keyed = newline + "  ", isinstance(obj, dict)
         items = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()] if keyed else [("", v) for v in obj]
-        pieces = [p for key, v in items for p in ("," + inner, key, _encode(v, inner))]
-        return "".join(["{" if keyed else "[", inner, *pieces[1:], newline, "}" if keyed else "]"])
-    return text if newline == "\n" else text.replace("\n", newline)
+        for k, (key, v) in enumerate(items):
+            yield ("," if k else "{" if keyed else "[") + inner + key
+            yield from iterdumps(v, inner, "")
+        yield newline + ("}" if keyed else "]") + tail
+        return
+    yield (text if newline == "\n" else text.replace("\n", newline)) + tail
 
 
 class RowTable(Sequence):
     """A JSON array of int rows: dicts over fixed string `keys`, or
     [lower, upper, color] triples when `keys` is None, with one template
     per color.  Indexing, slicing, iteration and == give the plain rows.
-    Triples are filled one `%` per block of `BLOCK_ROWS` rows, a third less
-    work than one `%` per row; keyed rows gain nothing from blocks."""
+    Rows are written one `%` per block of `BLOCK_ROWS`."""
 
     def __init__(self, rows: Sequence[tuple], keys: Sequence[str] | None = None):
         self.rows, self.keys = rows, keys
@@ -126,33 +133,39 @@ class RowTable(Sequence):
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, RowTable)) else NotImplemented
 
-    def json_text(self, newline: str) -> str:
+    def json_pieces(self, newline: str, tail: str) -> Iterator[str]:
         if not self.rows:
-            return "[]"
+            yield "[]" + tail
+            return
         inner, deeper = newline + "  ", newline + "    "
         if self.keys is None:
             head = "," + inner + "[" + deeper + "%d," + deeper + "%d," + deeper
             colors = set(map(itemgetter(2), self.rows))
-            shapes = {c: head + json.dumps(c).replace("%", "%%") + inner + "]" for c in colors}
-            blocks = triple_blocks(self.rows, shapes)
-            blocks[0] = blocks[0][1:]  # the first row has no "," before it
-            return "".join(["[", *blocks, newline, "]"])
-        fields = ("," + deeper).join(json.dumps(k).replace("%", "%%") + ": %d" for k in self.keys)
-        template = "{" + deeper + fields + inner + "}" if self.keys else "{}"
-        lines = [template % row for row in self.rows]
-        return "[" + inner + ("," + inner).join(lines) + newline + "]"
+            blocks = triple_blocks(self.rows, {c: head + json.dumps(c).replace("%", "%%") + inner + "]" for c in colors})
+        else:
+            fields = ("," + deeper).join(json.dumps(k).replace("%", "%%") + ": %d" for k in self.keys)
+            row = "," + inner + ("{" + deeper + fields + inner + "}" if self.keys else "{}")
+            blocks = (row * len(block) % tuple(chain.from_iterable(block)) for block in in_blocks(self.rows))
+        yield "[" + next(blocks)[1:]  # the first row has no "," before it
+        yield from blocks
+        yield newline + "]" + tail
 
 
-BLOCK_ROWS = 4096  # rows per `%` in `triple_blocks`
+BLOCK_ROWS = 4096  # rows per `%`, and per piece of written text
 
 
-def triple_blocks(rows: Sequence[tuple], shapes: Mapping) -> list[str]:
+def in_blocks(rows: Sequence) -> Iterator[Sequence]:
+    """Consecutive slices of `BLOCK_ROWS` rows."""
+    return (rows[k : k + BLOCK_ROWS] for k in range(0, len(rows), BLOCK_ROWS))
+
+
+def triple_blocks(rows: Sequence[tuple], shapes: Mapping) -> Iterator[str]:
     """`shapes[c] % (i, j)` for each (i, j, c) of `rows`, one `%` per block
     of `BLOCK_ROWS` rows whose shapes are joined into one template."""
-    ends = [0] * (2 * len(rows))
-    ends[::2], ends[1::2] = map(itemgetter(0), rows), map(itemgetter(1), rows)
-    marks, b = list(map(shapes.__getitem__, map(itemgetter(2), rows))), BLOCK_ROWS
-    return ["".join(marks[k : k + b]) % tuple(ends[2 * k : 2 * k + 2 * b]) for k in range(0, len(rows), b)]
+    for block in in_blocks(rows):
+        ends = [0] * (2 * len(block))
+        ends[::2], ends[1::2] = map(itemgetter(0), block), map(itemgetter(1), block)
+        yield "".join(map(shapes.__getitem__, map(itemgetter(2), block))) % tuple(ends)
 
 
 def _expect_object(doc, path: str) -> Mapping:

@@ -15,6 +15,7 @@ from bondlat.jsonio import (
     dumps,
     graph_json,
     infeasible_json,
+    iterdumps,
     loads,
     parse_arc_map,
     parse_arc_subset_map,
@@ -485,14 +486,26 @@ TRIPLE_COLORS = {
 @pytest.mark.parametrize("colors", sorted(TRIPLE_COLORS))
 @pytest.mark.parametrize("n", [0, 7, 8, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
 def test_triple_tables_write_what_json_dumps_writes_at_every_block_edge(n, colors):
+    # keyed tables are written in blocks too: keys named by the palette, and rows with no key
     palette = TRIPLE_COLORS[colors]
-    rows = tuple((k // 3, k // 3 + 1 + k % 5, palette[k * 7 % len(palette)]) for k in range(n))
-    plain = [list(row) for row in rows]
-    for name in ("covers", "moves"):
+    triples = tuple((k // 3, k // 3 + 1 + k % 5, palette[k * 7 % len(palette)]) for k in range(n))
+    keys = [str(c) for c in palette]
+    keyed = tuple(tuple((k * 7 + 3 * j) % 11 - 5 for j in range(len(keys))) for k in range(n))
+    tables = [
+        *((name, RowTable(triples), [list(row) for row in triples]) for name in ("covers", "moves")),
+        ("elements", RowTable(keyed, keys), [dict(zip(keys, row)) for row in keyed]),
+        ("states", RowTable(((),) * n, []), [{}] * n),
+    ]
+    for name, table, plain in tables:
+        row_lines = json.dumps(plain[0], indent=2).count("\n") + 1 if plain else 0
         for shape in (
             lambda table: table,
             lambda table: {"count": n, name: table},
             lambda table: {"product_size": 1, "components": [{"vertices": [1], name: table}]},
         ):
             expected = json.dumps(shape(plain), indent=2, ensure_ascii=True) + "\n"
-            assert first_difference(dumps(shape(RowTable(rows))), expected) is None
+            pieces = list(iterdumps(shape(table)))
+            assert first_difference("".join(pieces), expected) is None
+            assert dumps(shape(table)) == "".join(pieces)
+            # no piece holds more than one block of rows, plus the wrapper's 11 lines
+            assert max(piece.count("\n") for piece in pieces) <= BLOCK_ROWS * row_lines + 11
