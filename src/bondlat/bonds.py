@@ -42,15 +42,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .graph import (
     Arc,
     CycleVector,
     GraphError,
     Multigraph,
+    Record,
     fundamental_cycles,
     id_key,
     spanning_tree,
@@ -79,11 +79,11 @@ class InfeasibleSystemError(InfeasibleError):
         self.window_max = window_max
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(Record):
     """Integer labeling of every arc of a system's graph."""
 
     values: Mapping
+    __hash__ = None  # the values dict is unhashable
 
     def value(self, arc_id) -> int:
         return self.values[arc_id]
@@ -91,12 +91,8 @@ class Bond:
     def as_tuple(self, arc_order: Iterable) -> tuple:
         return tuple(self.values[a] for a in arc_order)
 
-    def __eq__(self, other):
-        return isinstance(other, Bond) and dict(self.values) == dict(other.values)
 
-
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Outcome of checking a labeling against a system's two conditions."""
 
     ok: bool
@@ -107,8 +103,7 @@ class ValidityReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ContractionMap:
+class ContractionMap(Record):
     """Bookkeeping from `reduce`: forced values of removed arcs and the
     merge of vertices into surviving class representatives."""
 

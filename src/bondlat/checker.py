@@ -28,13 +28,12 @@ element with several, to name two of them as the certificate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .graph import Arc, GraphError, Multigraph, id_key
+from .graph import Arc, GraphError, Multigraph, Record, id_key
 
 ULD = "uld"
 LLD = "lld"
@@ -101,8 +100,7 @@ class ColoredDigraph:
         return self._orders[far]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     ok: bool
     witnesses: tuple
 
@@ -178,8 +176,7 @@ def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     return AxiomReport(not witnesses, tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(Record):
     """Outcome of certifying a colored digraph as a ULD (or LLD) cover graph.
 
     `status` is one of "uld", "lld", "empty", "disconnected", "cyclic",
@@ -301,8 +298,7 @@ def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     return CoverVerdict(ULD if far else LLD, True)
 
 
-@dataclass(frozen=True)
-class DistributiveVerdict:
+class DistributiveVerdict(Record):
     uld: CoverVerdict
     lld: CoverVerdict
 
@@ -419,8 +415,7 @@ class FinitePoset:
         return [i for i in range(self.n) if len(self.upper_covers(i)) == 1]
 
 
-@dataclass(frozen=True)
-class BruteReport:
+class BruteReport(Record):
     """Exhaustive order-theoretic analysis of a finite poset."""
 
     is_lattice: bool
@@ -535,8 +530,7 @@ def check_distributive(p: FinitePoset) -> tuple[bool, object]:
     return True, None
 
 
-@dataclass(frozen=True)
-class ColorTrace:
+class ColorTrace(Record):
     """Replay of a colored arc chased along a directed path.
 
     `steps[i]` is (vertex, arm arc id): the arc with the traced color that

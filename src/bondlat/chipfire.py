@@ -19,9 +19,8 @@ maximal lower bound of a unique minimal set of meet-irreducibles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .checker import (
     ColoredDigraph,
@@ -31,7 +30,7 @@ from .checker import (
     certify_uld_cover,
     meet_representations,
 )
-from .graph import Multigraph, id_key
+from .graph import Multigraph, Record, id_key
 from .lattice import TallyError, _tally, _tally_rows
 
 FINITE = "finite"
@@ -122,9 +121,10 @@ def unfire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
     return moved
 
 
-@dataclass(frozen=True)
-class _Explored:
+class _Explored(Record):
     """What both explorers find."""
+
+    _hidden = ("colored",)  # a subclass's move index, not part of its value
 
     graph: Multigraph
     rows: tuple   # chip count tuples in vertex order
@@ -139,7 +139,6 @@ class _Explored:
         return self.colored or ColoredDigraph.from_triples(len(self.rows), self.moves)
 
 
-@dataclass(frozen=True)
 class GameGraph(_Explored):
     """Reachable arrangements and fire moves from a start arrangement.
 
@@ -148,7 +147,7 @@ class GameGraph(_Explored):
     """
 
     verdict: str
-    colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
+    colored: ColoredDigraph | None = None
 
     @property
     def complete(self) -> bool:
@@ -201,8 +200,7 @@ def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> Gam
     return GameGraph(g, tuple(rows), moves, verdict, colored)
 
 
-@dataclass(frozen=True)
-class GameCertificate:
+class GameCertificate(Record):
     """Certification of a finite game's move digraph.  `firing_rows[i]`
     counts, per vertex of `fired`, the fires on any maximal run from state
     i; both are () when two runs differ."""
@@ -263,7 +261,6 @@ def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_00
             stack.append((j, prefix + (v,)))
 
 
-@dataclass(frozen=True)
 class CompleteGame(_Explored):
     """Closure of a start arrangement under both fire and unfire moves.
 
@@ -273,7 +270,7 @@ class CompleteGame(_Explored):
 
     complete: bool
     acyclic: bool
-    colored: ColoredDigraph | None = field(default=None, repr=False, compare=False)
+    colored: ColoredDigraph | None = None
 
     def to_poset(self) -> FinitePoset:
         if not self.acyclic:
@@ -317,8 +314,7 @@ def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_00
     return CompleteGame(g, tuple(rows), moves, complete, acyclic, colored)
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(Record):
     """Unique-minimal-representation analysis of a finite poset."""
 
     ok: bool

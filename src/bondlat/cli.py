@@ -197,7 +197,7 @@ def _cmd_check_poset(args, doc):
     poset = jsonio.parse_poset(doc)
     report = brute_uld(poset)
     ok = report.is_lattice and report.is_uld
-    return (0 if ok else 1), jsonio.brute_report_json(report), None
+    return (0 if ok else 1), jsonio.record_json(report), None
 
 
 def _cmd_c_orient(args, doc):
@@ -285,7 +285,7 @@ def _cmd_chipfire(args, doc):
         dot = iter_game_dot(game) if args.dot else None
         if game.complete and game.acyclic:
             report = check_complete_game_representation(game)
-            payload["representation"] = jsonio.representation_json(report)
+            payload["representation"] = jsonio.record_json(report)
             return (0 if report.ok else 1), payload, dot
         payload["representation"] = None
         return 1, payload, dot

@@ -13,8 +13,8 @@ and of edge lines.  `cover_digraph_dot` and `game_dot` join those pieces.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chipfire import GameGraph
 from .graph import id_key

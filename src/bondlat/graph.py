@@ -18,16 +18,18 @@ backward traversal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Mapping
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Hashable, Iterable, Mapping
+from operator import attrgetter
 
 TAIL = "tail"
 HEAD = "head"
 
 FORWARD = 1
 BACKWARD = -1
+
+_set = object.__setattr__  # stores a Record's fields
 
 
 class GraphError(ValueError):
@@ -49,11 +51,60 @@ def id_key(value):
     return (1, str(value))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Record:
+    """An immutable value whose fields are its annotated names, bases'
+    fields first; a class attribute is a field's default.  `repr`, `==` and
+    the hash go by field, leaving out the fields named in `_hidden`."""
+
+    _fields = _hidden = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(name for name in own if name not in cls._fields)
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+        cls._key = attrgetter(*cls._shown)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        for name, value in zip(cls._fields, args):
+            _set(self, name, value)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() misses field {name!r}")
+        if kwargs or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes only the fields {', '.join(cls._fields)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks a subclass runs once every field is set."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Arc(Record):
     id: Hashable
     tail: Hashable
     head: Hashable
+
+    def __init__(self, id, tail, head):  # built once per arc per graph
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
 
     def is_loop(self) -> bool:
         return self.tail == self.head
@@ -193,8 +244,7 @@ class Multigraph:
         return Multigraph(keep, arcs)
 
 
-@dataclass(frozen=True)
-class CycleVector:
+class CycleVector(Record):
     """Signed arc incidence of a closed walk: +1 forward, -1 backward.
 
     Arcs traversed equally often in both directions are omitted, so every
@@ -202,6 +252,7 @@ class CycleVector:
     """
 
     signs: Mapping
+    __hash__ = None  # the signs dict is unhashable
 
     def __post_init__(self):
         for arc_id, s in self.signs.items():
@@ -229,12 +280,8 @@ class CycleVector:
     def __len__(self):
         return len(self.signs)
 
-    def __eq__(self, other):
-        return isinstance(other, CycleVector) and dict(self.signs) == dict(other.signs)
 
-
-@dataclass(frozen=True)
-class VertexCut:
+class VertexCut(Record):
     """Arcs crossing a vertex set: `forward` leave it, `backward` enter it."""
 
     inside: frozenset
@@ -350,8 +397,7 @@ def vertex_cut(g: Multigraph, inside: Iterable) -> VertexCut:
     return VertexCut(members, tuple(forward), tuple(backward))
 
 
-@dataclass(frozen=True)
-class ArcEnd:
+class ArcEnd(Record):
     arc: Hashable
     end: str
 
@@ -404,8 +450,7 @@ class PlanarEmbedding:
         return ring[(idx + 1) % len(ring)]
 
 
-@dataclass(frozen=True)
-class FaceWalk:
+class FaceWalk(Record):
     """Closed boundary walk of one face, as (arc id, direction) darts."""
 
     darts: tuple
@@ -462,8 +507,7 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
     return walks
 
 
-@dataclass(frozen=True)
-class PlanarDual:
+class PlanarDual(Record):
     """Dual graph with its face list, and its embedding on first read.
 
     Dual vertex i is faces[i]; dual arcs reuse primal arc ids.  Each dual

@@ -13,8 +13,7 @@ the target family, plus decode/encode converters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Mapping
+from collections.abc import Hashable, Mapping
 
 from .bonds import Bond, BondSystem, InfeasibleError
 from .graph import (
@@ -25,6 +24,7 @@ from .graph import (
     Multigraph,
     PlanarDual,
     PlanarEmbedding,
+    Record,
     TAIL,
     _check_spanning_tree,
     fundamental_cycles,
@@ -34,8 +34,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Record):
     """An orientation of a graph, stored as flips of a base orientation."""
 
     base: Multigraph
@@ -72,8 +71,7 @@ class ParityError(ValueError):
         self.target = target
 
 
-@dataclass(frozen=True)
-class COrientationFamily:
+class COrientationFamily(Record):
     """Orientations of `base` whose flow-difference on each fundamental
     cycle equals the prescribed target; bonds are the flip indicators."""
 
@@ -137,8 +135,7 @@ def _defining_index(cycle, tree) -> int:
     return outside[0]
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Record):
     """A plane digraph with per-arc capacity windows and per-vertex excess
     (flow in minus flow out); missing excess entries default to zero."""
 
@@ -148,8 +145,7 @@ class FlowSpec:
     excess: Mapping
 
 
-@dataclass(frozen=True)
-class FlowFamily:
+class FlowFamily(Record):
     """Flows of the primal digraph, realized as bonds of the planar dual."""
 
     system: BondSystem
@@ -232,8 +228,7 @@ def _flow_with_excess(g: Multigraph, excess: Mapping) -> dict:
     return flow
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
+class AlphaSpec(Record):
     """A plane graph (arc directions ignored) with a prescribed out-degree
     for every vertex."""
 
@@ -241,8 +236,7 @@ class AlphaSpec:
     out_degrees: Mapping
 
 
-@dataclass(frozen=True)
-class AlphaFamily:
+class AlphaFamily(Record):
     """Orientations with prescribed out-degrees, as dual-system bonds."""
 
     flows: FlowFamily
@@ -320,8 +314,7 @@ def _reference_orientation(embedding: PlanarEmbedding) -> tuple[Multigraph, Plan
     return oriented, PlanarEmbedding(oriented, rotation)
 
 
-@dataclass(frozen=True)
-class PotentialFamily:
+class PotentialFamily(Record):
     """Vertex potentials anchored at zero with per-arc difference windows.
 
     A potential assigns each vertex an integer with p(anchor) = 0 and

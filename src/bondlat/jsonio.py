@@ -22,19 +22,13 @@ streams the text, a block of table rows at a time; `dumps` joins it.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
-from .checker import (
-    BruteReport,
-    ColoredDigraph,
-    CoverVerdict,
-    FinitePoset,
-    PosetError,
-)
-from .chipfire import ChipArrangement, GameCertificate, GameGraph, RepresentationReport
+from .checker import ColoredDigraph, CoverVerdict, FinitePoset, PosetError
+from .chipfire import ChipArrangement, GameCertificate, GameGraph
 from .graph import (
     Arc,
     ArcEnd,
@@ -43,6 +37,7 @@ from .graph import (
     HEAD,
     Multigraph,
     PlanarEmbedding,
+    Record,
     TAIL,
     id_key,
     spanning_tree,
@@ -508,20 +503,13 @@ def _jsonable(value):
     return repr(value)
 
 
+def record_json(record: Record) -> dict:
+    """A record's fields, in field order, as JSON values."""
+    return {name: _jsonable(getattr(record, name)) for name in record._fields}
+
+
 def cover_verdict_json(verdict: CoverVerdict) -> dict:
     return {"verdict": verdict.status, "ok": verdict.ok, "witness": _jsonable(verdict.witness)}
-
-
-def brute_report_json(report: BruteReport) -> dict:
-    return {
-        "is_lattice": report.is_lattice,
-        "lattice_witness": _jsonable(report.lattice_witness),
-        "meet_irreducibles": _jsonable(report.meet_irreducibles),
-        "is_uld": report.is_uld,
-        "uld_certificate": _jsonable(report.uld_certificate),
-        "is_distributive": report.is_distributive,
-        "distributive_witness": _jsonable(report.distributive_witness),
-    }
 
 
 def _states_moves_json(game) -> dict:
@@ -549,14 +537,4 @@ def game_certificate_json(cert: GameCertificate, game: GameGraph) -> dict:
         "terminal": {str(v): cert.terminal[v] for v in order},
         "multisets_consistent": cert.multisets_consistent,
         "multiset_witness": _jsonable(cert.multiset_witness),
-    }
-
-
-def representation_json(report: RepresentationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "witness": _jsonable(report.witness),
-        "representations": {
-            str(k): _jsonable(v) for k, v in sorted(report.representations.items(), key=lambda kv: id_key(kv[0]))
-        },
     }

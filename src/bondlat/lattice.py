@@ -16,11 +16,11 @@ from the sink for chip-game firing tallies; `color_tallies` builds the
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import count, cycle, repeat
 from operator import add, eq, itemgetter, lt
 from struct import Struct
-from typing import Hashable, Iterable, Mapping, Sequence
 
 from .bonds import Bond, BondSystem
 from .checker import (
