@@ -31,12 +31,10 @@ from .checker import (
     ColoredDigraph,
     ColorTrace,
     CoverVerdict,
-    DistributiveVerdict,
     FinitePoset,
     PosetError,
     TraceError,
     brute_uld,
-    certify_distributive_cover,
     certify_lld_cover,
     certify_uld_cover,
     check_distinct_fork_colors,
@@ -58,7 +56,6 @@ from .chipfire import (
     certify_game,
     check_complete_game_representation,
     fire,
-    maximal_firing_sequences,
     unfire,
     unique_minimal_representation_report,
 )
@@ -72,12 +69,10 @@ from .graph import (
     NonPlanarError,
     PlanarDual,
     PlanarEmbedding,
-    VertexCut,
     faces,
     fundamental_cycles,
     planar_dual,
     spanning_tree,
-    vertex_cut,
 )
 from .instances import (
     AlphaFamily,

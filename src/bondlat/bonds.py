@@ -40,7 +40,6 @@ their `<=`, `&` and `|`, at O(m) per call.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from functools import cached_property
@@ -54,7 +53,6 @@ from .graph import (
     fundamental_cycles,
     id_key,
     spanning_tree,
-    vertex_cut,
 )
 
 _INF = float("inf")
@@ -190,9 +188,6 @@ class BondSystem:
             if actual != target:
                 cycles.append((cycle, target, actual))
         return ValidityReport(not capacity and not cycles, tuple(capacity), tuple(cycles))
-
-    def is_bond(self, x: Bond) -> bool:
-        return self.check_bond(x).ok
 
     @cached_property
     def _edges(self) -> tuple:
@@ -344,9 +339,6 @@ class BondSystem:
             self._classes = rep, forced, x
         return self._classes
 
-    def is_reduced(self) -> bool:
-        return not self._rigid_classes()[1]
-
     def reduce(self) -> tuple["BondSystem", ContractionMap]:
         """Contract every rigid arc (value forced equal in all bonds).
 
@@ -376,29 +368,6 @@ class BondSystem:
 
     # ------------------------------------------------------------------
     # pushes and the lattice order
-
-    def push(self, x: Bond, inside: Iterable) -> Bond:
-        """Raise by one on arcs leaving `inside`, lower on arcs entering it."""
-        members = frozenset(inside)
-        if self.forbidden in members:
-            raise GraphError(f"cannot push a set containing the forbidden vertex {self.forbidden!r}")
-        cut = vertex_cut(self.graph, members)
-        values = dict(x.values)
-        for a in cut.forward:
-            values[a] += 1
-        for a in cut.backward:
-            values[a] -= 1
-        return Bond(values)
-
-    def is_legal_push(self, x: Bond, inside: Iterable) -> bool:
-        """A push is legal when every crossing arc keeps strict slack."""
-        members = frozenset(inside)
-        if self.forbidden in members:
-            raise GraphError(f"cannot push a set containing the forbidden vertex {self.forbidden!r}")
-        cut = vertex_cut(self.graph, members)
-        return all(x.values[a] < self.upper[a] for a in cut.forward) and all(
-            x.values[a] > self.lower[a] for a in cut.backward
-        )
 
     def pushable_vertices(self) -> tuple:
         return tuple(v for v in self.graph.vertices if v != self.forbidden)
@@ -464,38 +433,19 @@ class BondSystem:
     def join(self, x: Bond, y: Bond) -> Bond:
         return self.bond_from_counts(self.push_counts(x) | self.push_counts(y))
 
-    # ------------------------------------------------------------------
-    # brute-force oracle (testing aid, deliberately independent of pushes)
-
-    def all_bonds_brute_force(self, limit: int = 2_000_000) -> list[Bond]:
-        """Every point of the capacity box satisfying the cycle condition.
-
-        Exhaustive by construction; intended for small systems and tests.
-        """
-        arcs = self._arc_order
-        size = 1
-        for a in arcs:
-            size *= self.upper[a] - self.lower[a] + 1
-            if size > limit:
-                raise GraphError(f"capacity box larger than {limit} points")
-        found = []
-        ranges = [range(self.lower[a], self.upper[a] + 1) for a in arcs]
-        for combo in itertools.product(*ranges):
-            values = dict(zip(arcs, combo))
-            if all(
-                flow_difference(values, c) == t for c, t in zip(self.cycles, self.targets)
-            ):
-                found.append(Bond(values))
-        return found
-
 
 def _as_int(table: Mapping, arc_id, what: str) -> int:
     try:
         value = table[arc_id]
     except KeyError:
         raise GraphError(f"{what} capacity table misses arc {arc_id!r}") from None
+    return _integer(value, f"{what} value for arc {arc_id!r}")
+
+
+def _integer(value, name: str) -> int:
+    """`value` when it is an int other than a bool, else a GraphError naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"{what} value for arc {arc_id!r} must be an integer, got {value!r}")
+        raise GraphError(f"{name} must be an integer, got {value!r}")
     return value
 
 

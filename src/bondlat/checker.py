@@ -298,19 +298,6 @@ def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     return CoverVerdict(ULD if far else LLD, True)
 
 
-class DistributiveVerdict(Record):
-    uld: CoverVerdict
-    lld: CoverVerdict
-
-    @property
-    def distributive(self) -> bool:
-        return self.uld.ok and self.lld.ok
-
-
-def certify_distributive_cover(cd: ColoredDigraph) -> DistributiveVerdict:
-    return DistributiveVerdict(certify_uld_cover(cd), certify_lld_cover(cd))
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, ascending."""
     while mask:

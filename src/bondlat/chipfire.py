@@ -240,27 +240,6 @@ def certify_game(game: GameGraph) -> GameCertificate:
     return GameCertificate(verdict, terminal, fired, tuple(rows), True, None)
 
 
-def maximal_firing_sequences(game: GameGraph, start: int = 0, limit: int = 50_000):
-    """Yield every maximal firing sequence from a state, as vertex tuples.
-
-    Depth-first; raises ChipError past `limit` sequences.  Intended for
-    exhaustive cross-checks on small games.
-    """
-    out = game.to_colored_digraph().out
-    produced = 0
-    stack: list[tuple[int, tuple]] = [(start, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if not out[i]:
-            produced += 1
-            if produced > limit:
-                raise ChipError(f"more than {limit} maximal firing sequences")
-            yield prefix
-            continue
-        for _, j, v in reversed(out[i]):
-            stack.append((j, prefix + (v,)))
-
-
 class CompleteGame(_Explored):
     """Closure of a start arrangement under both fire and unfire moves.
 

@@ -1,4 +1,4 @@
-"""Directed multigraph foundation: spanning trees, cycle and cut vectors,
+"""Directed multigraph foundation: spanning trees, cycle vectors,
 rotation-system embeddings, faces, and planar duals.
 
 Conventions
@@ -139,7 +139,6 @@ class Multigraph:
             self._in[arc.head].append(arc)
         for v in self.vertices:
             self._out[v].sort(key=lambda a: id_key(a.id))
-            self._in[v].sort(key=lambda a: id_key(a.id))
         self._incident: dict = {}
         self._plans: dict = {}
 
@@ -164,9 +163,6 @@ class Multigraph:
 
     def out_arcs(self, v) -> list[Arc]:
         return list(self._out[v])
-
-    def in_arcs(self, v) -> list[Arc]:
-        return list(self._in[v])
 
     def incident_arcs(self, v) -> tuple[Arc, ...]:
         """All arcs touching v, loops listed once, ascending by id; sorted on
@@ -210,9 +206,6 @@ class Multigraph:
 
     def out_degree(self, v) -> int:
         return len(self._out[v])
-
-    def in_degree(self, v) -> int:
-        return len(self._in[v])
 
     def connected_components(self) -> list[frozenset]:
         """Vertex sets of the underlying undirected components, each sorted
@@ -279,14 +272,6 @@ class CycleVector(Record):
 
     def __len__(self):
         return len(self.signs)
-
-
-class VertexCut(Record):
-    """Arcs crossing a vertex set: `forward` leave it, `backward` enter it."""
-
-    inside: frozenset
-    forward: tuple
-    backward: tuple
 
 
 def spanning_tree(g: Multigraph) -> frozenset:
@@ -377,24 +362,6 @@ def fundamental_cycles(g: Multigraph, tree: frozenset) -> list[CycleVector]:
                 signs[tarc.id] = direction
         cycles.append(CycleVector(signs))
     return cycles
-
-
-def vertex_cut(g: Multigraph, inside: Iterable) -> VertexCut:
-    """Cut induced by a vertex set; loops and internal arcs never cross."""
-    members = frozenset(inside)
-    unknown = members.difference(g._out)
-    if unknown:
-        raise GraphError(f"cut references unknown vertex {sorted(unknown, key=id_key)[0]!r}")
-    forward = []
-    backward = []
-    for arc in g.arcs_by_id:
-        tail_in = arc.tail in members
-        head_in = arc.head in members
-        if tail_in and not head_in:
-            forward.append(arc.id)
-        elif head_in and not tail_in:
-            backward.append(arc.id)
-    return VertexCut(members, tuple(forward), tuple(backward))
 
 
 class ArcEnd(Record):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 
-from .bonds import Bond, BondSystem, InfeasibleError
+from .bonds import Bond, BondSystem, InfeasibleError, _integer
 from .graph import (
     Arc,
     ArcEnd,
@@ -179,7 +179,7 @@ def encode_flows(spec: FlowSpec, unbounded_face: int = 0) -> FlowFamily:
     forbidden vertex.
     """
     g = spec.embedding.host
-    excess = {v: int(spec.excess.get(v, 0)) for v in g.vertices}
+    excess = {v: _integer(spec.excess.get(v, 0), f"excess of vertex {v!r}") for v in g.vertices}
     total = sum(excess.values())
     if total != 0:
         raise ExcessImbalanceError(total)
@@ -189,22 +189,8 @@ def encode_flows(spec: FlowSpec, unbounded_face: int = 0) -> FlowFamily:
         raise GraphError(
             f"unbounded face must be a face index in [0, {len(dual.faces) - 1}], got {unbounded_face!r}"
         )
-    lower = {}
-    upper = {}
-    reference = {}
-    for a in g.arcs:
-        lower[a.id] = _window_value(spec.lower, a.id, "lower")
-        upper[a.id] = _window_value(spec.upper, a.id, "upper")
-        reference[a.id] = anchor_flow[a.id]
-    system = BondSystem(dual.graph, lower, upper, reference, unbounded_face)
+    system = BondSystem(dual.graph, spec.lower, spec.upper, anchor_flow, unbounded_face)
     return FlowFamily(system, spec, dual)
-
-
-def _window_value(table: Mapping, arc_id, what: str) -> int:
-    try:
-        return int(table[arc_id])
-    except KeyError:
-        raise GraphError(f"{what} capacity table misses arc {arc_id!r}") from None
 
 
 def _flow_with_excess(g: Multigraph, excess: Mapping) -> dict:
@@ -267,10 +253,10 @@ def encode_alpha_orientations(spec: AlphaSpec, unbounded_face: int = 0) -> Alpha
     degrees = {}
     for v in g.vertices:
         try:
-            value = int(spec.out_degrees[v])
+            value = spec.out_degrees[v]
         except KeyError:
             raise GraphError(f"no out-degree prescribed for vertex {v!r}") from None
-        degrees[v] = value
+        degrees[v] = _integer(value, f"out-degree of vertex {v!r}")
     if sum(degrees.values()) != len(g.arcs):
         raise GraphError(
             f"out-degrees sum to {sum(degrees.values())} but the graph has {len(g.arcs)} edges"

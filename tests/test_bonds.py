@@ -1,6 +1,7 @@
 """Bond systems: validity, feasibility, reduction, pushes, and the order."""
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from bondlat import (
 
 from bondlat.jsonio import parse_system
 
-from util import path_document, star_system, tension_bonds, tri_graph, tri_system
+from util import cut_vector, path_document, star_system, tension_bonds, tri_graph, tri_system
 
 ARCS = ("a1", "a2", "a3")
 
@@ -33,6 +34,12 @@ def path_system(lo=0, hi=2):
 
 def bond(*triple):
     return Bond(dict(zip(ARCS, triple)))
+
+
+def pushed(s, x, inside):
+    """x with the cut vector of `inside` added: the push of that vertex set."""
+    step = cut_vector(s.graph.arcs, inside)
+    return Bond({a.id: x.values[a.id] + d for a, d in zip(s.graph.arcs, step)})
 
 
 def test_system_rejects_disconnected_and_missing_tables():
@@ -87,7 +94,7 @@ class TestCheckBond:
 class TestFeasibility:
     def test_initial_bond_is_a_bond(self):
         s = tri_system()
-        assert s.is_bond(find_initial_bond(s))
+        assert s.check_bond(find_initial_bond(s)).ok
 
     def test_infeasible_reference_certified(self):
         g = tri_graph()
@@ -127,7 +134,7 @@ class TestValueRange:
     def test_rigid_when_delta_zero(self):
         s = tri_system(delta=0)
         assert all(arc_value_range(s, a) == (0, 0) for a in ARCS)
-        assert not s.is_reduced()
+        assert s.reduce()[1].forced
 
     def test_tree_arc_spans_whole_window(self):
         s = path_system(0, 2)
@@ -137,7 +144,7 @@ class TestValueRange:
     def test_matches_brute_force(self):
         s = tri_system()
         for a in ARCS:
-            values = [x.value(a) for x in s.all_bonds_brute_force()]
+            values = [x.value(a) for x in tension_bonds(s)]
             assert arc_value_range(s, a) == (min(values), max(values))
 
 
@@ -178,16 +185,16 @@ class TestReduce:
         reduced, contraction = s.reduce()
         assert contraction.forced == {"a2": 0}
         assert {a.id for a in reduced.graph.arcs} == {"a1", "a3"}
-        assert reduced.is_reduced()
+        assert not reduced.reduce()[1].forced
         # reconstruction is a bijection onto the original bond set
-        original = {x.as_tuple(ARCS) for x in s.all_bonds_brute_force()}
+        original = {x.as_tuple(ARCS) for x in tension_bonds(s)}
         expanded = {
             contraction.expand(x).as_tuple(ARCS)
-            for x in reduced.all_bonds_brute_force()
+            for x in tension_bonds(reduced)
         }
         assert expanded == original == {(1, 0, 0), (0, 0, 1)}
-        for x in reduced.all_bonds_brute_force():
-            assert s.is_bond(contraction.expand(x))
+        for x in tension_bonds(reduced):
+            assert s.check_bond(contraction.expand(x)).ok
             assert contraction.restrict(contraction.expand(x)) == x
 
     def test_rigidity_shows_only_around_a_long_cycle(self):
@@ -210,7 +217,7 @@ class TestReduce:
 
     def test_reduced_system_has_strict_ranges(self):
         reduced, _ = tri_system(delta=0).reduce()
-        assert reduced.is_reduced()
+        assert not reduced.reduce()[1].forced
         for a in reduced.graph.arcs:
             lo, hi = reduced.value_range(a.id)
             assert lo < hi
@@ -232,46 +239,50 @@ class TestReduce:
 
 
 class TestPush:
+    """A push adds a vertex set's cut vector; the library realises it by
+    raising that set's push counts by one."""
+
     def test_single_vertex(self):
         s = tri_system()
-        assert s.push(bond(1, 0, 0), {2}) == bond(0, 1, 0)
-        assert s.push(bond(0, 1, 0), {3}) == bond(0, 0, 1)
+        assert pushed(s, bond(1, 0, 0), {2}) == bond(0, 1, 0)
+        assert s.bond_from_counts(Counter({2: 1})) == bond(0, 1, 0)
+        assert s.bond_from_counts(Counter({2: 1, 3: 1})) == pushed(s, bond(0, 1, 0), {3}) == bond(0, 0, 1)
 
     def test_empty_set_is_identity(self):
         s = tri_system()
-        assert s.push(bond(1, 0, 0), set()) == bond(1, 0, 0)
+        assert pushed(s, bond(1, 0, 0), set()) == bond(1, 0, 0)
+        assert s.bond_from_counts(Counter()) == s.minimum_bond() == bond(1, 0, 0)
 
     def test_set_push_composes_from_vertex_pushes(self):
         s = tri_system()
-        assert s.push(bond(1, 0, 0), {2, 3}) == s.push(s.push(bond(1, 0, 0), {2}), {3})
-
-    def test_forbidden_vertex_rejected(self):
-        s = tri_system()
-        with pytest.raises(GraphError):
-            s.push(bond(1, 0, 0), {1, 2})
-        with pytest.raises(GraphError):
-            s.is_legal_push(bond(1, 0, 0), {1})
+        x = bond(1, 0, 0)
+        assert pushed(s, x, {2, 3}) == pushed(s, pushed(s, x, {2}), {3})
+        assert s.bond_from_counts(s.push_counts(x) + Counter({2: 1, 3: 1})) == pushed(s, x, {2, 3})
 
     def test_push_preserves_cycle_differences(self):
         s = tri_system()
         x = bond(1, 0, 0)
         for inside in ({2}, {3}, {2, 3}):
-            y = s.push(x, inside)
+            y = pushed(s, x, inside)
             for cycle, target in zip(s.cycles, s.targets):
                 assert flow_difference(y, cycle) == target
 
     def test_legality(self):
         s = tri_system()
-        assert s.is_legal_push(bond(1, 0, 0), {2})
-        assert not s.is_legal_push(bond(1, 0, 0), {3})  # a2 already at its floor
-        assert not s.is_legal_push(bond(0, 0, 1), {2, 3})
+        assert s.check_bond(pushed(s, bond(1, 0, 0), {2})).ok
+        report = s.check_bond(pushed(s, bond(1, 0, 0), {3}))  # a2 already at its floor
+        assert report.capacity_violations == (("a2", -1, 0, 1),) and not report.cycle_violations
+        assert not s.check_bond(pushed(s, bond(0, 0, 1), {2, 3})).ok
 
     def test_legal_push_yields_bond(self):
         s = star_system()
-        for x in s.all_bonds_brute_force():
+        for x in tension_bonds(s):
+            counts = s.push_counts(x)
             for inside in ({1}, {2}, {1, 2}):
-                if s.is_legal_push(x, inside):
-                    assert s.is_bond(s.push(x, inside))
+                y = pushed(s, x, inside)
+                if all(s.lower[a] <= v <= s.upper[a] for a, v in y.values.items()):
+                    assert s.check_bond(y).ok
+                    assert s.push_counts(y) == counts + Counter(dict.fromkeys(inside, 1))
 
 
 class TestMinimumBond:
@@ -293,7 +304,7 @@ class TestMinimumBond:
     def test_no_bond_lies_below(self):
         s = tri_system()
         m = s.minimum_bond()
-        for x in s.all_bonds_brute_force():
+        for x in tension_bonds(s):
             assert s.leq(m, x)
 
     def test_forbidden_choice_moves_the_minimum(self):
@@ -324,7 +335,7 @@ class TestPushCounts:
     def test_difference_identity(self):
         s = tri_system()
         m = s.minimum_bond()
-        for x in s.all_bonds_brute_force():
+        for x in tension_bonds(s):
             c = s.push_counts(x)
             full = {v: c[v] for v in s.graph.vertices}
             for a in s.graph.arcs:
@@ -332,7 +343,7 @@ class TestPushCounts:
 
     def test_roundtrip_bijection(self):
         for s in (tri_system(), star_system()):
-            for x in s.all_bonds_brute_force():
+            for x in tension_bonds(s):
                 assert s.bond_from_counts(s.push_counts(x)) == x
 
     def test_non_bond_rejected(self):
@@ -349,7 +360,7 @@ class TestPushCounts:
 class TestOrder:
     def test_reflexive(self):
         s = tri_system()
-        for x in s.all_bonds_brute_force():
+        for x in tension_bonds(s):
             assert s.leq(x, x)
 
     def test_triangle_chain(self):
@@ -374,7 +385,7 @@ class TestOrder:
 
     def test_lattice_laws_hold_elementwise(self):
         s = star_system()
-        elements = s.all_bonds_brute_force()
+        elements = tension_bonds(s)
         for x in elements:
             for y in elements:
                 assert s.meet(x, y) == s.meet(y, x)
@@ -428,15 +439,3 @@ class TestLongPath:
 
         assert best_time(lambda: parse_system(doc), run) < 0.2
 
-
-def test_brute_force_agrees_with_tension_oracle():
-    for s in (tri_system(), star_system(), path_system(0, 1)):
-        order = [a.id for a in s.graph.arcs]
-        ours = {x.as_tuple(order) for x in s.all_bonds_brute_force()}
-        oracle = {x.as_tuple(order) for x in tension_bonds(s)}
-        assert ours == oracle
-
-
-def test_brute_force_respects_limit():
-    with pytest.raises(GraphError):
-        path_system(0, 100).all_bonds_brute_force(limit=50)

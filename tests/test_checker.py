@@ -17,7 +17,6 @@ from bondlat import (
     brute_uld,
     build_complete_game,
     build_game,
-    certify_distributive_cover,
     certify_game,
     certify_lld_cover,
     certify_uld_cover,
@@ -315,10 +314,10 @@ class TestLazyClosure:
 
 
 def test_distributive_needs_both_sides():
-    both = certify_distributive_cover(diamond_cover())
-    assert both.distributive
-    one_sided = certify_distributive_cover(vee(color_b=2))
-    assert not one_sided.distributive
+    both = diamond_cover()
+    assert certify_uld_cover(both).ok and certify_lld_cover(both).ok
+    one_sided = vee(color_b=2)
+    assert not (certify_uld_cover(one_sided).ok and certify_lld_cover(one_sided).ok)
 
 
 class TestFinitePoset:

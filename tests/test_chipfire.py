@@ -19,7 +19,6 @@ from bondlat import (
     certify_game,
     check_complete_game_representation,
     fire,
-    maximal_firing_sequences,
     unfire,
     unique_minimal_representation_report,
 )
@@ -28,7 +27,14 @@ from bondlat.chipfire import CAP_EXCEEDED, CYCLIC, FINITE
 from bondlat.cli import main
 from bondlat.jsonio import game_certificate_json, game_json
 
-from util import chain_poset, diamond_poset, m3_poset, two_source_poset
+from util import (
+    chain_poset,
+    diamond_poset,
+    m3_poset,
+    oracle_firing_sequences,
+    oracle_game,
+    two_source_poset,
+)
 
 
 def chain_graph() -> Multigraph:
@@ -238,30 +244,34 @@ class TestCertifyGame:
 
 
 class TestFiringSequences:
+    """Maximal sequences are walked over the oracle's moves, which must be
+    the moves the library's game made."""
+
+    @staticmethod
+    def sequences(game):
+        _, moves, _ = oracle_game(game.graph, dict(game.states[0]), 100)
+        assert moves == game.moves
+        return oracle_firing_sequences(moves)
+
     def test_chain_has_one(self):
         game = build_game(chain_graph(), ChipArrangement({1: 2}))
-        assert list(maximal_firing_sequences(game)) == [(1, 2)]
+        assert self.sequences(game) == [(1, 2)]
 
     def test_fork_has_both_orders(self):
         game = build_game(fork_graph(), chips(v1=1, v2=1))
-        assert sorted(maximal_firing_sequences(game)) == [(1, 2), (2, 1)]
+        assert sorted(self.sequences(game)) == [(1, 2), (2, 1)]
 
     def test_all_sequences_fire_one_multiset(self):
         game = build_game(fork_graph(), chips(v1=2, v2=1))
         multisets = {
             tuple(sorted(Counter(seq).items()))
-            for seq in maximal_firing_sequences(game)
+            for seq in self.sequences(game)
         }
         assert len(multisets) == 1
         cert = certify_game(game)
         assert dict(cert.firing_counts[0]) == dict(
             (v, n) for v, n in multisets.pop()
         )
-
-    def test_limit(self):
-        game = build_game(fork_graph(), chips(v1=1, v2=1))
-        with pytest.raises(ChipError):
-            list(maximal_firing_sequences(game, limit=1))
 
 
 class TestCompleteGame:

@@ -25,13 +25,9 @@ from bondlat import (
 )
 from bondlat.graph import HEAD, TAIL
 
-from util import tri_embedding, tri_graph
+from util import tension_bonds, tri_embedding, tri_graph
 
 TRI_ARCS = ("a1", "a2", "a3")
-
-
-def all_bonds(system):
-    return system.all_bonds_brute_force()
 
 
 class TestOrientation:
@@ -54,24 +50,24 @@ class TestOrientation:
 class TestCOrientations:
     def test_triangle_count(self):
         family = encode_c_orientations(tri_graph(), {"a3": 1})
-        assert len(all_bonds(family.system)) == 3
+        assert len(tension_bonds(family.system)) == 3
 
     def test_bonds_are_single_flips(self):
         family = encode_c_orientations(tri_graph(), {"a3": 1})
-        flips = {b.as_tuple(TRI_ARCS) for b in all_bonds(family.system)}
+        flips = {b.as_tuple(TRI_ARCS) for b in tension_bonds(family.system)}
         assert flips == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_decoded_orientations_hit_the_target(self):
         family = encode_c_orientations(tri_graph(), {"a3": 1})
         cycle_signs = {"a1": 1, "a2": 1, "a3": 1}  # fundamental cycle of a3
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             o = family.decode(b)
             count = sum(s * (1 - 2 * o.flips[a]) for a, s in cycle_signs.items())
             assert count == 1
 
     def test_round_trip(self):
         family = encode_c_orientations(tri_graph(), {"a3": 1})
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             assert family.encode(family.decode(b)) == b
 
     def test_encode_rejects_foreign_base(self):
@@ -109,7 +105,7 @@ class TestFlows:
 
     def test_circulations_of_the_triangle(self):
         family = encode_flows(self.unit_spec())
-        flows = [family.decode(b) for b in all_bonds(family.system)]
+        flows = [family.decode(b) for b in tension_bonds(family.system)]
         assert sorted(tuple(f[a] for a in TRI_ARCS) for f in flows) == [
             (0, 0, 0),
             (1, 1, 1),
@@ -118,24 +114,38 @@ class TestFlows:
     def test_decoded_flows_conserve_excess(self):
         family = encode_flows(self.unit_spec({1: -1, 2: 1}))
         g = tri_graph()
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             flow = family.decode(b)
             for v in g.vertices:
-                inflow = sum(flow[a.id] for a in g.in_arcs(v))
+                inflow = sum(flow[a.id] for a in g.arcs if a.head == v)
                 outflow = sum(flow[a.id] for a in g.out_arcs(v))
                 assert inflow - outflow == {1: -1, 2: 1}.get(v, 0)
             for a in TRI_ARCS:
                 assert 0 <= flow[a] <= 1
 
+    def test_windows_must_be_integers(self):
+        # a window [0.9, 1.9] is not truncated to [0, 1]
+        spec = FlowSpec(tri_embedding(), dict.fromkeys(TRI_ARCS, 0.9), dict.fromkeys(TRI_ARCS, 1.9), {})
+        with pytest.raises(GraphError, match="lower value for arc 'a1' must be an integer, got 0.9"):
+            encode_flows(spec)
+        spec = FlowSpec(tri_embedding(), dict.fromkeys(TRI_ARCS, 0), dict.fromkeys(TRI_ARCS, "1"), {})
+        with pytest.raises(GraphError, match="upper value for arc 'a1' must be an integer, got '1'"):
+            encode_flows(spec)
+
+    def test_excess_must_be_integers(self):
+        # True would count as 1 and balance the -1
+        with pytest.raises(GraphError, match="excess of vertex 2 must be an integer, got True"):
+            encode_flows(self.unit_spec({1: -1, 2: True}))
+
     def test_forced_flow_is_unique(self):
         family = encode_flows(self.unit_spec({1: -1, 2: 1}))
-        bonds = all_bonds(family.system)
+        bonds = tension_bonds(family.system)
         assert len(bonds) == 1
         assert family.decode(bonds[0]) == {"a1": 1, "a2": 0, "a3": 0}
 
     def test_encode_round_trip(self):
         family = encode_flows(self.unit_spec())
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             assert family.encode(family.decode(b)) == b
 
     def test_excess_must_balance(self):
@@ -185,7 +195,7 @@ class TestFlows:
 class TestAlphaOrientations:
     def test_all_out_degrees_one(self):
         family = encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: 1, 2: 1, 3: 1}))
-        bonds = all_bonds(family.system)
+        bonds = tension_bonds(family.system)
         assert len(bonds) == 2
         oriented = [family.decode(b) for b in bonds]
         for o in oriented:
@@ -201,13 +211,13 @@ class TestAlphaOrientations:
 
     def test_sink_orientation_is_unique(self):
         family = encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: 2, 2: 1, 3: 0}))
-        bonds = all_bonds(family.system)
+        bonds = tension_bonds(family.system)
         assert len(bonds) == 1
         assert family.decode(bonds[0]).out_degrees() == {1: 2, 2: 1, 3: 0}
 
     def test_round_trip(self):
         family = encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: 1, 2: 1, 3: 1}))
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             assert family.encode(family.decode(b)) == b
 
     def test_degree_sum_must_match_edge_count(self):
@@ -219,6 +229,11 @@ class TestAlphaOrientations:
         with pytest.raises(GraphError):
             encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: 1, 2: 2}))
 
+    def test_degrees_must_be_integers(self):
+        # the string "2" is not read as 2, which would make a valid spec
+        with pytest.raises(GraphError, match="out-degree of vertex 1 must be an integer, got '2'"):
+            encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: "2", 2: 1, 3: 0}))
+
 
 class TestPotentials:
     def family(self, lo=0, hi=2):
@@ -229,7 +244,7 @@ class TestPotentials:
 
     def test_bond_count_is_window_product(self):
         family = self.family()
-        assert len(all_bonds(family.system)) == 9
+        assert len(tension_bonds(family.system)) == 9
 
     def test_decode_gives_path_sums(self):
         family = self.family()
@@ -238,7 +253,7 @@ class TestPotentials:
 
     def test_decode_matches_arc_differences(self):
         family = self.family()
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             p = family.decode(b)
             for arc in family.system.graph.arcs:
                 assert p[arc.head] - p[arc.tail] == b.value(arc.id)
@@ -250,12 +265,12 @@ class TestPotentials:
 
     def test_round_trip(self):
         family = self.family()
-        for b in all_bonds(family.system):
+        for b in tension_bonds(family.system):
             assert family.encode(family.decode(b)) == b
 
     def test_zero_windows_force_the_zero_potential(self):
         family = self.family(0, 0)
-        bonds = all_bonds(family.system)
+        bonds = tension_bonds(family.system)
         assert len(bonds) == 1
         assert family.decode(bonds[0]) == {1: 0, 2: 0, 3: 0}
 
@@ -271,7 +286,7 @@ class TestPotentials:
         # pushing a vertex lowers its potential, so leq reverses dominance
         family = self.family()
         system = family.system
-        bonds = all_bonds(system)
+        bonds = tension_bonds(system)
         potentials = {id(b): family.decode(b) for b in bonds}
         for x in bonds:
             px = potentials[id(x)]
@@ -283,7 +298,7 @@ class TestPotentials:
     def test_meet_is_componentwise_max(self):
         family = self.family()
         system = family.system
-        bonds = all_bonds(system)
+        bonds = tension_bonds(system)
         for x in bonds:
             for y in bonds:
                 px, py = family.decode(x), family.decode(y)

@@ -43,11 +43,9 @@ from bondlat import (
     fire,
     flow_difference,
     fundamental_cycles,
-    maximal_firing_sequences,
     spanning_tree,
     unfire,
     unique_minimal_representation_report,
-    vertex_cut,
 )
 from bondlat.checker import (
     ColoredDigraph,
@@ -76,10 +74,12 @@ from bondlat.jsonio import (
 from util import (
     arc_order_distances,
     closure_poset,
+    cut_vector,
     oracle_can_fire,
     oracle_can_unfire,
     oracle_complete_game,
     oracle_fire,
+    oracle_firing_sequences,
     oracle_cover_verdict,
     oracle_fork_witnesses,
     oracle_game,
@@ -136,11 +136,9 @@ def test_cut_cycle_orthogonality(data):
     g = data.draw(connected_graphs())
     inside = {v for v in g.vertices if data.draw(st.booleans())}
     assume(inside and inside != set(g.vertices))
-    cut = vertex_cut(g, inside)
-    sigma = {a: 1 for a in cut.forward}
-    sigma.update({a: -1 for a in cut.backward})
+    sigma = dict(zip((a.id for a in g.arcs), cut_vector(g.arcs, inside)))
     for cycle in fundamental_cycles(g, spanning_tree(g)):
-        assert sum(sign * sigma.get(a, 0) for a, sign in cycle.items()) == 0
+        assert sum(sign * sigma[a] for a, sign in cycle.items()) == 0
 
 
 @given(data=st.data())
@@ -150,9 +148,11 @@ def test_legal_push_preserves_bond_and_targets(data):
     inside = {
         v for v in s.graph.vertices if v != s.forbidden and data.draw(st.booleans())
     }
-    assume(s.is_legal_push(x, inside))
-    y = s.push(x, inside)
-    assert s.is_bond(y)
+    step = cut_vector(s.graph.arcs, inside)
+    y = Bond({a.id: x.values[a.id] + d for a, d in zip(s.graph.arcs, step)})
+    # legal: every crossing arc had slack, so the pushed labeling stays in its window
+    assume(all(s.lower[a] <= v <= s.upper[a] for a, v in y.values.items()))
+    assert s.check_bond(y).ok
     for cycle, target in zip(s.cycles, s.targets):
         assert flow_difference(y, cycle) == target
 
@@ -402,7 +402,7 @@ def test_a_reduced_system_is_reduced_when_built_afresh(s):
         event("infeasible")
         return
     fresh = BondSystem(reduced.graph, reduced.lower, reduced.upper, reduced.reference, reduced.forbidden)
-    assert fresh.is_reduced()
+    assert not fresh.reduce()[1].forced
     assert fresh.minimum_bond() == reduced.minimum_bond()
 
 
@@ -912,13 +912,16 @@ def test_chipfire_exits_cleanly_and_orders_by_reachability(doc):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chip_docs())
 def test_firing_counts_are_the_multiset_of_every_maximal_sequence(doc):
-    game = build_game(*parse_chip_input(doc), cap=200)
+    g, start = parse_chip_input(doc)
+    game = build_game(g, start, cap=200)
     event(f"game {game.verdict}")
     assume(game.verdict == "finite")
     counts = certify_game(game).firing_counts
     assert len(counts) == len(game.states)
+    states, moves, _ = oracle_game(g, dict(start), 200)
+    assert [tuple(s[v] for v in g.vertices) for s in game.states] == states
     for i in range(len(game.states)):
-        for seq in maximal_firing_sequences(game, start=i):
+        for seq in oracle_firing_sequences(moves, start=i):
             assert counts[i] == Counter(seq)
 
 

@@ -4,14 +4,17 @@ The oracles deliberately avoid the library's own machinery: bond
 enumeration goes through potential consistency instead of fundamental
 cycles, the order oracle walks arbitrary legal set pushes, each a signed
 cut vector added to a value tuple and checked against the windows,
-instead of the library's pushes and push counts, the meet-representation
+instead of the library's push counts (`cut_vector` builds those vectors,
+and the orthogonality and push tests read it), the meet-representation
 oracle tries every subset of meet-irreducibles instead of the library's
 hitting-set test,
 the distance oracle relaxes every constraint edge in arc order once per
 round instead of from a queue, the rigid-class oracle intersects two
 reachability searches per vertex instead of one strong-component pass, and
 the chip-firing oracle copies a dict arrangement per move instead of
-stepping count tuples by a per-vertex move rule, and the cover-verdict
+stepping count tuples by a per-vertex move rule, its firing sequences
+(`oracle_firing_sequences`) walk the oracle's moves instead of the
+library's move index, and the cover-verdict
 oracle reads the arcs from the public graph and colors, copies the
 reversed arcs for the lower side and runs every structure check in order
 instead of one Kahn pass read from either end,
@@ -200,8 +203,7 @@ def push_reachability(system: BondSystem, elements: list[Bond]) -> dict:
     pushes = []
     for size in range(1, len(others) + 1):
         for inside in itertools.combinations(others, size):
-            members = set(inside)
-            step = tuple((a.tail in members) - (a.head in members) for a in arcs)
+            step = cut_vector(arcs, set(inside))
             raised = [k for k, sign in enumerate(step) if sign > 0]
             lowered = [k for k, sign in enumerate(step) if sign < 0]
             pushes.append((step, raised, lowered))
@@ -227,6 +229,13 @@ def push_reachability(system: BondSystem, elements: list[Bond]) -> dict:
         for j in seen:
             reach[(i, j)] = True
     return reach
+
+
+def cut_vector(arcs, inside: set) -> tuple:
+    """The signed cut vector of a vertex set over `arcs`, in their order: +1
+    on an arc leaving the set, -1 on one entering it, 0 on loops and on arcs
+    inside or outside it."""
+    return tuple((a.tail in inside) - (a.head in inside) for a in arcs)
 
 
 _BRUTE_SUBSET_LIMIT = 18
@@ -436,6 +445,25 @@ def oracle_game(g: Multigraph, start: dict, cap: int) -> tuple[list, tuple, str]
     else:
         verdict = "finite" if _acyclic(len(states), moves) else "cyclic"
     return list(index), moves, verdict
+
+
+def oracle_firing_sequences(moves, start: int = 0, limit: int = 20_000) -> list[tuple]:
+    """Every maximal firing sequence from state `start`, as vertex tuples, by
+    a depth-first walk over `oracle_game`'s moves in their sorted order."""
+    after: dict = {}
+    for i, j, v in moves:
+        after.setdefault(i, []).append((j, v))
+    found = []
+    stack = [(start, ())]
+    while stack:
+        i, fired = stack.pop()
+        if i not in after:
+            found.append(fired)
+            if len(found) > limit:
+                raise AssertionError(f"more than {limit} maximal firing sequences")
+        for j, v in reversed(after.get(i, ())):
+            stack.append((j, fired + (v,)))
+    return found
 
 
 def oracle_complete_game(g: Multigraph, start: dict, cap: int) -> tuple[list, tuple, bool, bool]:
