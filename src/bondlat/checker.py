@@ -27,11 +27,11 @@ element with several, to name two of them as the certificate.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import or_
+from operator import itemgetter, or_
 
 from .graph import Arc, GraphError, Multigraph, Record, id_key
 
@@ -43,6 +43,18 @@ class PosetError(ValueError):
     """Input that is not the poset-like object an operation requires."""
 
 
+class TallyError(PosetError):
+    """Path-dependent colorsets: the digraph is not a certified cover graph.
+
+    When two paths disagree, `witness` is (element, tally, other tally) with
+    the tallies as `Counter`s; it is None for the other failures.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class ColoredDigraph:
     """A digraph together with a color on every arc, in an indexed form.
 
@@ -51,7 +63,9 @@ class ColoredDigraph:
     ascending `id_key` order of `ids`, the arc ids, and `out[i]` / `into[i]`
     list the arcs leaving / entering vertex i in that order.  `from_triples`
     keeps the triples it is given, with ids 0..m-1, and builds `graph` and
-    `colors` when first read.  `order(far)` keeps each side's Kahn order.
+    `colors` when first read.  It alone reads the structure: each side's
+    Kahn order `order(far)`, its `end(far)`, its `tallies(far)`, and the
+    `closure`, built once.
     """
 
     def __init__(self, graph: Multigraph, colors: Mapping):
@@ -98,6 +112,52 @@ class ColoredDigraph:
         if far not in self._orders:
             self._orders[far] = topological_order(self.out if far else self.into, far)
         return self._orders[far]
+
+    def end(self, far: int = 1) -> int:
+        """The unique source (far 1) or sink (far 0): the one vertex with no
+        arc behind it."""
+        ends = [i for i, arcs in enumerate(self.into if far else self.out) if not arcs]
+        if len(ends) != 1:
+            raise PosetError(f"expected a unique {'source' if far else 'sink'}, found {len(ends)}")
+        return ends[0]
+
+    @cached_property
+    def closure(self) -> "FinitePoset":
+        """The reflexive-transitive closure over `labels`, built on first read."""
+        return FinitePoset.from_covers(self.labels, map(itemgetter(0, 1), self.arcs))
+
+    def tallies(self, far: int = 1) -> tuple[tuple, list[tuple]]:
+        """The colors in first-seen arc order, and each vertex's count tuple
+        over them, walked from `end(far)` in `order(far)`: far 0 walks `into`
+        from the sink, which gives a chip game's firing multisets.  Every arc
+        into a vertex must predict the same counts; a disagreement raises
+        TallyError naming the vertex and one parent."""
+        ahead = self.out if far else self.into
+        order = self.order(far)
+        if order is None:
+            raise PosetError("cover digraph contains a directed cycle")
+        slot = {c: k for k, c in enumerate(dict.fromkeys(arc[2] for arc in self.arcs))}
+        counts: list[tuple | None] = [None] * len(ahead)
+        counts[self.end(far)] = (0,) * len(slot)
+        ends = itemgetter(far, 2)
+        for i in order:
+            t = counts[i]
+            for j, color in map(ends, ahead[i]):
+                k = slot[color]
+                candidate = t[:k] + (t[k] + 1,) + t[k + 1 :]
+                if counts[j] is None:
+                    counts[j] = candidate
+                elif counts[j] != candidate:
+                    raise TallyError(
+                        f"element {j} gets different colorsets along different paths "
+                        f"(via cover from {i})",
+                        (j, _tally(slot, counts[j]), _tally(slot, candidate)),
+                    )
+        return tuple(slot), counts
+
+
+def _tally(colors: Iterable, counts: tuple) -> Counter:
+    return Counter({c: n for c, n in zip(colors, counts) if n})
 
 
 class AxiomReport(Record):
@@ -182,7 +242,7 @@ class CoverVerdict(Record):
     `status` is one of "uld", "lld", "empty", "disconnected", "cyclic",
     "no unique source", "no unique sink", "fork coloring violated",
     "fork completion violated".  It holds no closure: a caller that wants
-    one builds it from the certified digraph (`FinitePoset.from_covers`).
+    one reads the certified digraph's `closure`.
     """
 
     status: str

@@ -6,8 +6,9 @@ chips.  The reachable arrangements with moves colored by the fired vertex
 form a digraph whose certification mirrors the bond-lattice machinery: a
 finite game has a unique final arrangement and every maximal firing
 sequence fires the same multiset of vertices.  States are count tuples
-(`rows`), and firing tallies are count tuples walked along the move index's
-`into` lists; `states` and `firing_counts` build `Counter`s on first read.
+(`rows`); the move index's sink is the final arrangement, its `into`
+tallies the firing multisets and its `closure` a complete game's order.
+`states` and `firing_counts` build `Counter`s on first read.
 
 The bidirectional closure also walks unfirings (pulling one chip back along
 every out-arc), recorded as reversed fire moves.  Its order is generally
@@ -26,12 +27,12 @@ from .checker import (
     ColoredDigraph,
     CoverVerdict,
     FinitePoset,
-    PosetError,
+    TallyError,
+    _tally,
     certify_uld_cover,
     meet_representations,
 )
 from .graph import Multigraph, Record, id_key
-from .lattice import TallyError, _tally, _tally_rows
 
 FINITE = "finite"
 CYCLIC = "cyclic"
@@ -153,13 +154,6 @@ class GameGraph(_Explored):
     def complete(self) -> bool:
         return self.verdict != CAP_EXCEEDED
 
-    def terminal_index(self) -> int:
-        targets = {m[0] for m in self.moves}
-        stuck = [i for i in range(len(self.rows)) if i not in targets]
-        if len(stuck) != 1:
-            raise ChipError(f"expected a unique final arrangement, found {len(stuck)}")
-        return stuck[0]
-
 
 def _sorted_moves(g: Multigraph, moves) -> tuple:
     """Moves by (from, to, fired vertex in `id_key` order)."""
@@ -224,17 +218,18 @@ class GameCertificate(Record):
 def certify_game(game: GameGraph) -> GameCertificate:
     """Certify the move digraph and the run-invariance of firing multisets.
 
-    The firing multiset of a state is its color tally walked back along
-    the moves (the `into` lists) from the terminal arrangement; a state
-    whose moves predict different multisets is the witness.
+    The terminal arrangement is the move index's unique sink, and the
+    firing multiset of a state is its color tally walked back along the
+    moves (the `into` lists) from it; a state whose moves predict
+    different multisets is the witness.
     """
     if game.verdict != FINITE:
         raise ChipError(f"only finite games can be certified (verdict: {game.verdict})")
     cd = game.to_colored_digraph()
     verdict = certify_uld_cover(cd)
-    terminal = _arrangement(game.graph.vertices, game.rows[game.terminal_index()])
+    terminal = _arrangement(game.graph.vertices, game.rows[cd.end(0)])
     try:
-        fired, rows = _tally_rows(cd, 0)
+        fired, rows = cd.tallies(0)
     except TallyError as exc:
         return GameCertificate(verdict, terminal, (), (), False, exc.witness)
     return GameCertificate(verdict, terminal, fired, tuple(rows), True, None)
@@ -250,11 +245,6 @@ class CompleteGame(_Explored):
     complete: bool
     acyclic: bool
     colored: ColoredDigraph | None = None
-
-    def to_poset(self) -> FinitePoset:
-        if not self.acyclic:
-            raise PosetError("complete game digraph is cyclic; it induces no order")
-        return FinitePoset.from_covers(tuple(range(len(self.rows))), [(i, j) for i, j, _ in self.moves])
 
 
 def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> CompleteGame:
@@ -326,9 +316,10 @@ def unique_minimal_representation_report(p: FinitePoset) -> RepresentationReport
 
 
 def check_complete_game_representation(game: CompleteGame) -> RepresentationReport:
-    """Run the representation check on a fully explored, acyclic closure."""
+    """Run the representation check on the order of a fully explored,
+    acyclic closure: its move index's `closure`."""
     if not game.complete:
         raise ChipError(
             "closure exploration hit its cap; the representation check needs the whole poset"
         )
-    return unique_minimal_representation_report(game.to_poset())
+    return unique_minimal_representation_report(game.to_colored_digraph().closure)

@@ -122,8 +122,8 @@ def _enumerate_component(system, cap, analyze):
         colored = cd.to_colored_digraph()
         uld = certify_uld_cover(colored)
         lld = certify_lld_cover(colored)
-        payload["minimum"] = cd.source_index()
-        payload["maximum"] = cd.sink_index()
+        payload["minimum"] = colored.end(1)
+        payload["maximum"] = colored.end(0)
         payload["meet_irreducibles"] = list(meet_irreducible_indices(cd))
         payload["uld"] = jsonio.cover_verdict_json(uld)
         payload["lld"] = jsonio.cover_verdict_json(lld)

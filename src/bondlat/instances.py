@@ -98,16 +98,12 @@ def encode_c_orientations(base: Multigraph, targets: Mapping, forbidden=None) ->
     precondition.
     """
     tree = spanning_tree(base)
-    cycles = fundamental_cycles(base, tree)
-    non_tree = [c.support()[_defining_index(c, tree)] for c in cycles]
-    wanted = set(non_tree)
-    given = set(targets)
-    if given - wanted:
-        stray = sorted(given - wanted, key=id_key)[0]
-        raise GraphError(f"target given for {stray!r}, which is not a non-tree arc")
-    if wanted - given:
-        missing = sorted(wanted - given, key=id_key)[0]
-        raise GraphError(f"no target given for non-tree arc {missing!r}")
+    cycles = fundamental_cycles(base, tree)  # one per non-tree arc, in id order
+    non_tree = [a.id for a in base.arcs_by_id if a.id not in tree]
+    _reject_stray(targets, set(non_tree), "target", "a non-tree arc")
+    missing = [a for a in non_tree if a not in targets]
+    if missing:
+        raise GraphError(f"no target given for non-tree arc {missing[0]!r}")
     reference = {a.id: 0 for a in base.arcs}
     for cycle, defining in zip(cycles, non_tree):
         base_count = sum(cycle.signs.values())
@@ -127,12 +123,12 @@ def encode_c_orientations(base: Multigraph, targets: Mapping, forbidden=None) ->
     return COrientationFamily(system, base, dict(targets))
 
 
-def _defining_index(cycle, tree) -> int:
-    support = cycle.support()
-    outside = [i for i, a in enumerate(support) if a not in tree]
-    if len(outside) != 1:
-        raise GraphError("fundamental cycle must contain exactly one non-tree arc")
-    return outside[0]
+def _reject_stray(given: Mapping, known: set, what: str, kind: str):
+    """Raise GraphError naming the first key of `given`, in `id_key` order,
+    that is not in `known`."""
+    stray = [k for k in given if k not in known]
+    if stray:
+        raise GraphError(f"{what} given for {min(stray, key=id_key)!r}, which is not {kind}")
 
 
 class FlowSpec(Record):
@@ -179,6 +175,7 @@ def encode_flows(spec: FlowSpec, unbounded_face: int = 0) -> FlowFamily:
     forbidden vertex.
     """
     g = spec.embedding.host
+    _reject_stray(spec.excess, set(g.vertices), "excess", "a vertex")
     excess = {v: _integer(spec.excess.get(v, 0), f"excess of vertex {v!r}") for v in g.vertices}
     total = sum(excess.values())
     if total != 0:
@@ -250,6 +247,7 @@ def encode_alpha_orientations(spec: AlphaSpec, unbounded_face: int = 0) -> Alpha
     out-degrees become excess targets on unit-window flows.
     """
     g = spec.embedding.host
+    _reject_stray(spec.out_degrees, set(g.vertices), "out-degree", "a vertex")
     degrees = {}
     for v in g.vertices:
         try:

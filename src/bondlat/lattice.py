@@ -8,9 +8,9 @@ lexicographically by bond values, which makes the output canonical.  The
 walk packs each element into one int whose order is that lexicographic
 order, so a push is one masked add and a sort per layer ranks the layer.
 
-The tally walk keeps count tuples and reads `out` lists, or `into` lists
-from the sink for chip-game firing tallies; `color_tallies` builds the
-`Counter`s.
+A `CoverDigraph` holds only its rows and covers; its one indexed
+`ColoredDigraph` answers the structural questions (ends, closure, colour
+tallies), and `color_tallies` builds the tallies' `Counter`s.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .checker import (
     ColoredDigraph,
     FinitePoset,
     PosetError,
+    TallyError,
+    _tally,
     brute_uld,
     lost_irreducibles,
     meet_representations,
@@ -100,7 +102,6 @@ class CoverDigraph:
             covers = tuple(sorted(covers, key=lambda c: (c[0], c[1], id_key(c[2]))))
         self.covers = covers
         self._colored: ColoredDigraph | None = None
-        self._poset: FinitePoset | None = None
 
     @classmethod
     def _from_walk(cls, vectors: Iterable[tuple], covers: list, arc_order: tuple) -> "CoverDigraph":
@@ -108,7 +109,7 @@ class CoverDigraph:
         layer order, so it is in range, no self-loop, and comes sorted."""
         cd = cls.__new__(cls)
         cd.vectors, cd.covers, cd.arc_order = tuple(vectors), tuple(covers), arc_order
-        cd._colored = cd._poset = None
+        cd._colored = None
         return cd
 
     @cached_property
@@ -130,40 +131,12 @@ class CoverDigraph:
         pick = itemgetter(*picks) if len(picks) > 1 else lambda row: tuple([row[i] for i in picks])
         return list(map(pick, (v + fixed for v in self.vectors)))
 
-    def source_index(self) -> int:
-        return _unique_end(self.to_colored_digraph().into, "source")
-
-    def sink_index(self) -> int:
-        return _unique_end(self.to_colored_digraph().out, "sink")
-
-    def colors(self) -> list:
-        return sorted({c for _, _, c in self.covers}, key=id_key)
-
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """The covers with colors stripped."""
-        return [(lo, hi) for lo, hi, _ in self.covers]
-
-    def to_poset(self) -> FinitePoset:
-        """The closure of the covers, built on the first call and returned
-        again after."""
-        if self._poset is None:
-            self._poset = FinitePoset.from_covers(tuple(range(self.n)), self.cover_pairs())
-        return self._poset
-
     def to_colored_digraph(self) -> ColoredDigraph:
         """The covers as one indexed `ColoredDigraph`, built on the first call
         and shared by every later walk over this digraph."""
         if self._colored is None:
             self._colored = ColoredDigraph.from_triples(self.n, self.covers)
         return self._colored
-
-
-def _unique_end(arc_lists: Sequence[list], end: str) -> int:
-    """The one vertex whose list in `arc_lists` is empty."""
-    ends = [i for i, arcs in enumerate(arc_lists) if not arcs]
-    if len(ends) != 1:
-        raise PosetError(f"expected a unique {end}, found {len(ends)}")
-    return ends[0]
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> struct code
@@ -234,64 +207,13 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     return CoverDigraph._from_walk(vectors, covers, arc_order)
 
 
-class TallyError(PosetError):
-    """Path-dependent colorsets: the digraph is not a certified cover graph.
-
-    When two paths disagree, `witness` is (element, tally, other tally) with
-    the tallies as `Counter`s; it is None for the other failures.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[Counter]:
     """Colorset coordinates of every element, verified path-independent:
-    `Counter`s of `_tally_rows`, in first-seen arc order.  On a bond
-    lattice the tallies are the push counts."""
+    `Counter`s of `ColoredDigraph.tallies`, in first-seen arc order.  On a
+    bond lattice the tallies are the push counts."""
     colored = cd.to_colored_digraph() if isinstance(cd, CoverDigraph) else cd
-    colors, rows = _tally_rows(colored)
+    colors, rows = colored.tallies()
     return [_tally(colors, t) for t in rows]
-
-
-def _tally_rows(colored: ColoredDigraph, far: int = 1) -> tuple[tuple, list[tuple]]:
-    """The colors in first-seen arc order, and each element's count tuple
-    over them.
-
-    Walks the arc lists from the unique source in topological order; `far`
-    is the arc slot of the far end, as in the checker, so far 0 walks
-    `into` from the unique sink.  Every arc into an element must predict
-    the same counts; a disagreement raises TallyError naming the element
-    and one parent.  On a chip-firing move digraph, far 0 gives the firing
-    multisets.
-    """
-    ahead, behind = (colored.out, colored.into) if far else (colored.into, colored.out)
-    order = colored.order(far)
-    if order is None:
-        raise PosetError("cover digraph contains a directed cycle")
-    slot = {c: k for k, c in enumerate(dict.fromkeys(arc[2] for arc in colored.arcs))}
-    counts: list[tuple | None] = [None] * len(ahead)
-    counts[_unique_end(behind, "source")] = (0,) * len(slot)
-    ends = itemgetter(far, 2)
-    for i in order:
-        t = counts[i]
-        for j, color in map(ends, ahead[i]):
-            k = slot[color]
-            candidate = t[:k] + (t[k] + 1,) + t[k + 1 :]
-            if counts[j] is None:
-                counts[j] = candidate
-            elif counts[j] != candidate:
-                raise TallyError(
-                    f"element {j} gets different colorsets along different paths "
-                    f"(via cover from {i})",
-                    (j, _tally(slot, counts[j]), _tally(slot, candidate)),
-                )
-    return tuple(slot), counts
-
-
-def _tally(colors: Iterable, counts: tuple) -> Counter:
-    return Counter({c: n for c, n in zip(colors, counts) if n})
 
 
 def meet_irreducible_indices(cd: CoverDigraph) -> list[int]:
@@ -306,7 +228,7 @@ def minimal_representation(cd: CoverDigraph, i: int) -> frozenset[int]:
     TallyError when i has none or several, which a certified cover graph
     never gives.
     """
-    poset = cd.to_poset()
+    poset = cd.to_colored_digraph().closure
     reps = meet_representations(poset, i, sum(1 << m for m in meet_irreducible_indices(cd)))
     if len(reps) != 1 or poset.meet_of_set(reps[0]) != i:
         raise TallyError(

@@ -160,7 +160,7 @@ def test_criterion_2_generated_lattices_certify_and_distribute():
             continue
         certified += 1
         if cd.n**3 <= 10_000:
-            report = brute_uld(cd.to_poset())
+            report = brute_uld(colored.closure)
             brute_checked += 1
             if not (report.is_lattice and report.is_uld and report.is_distributive):
                 failures += 1
@@ -220,7 +220,7 @@ def test_criterion_4_color_tallies_embed_and_join():
             # no pushable vertex counts as bad, and the rows below lose nothing
             if tallies[i] != reduced.push_counts(x):
                 bad += 1
-        poset = cd.to_poset()
+        poset = cd.to_colored_digraph().closure
         n = cd.n
         above = [0] * n
         for i in range(n):
@@ -253,16 +253,16 @@ def test_criterion_5_canonical_recoloring_and_cover_criterion():
         # the len(irr) <= 18 guard is this criterion's original gate, kept
         # as it was; the cover criterion below still runs on all
         if len(irr) <= 18:
-            rebuilt = canonical_uld_coloring(cd.elements, cd.cover_pairs())
+            rebuilt = canonical_uld_coloring(cd.elements, [c[:2] for c in cd.covers])
             if not certify_uld_cover(rebuilt.to_colored_digraph()).ok:
                 bad += 1
                 continue
             recolored += 1
-        poset = cd.to_poset()
+        poset = cd.to_colored_digraph().closure
         above_irr = [
             frozenset(m for m in irr if poset.leq(x, m)) for x in range(cd.n)
         ]
-        covers = set(cd.cover_pairs())
+        covers = {c[:2] for c in cd.covers}
         for x in range(cd.n):
             for y in range(cd.n):
                 if x == y or not poset.leq(x, y):

@@ -154,7 +154,7 @@ class TestBuildGame:
             (0, 0, 2),
         ]
         assert game.moves == ((0, 1, 1), (1, 2, 2))
-        assert game.terminal_index() == 2
+        assert game.to_colored_digraph().end(0) == 2
 
     def test_fork_diamond(self):
         game = build_game(fork_graph(), chips(v1=1, v2=1))
@@ -174,14 +174,14 @@ class TestBuildGame:
         game = build_game(chain_graph(), ChipArrangement({1: 1}))
         assert game.verdict == FINITE
         assert len(game.states) == 1 and game.moves == ()
-        assert game.terminal_index() == 0
+        assert game.to_colored_digraph().end(0) == 0
 
     def test_two_cycle_is_cyclic(self):
         game = build_game(two_cycle(), chips(v1=1))
         assert game.verdict == CYCLIC
         assert len(game.states) == 2
-        with pytest.raises(ChipError):
-            game.terminal_index()
+        with pytest.raises(PosetError):
+            game.to_colored_digraph().end(0)
 
     def test_loop_only_vertex_spins_forever(self):
         g = Multigraph([1], [Arc("l", 1, 1)])
@@ -287,7 +287,7 @@ class TestCompleteGame:
             (2, 0, 0),
         ]
         # moves are stored in fire direction regardless of discovery side
-        poset = game.to_poset()
+        poset = game.to_colored_digraph().closure
         key = {tuple(s[v] for v in order): i for i, s in enumerate(game.states)}
         assert poset.leq(key[(2, 0, 0)], key[(0, 0, 2)])
 
@@ -307,7 +307,7 @@ class TestCompleteGame:
         game = build_complete_game(two_cycle(), chips(v1=1))
         assert not game.acyclic
         with pytest.raises(PosetError):
-            game.to_poset()
+            game.to_colored_digraph().closure
 
     def test_representation_check_needs_completeness(self):
         game = build_complete_game(chain_graph(), ChipArrangement({1: 2}), cap=0)

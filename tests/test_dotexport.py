@@ -32,7 +32,7 @@ def test_cover_digraph_dot_is_the_oracle_past_two_blocks():
     system = encode_potentials(g, windows, {a: 1 for a in windows}, 1).system
     reduced, cmap = system.reduce()
     cd = enumerate_lattice(reduced)
-    assert len(cd.covers) > 2 * BLOCK_ROWS + 1 and ODD in cd.colors()
+    assert len(cd.covers) > 2 * BLOCK_ROWS + 1 and ODD in {c for _, _, c in cd.covers}
     order = [a.id for a in g.arcs]
     labels = bond_labels(cd, order, cmap.forced)
     assert labels == oracle_labels([x.value(a) for a in order] for x in cd.elements)

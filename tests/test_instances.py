@@ -148,6 +148,13 @@ class TestFlows:
         for b in tension_bonds(family.system):
             assert family.encode(family.decode(b)) == b
 
+    def test_stray_excess_key_is_named(self):
+        # a stray key is named before the balance is summed, which would
+        # read {9: 1, 10: -1} as balanced and {1: -1, 9: 1} as -1
+        for excess in ({9: 1, 10: -1}, {1: -1, 9: 1}, {"x": 0, 10: 0, 9: 0}):
+            with pytest.raises(GraphError, match=r"^excess given for 9, which is not a vertex$"):
+                encode_flows(self.unit_spec(excess))
+
     def test_excess_must_balance(self):
         with pytest.raises(ExcessImbalanceError) as exc:
             encode_flows(self.unit_spec({1: 1}))
@@ -228,6 +235,11 @@ class TestAlphaOrientations:
     def test_missing_degree(self):
         with pytest.raises(GraphError):
             encode_alpha_orientations(AlphaSpec(tri_embedding(), {1: 1, 2: 2}))
+
+    def test_stray_degree_key_is_named(self):
+        spec = AlphaSpec(tri_embedding(), {1: 1, 2: 1, 3: 1, "z": 0, 9: 0})
+        with pytest.raises(GraphError, match=r"^out-degree given for 9, which is not a vertex$"):
+            encode_alpha_orientations(spec)
 
     def test_degrees_must_be_integers(self):
         # the string "2" is not read as 2, which would make a valid spec

@@ -84,7 +84,7 @@ class TestEnumerate:
     def test_covers_are_the_transitive_reduction(self):
         for s in (tri_system(), star_system()):
             cd = enumerate_lattice(s)
-            assert cd.to_poset().covers() == cd.cover_pairs()
+            assert cd.to_colored_digraph().closure.covers() == [c[:2] for c in cd.covers]
 
     def test_certified_uld_both_examples(self):
         for s in (tri_system(), star_system()):
@@ -115,14 +115,15 @@ class TestCoverDigraph:
 
     def test_endpoints(self):
         cd = enumerate_lattice(star_system())
-        assert cd.source_index() == 0
-        assert cd.sink_index() == 3
-        assert cd.colors() == [1, 2]
+        colored = cd.to_colored_digraph()
+        assert colored.end(1) == 0
+        assert colored.end(0) == 3
+        assert sorted({c for _, _, c in cd.covers}) == [1, 2]
 
     def test_source_must_be_unique(self):
         cd = CoverDigraph(["p", "q"], [])
         with pytest.raises(PosetError):
-            cd.source_index()
+            cd.to_colored_digraph().end(1)
 
     def test_every_walk_reads_one_colored_digraph(self, monkeypatch):
         calls = []
@@ -136,7 +137,7 @@ class TestCoverDigraph:
         cd = enumerate_lattice(star_system())
         colored = cd.to_colored_digraph()
         assert cd.to_colored_digraph() is colored
-        assert (cd.source_index(), cd.sink_index(), meet_irreducible_indices(cd)) == (0, 3, [1, 2])
+        assert (colored.end(1), colored.end(0), meet_irreducible_indices(cd)) == (0, 3, [1, 2])
         assert color_tallies(cd)[3] == Counter({1: 1, 2: 1})
         assert minimal_representation(cd, 0) == {1, 2}
         assert certify_uld_cover(cd.to_colored_digraph()).ok
@@ -173,7 +174,7 @@ class TestColorTallies:
         for s in (tri_system(), star_system()):
             cd = enumerate_lattice(s)
             tallies = color_tallies(cd)
-            poset = cd.to_poset()
+            poset = cd.to_colored_digraph().closure
             for i in range(cd.n):
                 for j in range(cd.n):
                     assert poset.leq(i, j) == (tallies[j] >= tallies[i])
@@ -181,7 +182,7 @@ class TestColorTallies:
     def test_tallies_are_join_closed(self):
         cd = enumerate_lattice(star_system())
         tallies = color_tallies(cd)
-        poset = cd.to_poset()
+        poset = cd.to_colored_digraph().closure
         for i in range(cd.n):
             for j in range(cd.n):
                 joined = tallies[i] | tallies[j]
@@ -234,12 +235,12 @@ class TestRepresentations:
         cd = enumerate_lattice(star_system())
         reps = [minimal_representation(cd, i) for i in range(cd.n)]
         assert reps == [{1, 2}, {1}, {2}, frozenset()]
-        assert len(built) == 1 and cd.to_poset() is built[0]
+        assert len(built) == 1 and cd.to_colored_digraph().closure is built[0]
 
     def test_representation_meets_back(self):
         for s in (tri_system(), star_system()):
             cd = enumerate_lattice(s)
-            poset = cd.to_poset()
+            poset = cd.to_colored_digraph().closure
             for i in range(cd.n):
                 rep = minimal_representation(cd, i)
                 irr = set(meet_irreducible_indices(cd))
@@ -259,8 +260,9 @@ class TestCanonicalColoring:
 
     def test_diamond_recoloring_is_certified(self):
         base = enumerate_lattice(star_system())
-        recolored = canonical_uld_coloring(base.elements, base.cover_pairs())
-        assert recolored.cover_pairs() == base.cover_pairs()
+        pairs = [c[:2] for c in base.covers]
+        recolored = canonical_uld_coloring(base.elements, pairs)
+        assert [c[:2] for c in recolored.covers] == pairs
         assert certify_uld_cover(recolored.to_colored_digraph()).status == "uld"
 
     def test_m3_rejected(self):

@@ -1,8 +1,11 @@
-"""The package surface: every public name `bondlat` exports, and the
-test-only helpers that the library no longer carries.  Adding or removing
-a public name means editing `PUBLIC`."""
+"""The package surface: every public name `bondlat` exports, the
+test-only helpers that the library no longer carries, and the imports
+between its modules.  Adding or removing a public name means editing
+`PUBLIC`."""
 
+import ast
 import importlib
+import pathlib
 import types
 
 import bondlat
@@ -34,7 +37,8 @@ PUBLIC = (
 )
 
 # (module, owner or None for the module itself, name): test-only code the
-# tests replaced with their own oracles in tests/util.py
+# tests replaced with their own oracles in tests/util.py, and structural
+# reads that the one `ColoredDigraph` index now answers
 REMOVED = (
     ("bonds", "BondSystem", "all_bonds_brute_force"),
     ("bonds", "BondSystem", "push"),
@@ -49,6 +53,15 @@ REMOVED = (
     ("checker", None, "certify_distributive_cover"),
     ("checker", None, "DistributiveVerdict"),
     ("instances", None, "_window_value"),
+    ("lattice", None, "_unique_end"),
+    ("lattice", None, "_tally_rows"),
+    ("lattice", "CoverDigraph", "source_index"),
+    ("lattice", "CoverDigraph", "sink_index"),
+    ("lattice", "CoverDigraph", "colors"),
+    ("lattice", "CoverDigraph", "cover_pairs"),
+    ("lattice", "CoverDigraph", "to_poset"),
+    ("chipfire", "GameGraph", "terminal_index"),
+    ("chipfire", "CompleteGame", "to_poset"),
 )
 
 
@@ -75,3 +88,38 @@ def test_removed_names_are_gone():
             holder = getattr(holder, owner)
         assert not hasattr(holder, name), f"bondlat.{module} still defines {name}"
         assert not hasattr(bondlat, name)
+
+
+SOURCE = pathlib.Path(bondlat.__file__).parent
+
+# names a module imports only so that perfbench/tracing.py can wrap them there
+TRACED_IMPORTS = {"cli": {"dumps", "cover_digraph_dot", "game_dot"}}
+
+
+def _imports(tree: ast.Module) -> list:
+    """(bound name, module it comes from) for every import in `tree`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [((a.asname or a.name).split(".")[0], a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            origin = "." * node.level + (node.module or "")
+            found += [(a.asname or a.name, origin) for a in node.names]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        allowed = TRACED_IMPORTS.get(path.stem, set())
+        unused += [f"{path.stem}: {name}" for name, _ in _imports(tree) if name not in used | allowed]
+    assert unused == []
+
+
+def test_chipfire_imports_nothing_from_lattice():
+    tree = ast.parse((SOURCE / "chipfire.py").read_text(encoding="utf-8"))
+    assert [pair for pair in _imports(tree) if "lattice" in (pair[0], pair[1].split(".")[-1])] == []

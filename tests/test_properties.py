@@ -902,7 +902,7 @@ def test_chipfire_exits_cleanly_and_orders_by_reachability(doc):
             g, start = parse_chip_input(doc)
             game = build_complete_game(g, start, cap=200)
             assert [list(m) for m in game.moves] == payload["moves"]
-            poset = game.to_poset()
+            poset = game.to_colored_digraph().closure
             n = len(game.states)
             for i in range(n):
                 above = _reachable(n, game.moves, i)
