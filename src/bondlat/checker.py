@@ -27,7 +27,7 @@ element with several, to name two of them as the certificate.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import combinations
@@ -65,7 +65,8 @@ class ColoredDigraph:
     keeps the triples it is given, with ids 0..m-1, and builds `graph` and
     `colors` when first read.  It alone reads the structure: each side's
     Kahn order `order(far)`, its `end(far)`, its `tallies(far)`, and the
-    `closure`, built once.
+    `closure`, built once from `order(1)`.  `FinitePoset.from_covers` indexes
+    its cover pairs the same way and returns that closure.
     """
 
     def __init__(self, graph: Multigraph, colors: Mapping):
@@ -108,9 +109,22 @@ class ColoredDigraph:
         return {k: arc[2] for k, arc in zip(self.ids, self.arcs)}
 
     def order(self, far: int = 1) -> list[int] | None:
-        """`topological_order` of `out` (far 1) or `into` (far 0), made once."""
+        """Kahn's order along `out` (far 1) or `into` (far 0), made once, or
+        None on a directed cycle.  A FIFO queue starts from the vertices with
+        no arc behind them, in index order, and each vertex releases the far
+        ends of its arcs in list order, so the order is deterministic.  A
+        vertex's in-degree is the length of its list on the other side."""
         if far not in self._orders:
-            self._orders[far] = topological_order(self.out if far else self.into, far)
+            ahead, behind = (self.out, self.into) if far else (self.into, self.out)
+            indeg = list(map(len, behind))
+            order = [i for i, d in enumerate(indeg) if not d]
+            for i in order:  # the list is the queue: released vertices join its tail
+                for arc in ahead[i]:
+                    j = arc[far]
+                    indeg[j] -= 1
+                    if not indeg[j]:
+                        order.append(j)
+            self._orders[far] = order if len(order) == len(indeg) else None
         return self._orders[far]
 
     def end(self, far: int = 1) -> int:
@@ -123,8 +137,17 @@ class ColoredDigraph:
 
     @cached_property
     def closure(self) -> "FinitePoset":
-        """The reflexive-transitive closure over `labels`, built on first read."""
-        return FinitePoset.from_covers(self.labels, map(itemgetter(0, 1), self.arcs))
+        """The reflexive-transitive closure over `labels`, built on first read:
+        each vertex's up-set is itself and the up-sets of its heads, taken in
+        reversed `order(1)`."""
+        order = self.order(1)
+        if order is None:
+            raise PosetError("cover relation contains a directed cycle")
+        above = [1 << i for i in range(len(self.labels))]
+        for i in reversed(order):
+            for arc in self.out[i]:
+                above[i] |= above[arc[1]]
+        return FinitePoset(self.labels, above)
 
     def tallies(self, far: int = 1) -> tuple[tuple, list[tuple]]:
         """The colors in first-seen arc order, and each vertex's count tuple
@@ -253,34 +276,6 @@ class CoverVerdict(Record):
         return self.ok
 
 
-def topological_order(succ: Sequence[Sequence], far: int | None = None) -> list[int] | None:
-    """Kahn's algorithm on successor lists over 0..n-1, or None on a cycle.
-
-    Given `far`, `succ` holds arc lists and slot `far` of an arc is the
-    successor.  A FIFO queue starts from the sources in index order, and
-    each vertex releases its successors in list order, so the order is
-    deterministic.
-    """
-    if far is None:  # read each successor as a one-slot arc
-        succ, far = [[(j,) for j in heads] for heads in succ], 0
-    n = len(succ)
-    indeg = [0] * n
-    for arcs in succ:
-        for arc in arcs:
-            indeg[arc[far]] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for arc in succ[i]:
-            j = arc[far]
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return order if len(order) == n else None
-
-
 def _find_directed_cycle(arc_lists: Sequence[Sequence[tuple]], far: int = 1) -> list[int] | None:
     """Depth-first search for a directed cycle, closed by its first vertex.
 
@@ -399,19 +394,14 @@ class FinitePoset:
     def from_covers(cls, labels: Sequence, cover_pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Reflexive-transitive closure of cover arcs given as index pairs."""
         n = len(labels)
-        succ: list[list[int]] = [[] for _ in range(n)]
+        arcs = []
         for lo, hi in cover_pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise PosetError(f"cover ({lo}, {hi}) references elements out of range")
-            succ[lo].append(hi)
-        topo = topological_order(succ)
-        if topo is None:
-            raise PosetError("cover relation contains a directed cycle")
-        above = [1 << i for i in range(n)]
-        for i in reversed(topo):
-            for j in succ[i]:
-                above[i] |= above[j]
-        return cls(labels, above)
+            arcs.append((lo, hi, None))
+        cd = ColoredDigraph.__new__(ColoredDigraph)
+        cd._index(labels, tuple(arcs), range(len(arcs)))
+        return cd.closure
 
     @property
     def n(self) -> int:
@@ -428,8 +418,7 @@ class FinitePoset:
         return [(i, j) for i in range(self.n) for j in self.upper_covers(i)]
 
     def upper_covers(self, i: int) -> list[int]:
-        strict = self.above[i] & ~(1 << i)
-        return [j for j in _bits(strict) if strict & self.below[j] == 1 << j]
+        return self._minimal_of(self.above[i] & ~(1 << i))
 
     def _maximal_of(self, mask: int) -> list[int]:
         return [j for j in _bits(mask) if self.above[j] & mask == 1 << j]
@@ -439,9 +428,7 @@ class FinitePoset:
 
     def meet(self, i: int, j: int) -> int | None:
         """Greatest lower bound index, or None when it does not exist."""
-        common = self.below[i] & self.below[j]
-        tops = self._maximal_of(common)
-        return tops[0] if len(tops) == 1 else None
+        return self.meet_of_set((i, j))
 
     def join(self, i: int, j: int) -> int | None:
         common = self.above[i] & self.above[j]

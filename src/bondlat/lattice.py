@@ -248,8 +248,9 @@ def canonical_uld_coloring(elements: Sequence, cover_pairs: Iterable[tuple[int, 
     """
     pairs = sorted(set((lo, hi) for lo, hi in cover_pairs))
     poset = FinitePoset.from_covers(tuple(range(len(elements))), pairs)
-    if sorted(poset.covers()) != pairs:
-        extra = next(p for p in pairs if p not in set(poset.covers()))
+    reduction = poset.covers()
+    if reduction != pairs:
+        extra = next(p for p in pairs if p not in set(reduction))
         raise PosetError(f"arc {extra} is a shortcut, not a cover; input must be a cover digraph")
     report = brute_uld(poset)
     if not report.is_lattice:

@@ -20,13 +20,10 @@ from bondlat import (
     ColoredDigraph,
     Multigraph,
     bonds,
-    checker,
-    chipfire,
     cli,
     encode_potentials,
     graph,
     jsonio,
-    lattice,
 )
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
@@ -958,16 +955,16 @@ class TestOneIndex:
 
     @staticmethod
     def count_kahn_passes(monkeypatch) -> list:
+        """The `far` of each `ColoredDigraph.order` call that misses its cache."""
         passes = []
-        real = checker.topological_order
+        real = ColoredDigraph.order
 
-        def counting(succ, far=None):
-            passes.append(far)
-            return real(succ, far)
+        def counting(self, far=1):
+            if far not in self._orders:
+                passes.append(far)
+            return real(self, far)
 
-        for module in (checker, chipfire, lattice):
-            if hasattr(module, "topological_order"):
-                monkeypatch.setattr(module, "topological_order", counting)
+        monkeypatch.setattr(ColoredDigraph, "order", counting)
         return passes
 
     def test_chipfire_run_orders_each_side_once(self, tmp_path, monkeypatch):

@@ -62,6 +62,7 @@ REMOVED = (
     ("lattice", "CoverDigraph", "to_poset"),
     ("chipfire", "GameGraph", "terminal_index"),
     ("chipfire", "CompleteGame", "to_poset"),
+    ("checker", None, "topological_order"),
 )
 
 

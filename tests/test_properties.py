@@ -30,6 +30,7 @@ from bondlat import (
     FinitePoset,
     InfeasibleSystemError,
     Multigraph,
+    PosetError,
     brute_uld,
     build_complete_game,
     build_game,
@@ -52,7 +53,6 @@ from bondlat.checker import (
     _find_directed_cycle,
     check_distinct_fork_colors,
     check_fork_completion,
-    topological_order,
 )
 from bondlat.cli import main
 from bondlat.jsonio import (
@@ -84,6 +84,7 @@ from util import (
     oracle_fork_witnesses,
     oracle_game,
     oracle_unfire,
+    reachability_masks,
     representation_report,
     rigid_classes_by_reachability,
     tension_bonds,
@@ -699,15 +700,29 @@ def successor_lists(draw):
 @settings(max_examples=300)
 @given(successor_lists())
 def test_topological_order_is_none_exactly_on_a_cycle(succ):
-    order = topological_order(succ)
     pairs = [(i, j) for i, heads in enumerate(succ) for j in heads]
-    cycle = _find_directed_cycle(ColoredDigraph.from_triples(len(succ), [(i, j, 0) for i, j in pairs]).out)
+    cd = ColoredDigraph.from_triples(len(succ), [(i, j, 0) for i, j in pairs])
+    order = cd.order(1)
+    cycle = _find_directed_cycle(cd.out)
     event("cyclic" if cycle else "acyclic")
     assert (order is None) == (cycle is not None)
     if order is not None:
         assert sorted(order) == list(range(len(succ)))
         position = {v: k for k, v in enumerate(order)}
         assert all(position[i] < position[j] for i, j in pairs)
+
+
+@settings(max_examples=300)
+@given(successor_lists())
+def test_closure_is_the_reachability_oracle(succ):
+    above, cyclic = reachability_masks(succ)
+    event("cyclic" if cyclic else "acyclic")
+    pairs = [(i, j) for i, heads in enumerate(succ) for j in heads]
+    if cyclic:
+        with pytest.raises(PosetError, match="directed cycle"):
+            FinitePoset.from_covers(range(len(succ)), pairs)
+    else:
+        assert FinitePoset.from_covers(range(len(succ)), pairs).above == tuple(above)
 
 
 _IDS = st.one_of(

@@ -379,6 +379,15 @@ def _reach(adj: dict, start) -> set:
     return seen
 
 
+def reachability_masks(succ: list) -> tuple[list[int], bool]:
+    """Each vertex's reflexive reach along successor lists over 0..n-1, as a
+    bitmask, and whether some arc closes a directed cycle: its head reaches
+    its tail."""
+    reach = [_reach(succ, i) for i in range(len(succ))]
+    cyclic = any(i in reach[j] for i, heads in enumerate(succ) for j in heads)
+    return [sum(1 << j for j in seen) for seen in reach], cyclic
+
+
 # Chip-firing oracle: arrangements are dicts, every move copies one, and
 # the explorers key states by their count tuples in vertex order.
 
