@@ -7,8 +7,11 @@ game; the verdict is still written), or 2 on malformed input (not UTF-8,
 not JSON, or off the schema) or an output path that cannot be written.
 Handlers return a verdict's own exit code and raise every rejection;
 `main` maps each rejection to exit 1 and its verdict through one table,
-`_REJECTIONS`.  Outputs are deterministic byte-for-byte and compose:
-`reduce` output feeds `enumerate`, encoder outputs feed any system-taking
+`_REJECTIONS`.  The domain modules are imported, and that table built,
+on the first `main` call after its arguments are parsed, or when a
+domain name is first read from this module, so `--help` loads none of
+them.  Outputs are deterministic byte-for-byte and compose: `reduce`
+output feeds `enumerate`, encoder outputs feed any system-taking
 subcommand.  Output is streamed: each piece of `jsonio.iterdumps` is
 written as it is made, and a --dot file is rendered, a piece at a time,
 only after the JSON is written, so no whole-output string is ever held.
@@ -20,33 +23,6 @@ import argparse
 import functools
 import sys
 from contextlib import nullcontext
-
-from . import jsonio
-from .bonds import InfeasibleSystemError, find_initial_bond
-from .checker import PosetError, brute_uld, certify_lld_cover, certify_uld_cover
-from .chipfire import (
-    FINITE,
-    ChipError,
-    build_complete_game,
-    build_game,
-    certify_game,
-    check_complete_game_representation,
-)
-# perfbench/tracing.py wraps `dumps`, `cover_digraph_dot` and `game_dot` here; none is called
-from .dotexport import bond_labels, cover_digraph_dot, game_dot, iter_cover_digraph_dot, iter_game_dot
-from .graph import GraphError, NonPlanarError, id_key, spanning_tree
-from .instances import (
-    AlphaSpec,
-    ExcessImbalanceError,
-    FlowSpec,
-    ParityError,
-    encode_alpha_orientations,
-    encode_c_orientations,
-    encode_flows,
-    encode_potentials,
-)
-from .jsonio import InputFormatError, dumps, iterdumps
-from .lattice import CapExceededError, color_tallies, enumerate_lattice, meet_irreducible_indices
 
 
 def _cli_id(text: str):
@@ -364,23 +340,70 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each domain rejection and the verdict `main` writes for it, with exit 1.
-_REJECTIONS = {
-    InfeasibleSystemError: jsonio.infeasible_json,
-    CapExceededError: lambda exc: {"verdict": "cap exceeded", "explored": exc.explored, "cap": exc.cap},
-    ParityError: lambda exc: {
-        "verdict": "parity",
-        "arc": exc.defining_arc,
-        "base_count": exc.base_count,
-        "target": exc.target,
-    },
-    ExcessImbalanceError: lambda exc: {"verdict": "excess imbalance", "total": exc.total},
-    NonPlanarError: lambda exc: {"verdict": "nonplanar", "genus": exc.genus},
-}
+@functools.cache
+def _bind_domain():
+    """Import the domain names that the handlers and `main` use and bind
+    each here, with the `_REJECTIONS` table, unless it is bound already: a
+    name patched before the first `main` call keeps its patch."""
+    from . import jsonio
+    from .bonds import InfeasibleSystemError, find_initial_bond
+    from .checker import PosetError, brute_uld, certify_lld_cover, certify_uld_cover
+    from .chipfire import (
+        FINITE,
+        ChipError,
+        build_complete_game,
+        build_game,
+        certify_game,
+        check_complete_game_representation,
+    )
+    # perfbench/tracing.py wraps `dumps`, `cover_digraph_dot` and `game_dot` once bound here;
+    # none is called
+    from .dotexport import bond_labels, cover_digraph_dot, game_dot, iter_cover_digraph_dot, iter_game_dot
+    from .graph import GraphError, NonPlanarError, id_key, spanning_tree
+    from .instances import (
+        AlphaSpec,
+        ExcessImbalanceError,
+        FlowSpec,
+        ParityError,
+        encode_alpha_orientations,
+        encode_c_orientations,
+        encode_flows,
+        encode_potentials,
+    )
+    from .jsonio import InputFormatError, dumps, iterdumps
+    from .lattice import CapExceededError, color_tallies, enumerate_lattice, meet_irreducible_indices
+
+    # Each domain rejection and the verdict `main` writes for it, with exit 1.
+    _REJECTIONS = {
+        InfeasibleSystemError: jsonio.infeasible_json,
+        CapExceededError: lambda exc: {"verdict": "cap exceeded", "explored": exc.explored, "cap": exc.cap},
+        ParityError: lambda exc: {
+            "verdict": "parity",
+            "arc": exc.defining_arc,
+            "base_count": exc.base_count,
+            "target": exc.target,
+        },
+        ExcessImbalanceError: lambda exc: {"verdict": "excess imbalance", "total": exc.total},
+        NonPlanarError: lambda exc: {"verdict": "nonplanar", "genus": exc.genus},
+    }
+    for name, value in list(locals().items()):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """A domain name read before the first `main` call binds them all.
+    Dunder probes, such as the `__path__` that `from .cli import main`
+    looks up, import nothing."""
+    if not name.startswith("__"):
+        _bind_domain()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _bind_domain()
     try:
         code, payload, dot = args.handler(args, _load(args.input))
     except tuple(_REJECTIONS) as exc:  # before GraphError, which NonPlanarError is

@@ -1,14 +1,21 @@
 """The package surface: every public name `bondlat` exports, the
-test-only helpers that the library no longer carries, and the imports
-between its modules.  Adding or removing a public name means editing
-`PUBLIC`."""
+test-only helpers that the library no longer carries, the imports
+between its modules, and what is imported when.  Adding or removing a
+public name means editing `PUBLIC`."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
+import pytest
+
 import bondlat
+import bondlat.cli
 
 PUBLIC = (
     # bonds
@@ -82,6 +89,12 @@ def test_each_public_name_imports():
     assert all(namespace[name] is getattr(bondlat, name) for name in PUBLIC)
 
 
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from bondlat import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
 def test_removed_names_are_gone():
     for module, owner, name in REMOVED:
         holder = importlib.import_module(f"bondlat.{module}")
@@ -124,3 +137,99 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_chipfire_imports_nothing_from_lattice():
     tree = ast.parse((SOURCE / "chipfire.py").read_text(encoding="utf-8"))
     assert [pair for pair in _imports(tree) if "lattice" in (pair[0], pair[1].split(".")[-1])] == []
+
+
+# ---------------------------------------------------------------------------
+# lazy imports: the package and the CLI load a domain module on first use
+
+SUBMODULES = ("bonds", "checker", "chipfire", "cli", "dotexport", "graph", "instances", "jsonio", "lattice")
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new bare interpreter (no site packages) that imports
+    bondlat from this tree."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_help_loads_only_the_cli():
+    """`bondlat --help`, run as `-m` runs it, has loaded exactly the
+    package, its `__main__` and the CLI when argparse exits."""
+    code = """if True:
+        import runpy, sys
+        exit = sys.exit
+        loaded = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "bondlat")
+        sys.exit = lambda status=None: print(*loaded(), file=sys.stderr) or exit(status)
+        sys.argv[1:] = ["--help"]
+        runpy.run_module("bondlat", alter_sys=True)
+    """
+    proc = _fresh(code)
+    assert proc.stdout.startswith("usage: bondlat")
+    assert proc.stderr.split() == ["bondlat", "bondlat.__main__", "bondlat.cli"]
+
+
+def test_import_loads_no_submodule():
+    code = f"""if True:
+        import sys, types, bondlat
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "bondlat"))
+        print(all(isinstance(getattr(bondlat, name), types.ModuleType) for name in {SUBMODULES!r}))
+    """
+    assert _fresh(code).stdout.split("\n") == ["['bondlat']", "True", ""]
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="module 'bondlat' has no attribute 'no_such_name'"):
+        bondlat.no_such_name
+    with pytest.raises(AttributeError, match="module 'bondlat.cli' has no attribute 'no_such_name'"):
+        bondlat.cli.no_such_name
+    assert not hasattr(bondlat.cli, "__path__")
+
+
+def test_cli_names_resolve_before_main():
+    code = "import bondlat.cli; print(bondlat.cli.enumerate_lattice is bondlat.lattice.enumerate_lattice)"
+    assert _fresh(code).stdout == "True\n"
+
+
+TRACED_LATTICE = """if True:
+    import importlib.util, json, sys
+    from bondlat import cli
+
+    spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["lattice", "--input", sys.argv[2], "--output", sys.argv[3]]
+    if sys.argv[4] == "untraced first":
+        assert cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    print(json.dumps([metrics["lattice.elements"], metrics["checker.certify_uld_s"] > 0]))
+"""
+
+
+@pytest.mark.parametrize("order", ["traced first", "untraced first"])
+def test_tracer_patches_survive_the_first_main_call(tmp_path, order):
+    """perfbench's tracer patches names on `cli`; the CLI's first `main`
+    call must not rebind them, whether it comes before or after `install`."""
+    system = {
+        "vertices": [1, 2, 3],
+        "arcs": [{"id": "a", "tail": 1, "head": 2}, {"id": "b", "tail": 2, "head": 3}, {"id": "c", "tail": 1, "head": 3}],
+        "lower": {"a": 0, "b": -1, "c": 0},
+        "upper": {"a": 2, "b": 1, "c": 2},
+        "reference": {"a": 0, "b": 0, "c": 0},
+    }
+    source = tmp_path / "system.json"
+    source.write_text(json.dumps(system), encoding="utf-8")
+    tracing = SOURCE.parent.parent / "perfbench" / "tracing.py"
+    args = (str(tracing), str(source), str(tmp_path / "out.json"), order)
+    assert _fresh(TRACED_LATTICE, *args).stdout == "[7, true]\n"

@@ -152,9 +152,13 @@ def test_row_table_is_a_sequence():
 
 
 def test_import_generates_no_code():
-    """Importing the CLI on a bare interpreter (no site packages) loads
-    neither `dataclasses` nor `inspect`."""
-    check = "import sys, bondlat.cli; sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)"
+    """Importing every module on a bare interpreter (no site packages)
+    loads neither `dataclasses` nor `inspect`."""
+    modules = ", ".join(
+        f"bondlat.{name}"
+        for name in ("bonds", "checker", "chipfire", "cli", "dotexport", "graph", "instances", "jsonio", "lattice")
+    )
+    check = f"import sys, {modules}; sys.exit(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)) or None)"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", check],
         env=dict(os.environ, PYTHONPATH=SRC),
