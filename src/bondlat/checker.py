@@ -137,17 +137,22 @@ class ColoredDigraph:
 
     @cached_property
     def closure(self) -> "FinitePoset":
-        """The reflexive-transitive closure over `labels`, built on first read:
-        each vertex's up-set is itself and the up-sets of its heads, taken in
-        reversed `order(1)`."""
+        """The reflexive-transitive closure over `labels`, built on first read
+        from `order(1)`: each vertex's up-set is itself and the up-sets of its
+        heads, taken in reversed order, and its down-set is itself and the
+        down-sets of its tails, taken in order."""
         order = self.order(1)
         if order is None:
             raise PosetError("cover relation contains a directed cycle")
         above = [1 << i for i in range(len(self.labels))]
+        below = above[:]
         for i in reversed(order):
             for arc in self.out[i]:
                 above[i] |= above[arc[1]]
-        return FinitePoset(self.labels, above)
+        for i in order:
+            for arc in self.into[i]:
+                below[i] |= below[arc[0]]
+        return FinitePoset(self.labels, above, below)
 
     def tallies(self, far: int = 1) -> tuple[tuple, list[tuple]]:
         """The colors in first-seen arc order, and each vertex's count tuple
@@ -364,31 +369,13 @@ def _bits(mask: int) -> Iterator[int]:
 class FinitePoset:
     """Explicit finite poset over labeled elements, stored as bitmasks.
 
-    `above[i]` has bit j set when element i <= element j.
+    `above[i]` has bit j set when element i <= element j, and `below[i]`
+    bit j when j <= i.  Both are built from one Kahn order by
+    `ColoredDigraph.closure`, which `from_covers` returns for cover pairs.
     """
 
-    def __init__(self, labels: Sequence, above: Sequence[int]):
-        self.labels = tuple(labels)
-        self.above = tuple(above)
-        n = len(self.labels)
-        if len(self.above) != n:
-            raise PosetError("labels and relation size differ")
-        full = (1 << n) - 1
-        for i, mask in enumerate(self.above):
-            if mask & ~full:
-                raise PosetError("relation mask references elements out of range")
-            if not (mask >> i) & 1:
-                raise PosetError(f"order must be reflexive; element {i} is not below itself")
-        for i in range(n):
-            m = self.above[i]
-            for j in _bits(m):
-                if i != j and (self.above[j] >> i) & 1:
-                    raise PosetError(f"antisymmetry fails between elements {i} and {j}")
-                if self.above[j] & ~m:
-                    raise PosetError(f"transitivity fails through elements {i} and {j}")
-        self.below = tuple(
-            sum(1 << j for j in range(n) if (self.above[j] >> i) & 1) for i in range(n)
-        )
+    def __init__(self, labels: Sequence, above: Sequence[int], below: Sequence[int]):
+        self.labels, self.above, self.below = tuple(labels), tuple(above), tuple(below)
 
     @classmethod
     def from_covers(cls, labels: Sequence, cover_pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -411,7 +398,7 @@ class FinitePoset:
         return bool((self.above[i] >> j) & 1)
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.labels, self.below)
+        return FinitePoset(self.labels, self.below, self.above)
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as sorted (lower, upper) index pairs."""

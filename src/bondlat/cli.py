@@ -412,6 +412,11 @@ def main(argv=None) -> int:
     except (InputFormatError, GraphError, PosetError, ChipError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    # integers of any size are written exactly: the digit limit, which still guards
+    # the input, is lifted while writing (before 3.10.7 there is none; `int` no-ops)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
     try:
         _emit(args.output, iterdumps(payload))
         del payload  # its tables are not held while the DOT is made
@@ -420,6 +425,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
     return code
 
 

@@ -231,11 +231,6 @@ class Multigraph:
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
-    def induced_subgraph(self, vertices: Iterable) -> "Multigraph":
-        keep = set(vertices)
-        arcs = [a for a in self.arcs if a.tail in keep and a.head in keep]
-        return Multigraph(keep, arcs)
-
 
 class CycleVector(Record):
     """Signed arc incidence of a closed walk: +1 forward, -1 backward.
@@ -410,11 +405,15 @@ class PlanarEmbedding:
             )
             raise GraphError(f"rotation misses arc end {missing!r}")
         self.rotation = normalized
+        self._after = {
+            (end.arc, end.end): ring[(k + 1) % len(ring)]
+            for ring in normalized.values()
+            for k, end in enumerate(ring)
+        }
 
-    def next_end(self, v, end: ArcEnd) -> ArcEnd:
-        ring = self.rotation[v]
-        idx = ring.index(end)
-        return ring[(idx + 1) % len(ring)]
+    def next_end(self, arc, end: str) -> ArcEnd:
+        """The end after the `end` end of `arc` in its vertex's rotation."""
+        return self._after[arc, end]
 
 
 class FaceWalk(Record):
@@ -441,12 +440,6 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
     if not g.arcs:
         return [FaceWalk(())]
 
-    def landing(arc: Arc, direction: int) -> tuple:
-        return (arc.head, ArcEnd(arc.id, HEAD)) if direction == FORWARD else (arc.tail, ArcEnd(arc.id, TAIL))
-
-    def dart_of(end: ArcEnd) -> tuple:
-        return (end.arc, FORWARD if end.end == TAIL else BACKWARD)
-
     unused = {
         (arc.id, direction)
         for arc in g.arcs
@@ -463,8 +456,10 @@ def faces(embedding: PlanarEmbedding) -> list[FaceWalk]:
             while True:
                 walk.append(dart)
                 unused.discard(dart)
-                v, arrived = landing(g.arc(dart[0]), dart[1])
-                dart = dart_of(embedding.next_end(v, arrived))
+                # a dart arrives at its arc's head (forward) or tail and
+                # leaves through the next end of the rotation there
+                end = embedding.next_end(dart[0], HEAD if dart[1] == FORWARD else TAIL)
+                dart = (end.arc, FORWARD if end.end == TAIL else BACKWARD)
                 if dart == start:
                     break
             walks.append(FaceWalk(tuple(walk)))

@@ -62,6 +62,8 @@ def loads(text: str):
         ) from None
     except RecursionError:
         raise InputFormatError("", "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InputFormatError("", f"invalid JSON: {str(exc).partition(';')[0]}") from None
 
 
 def dumps(obj) -> str:
@@ -277,7 +279,8 @@ def parse_systems(doc, forbidden_override=None) -> list:
 
 def _read_systems(doc, forbidden_override, split: bool) -> list:
     g = parse_graph(doc)
-    split = split and not g.is_connected()
+    components = g.connected_components() if split else ()
+    split = len(components) > 1
     if split and "reference" not in doc:
         raise InputFormatError(
             "", 'a disconnected input requires an explicit "reference" labeling'
@@ -303,9 +306,13 @@ def _read_systems(doc, forbidden_override, split: bool) -> list:
         raise InputFormatError("forbidden", f"no vertex has id {forbidden!r}")
     parts = [(g, forbidden)]
     if split:
+        place = {v: k for k, c in enumerate(components) for v in c}
+        arcs: list[list] = [[] for _ in components]
+        for a in g.arcs:  # one pass, each component keeping the input's arc order
+            arcs[place[a.tail]].append(a)
         parts = [
-            (g.induced_subgraph(c), forbidden if forbidden in c else min(c, key=id_key))
-            for c in g.connected_components()
+            (Multigraph(c, own), forbidden if forbidden in c else min(c, key=id_key))
+            for c, own in zip(components, arcs)
         ]
     try:
         return [BondSystem(sub, lower, upper, reference, anchor) for sub, anchor in parts]

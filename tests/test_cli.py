@@ -1061,6 +1061,52 @@ class TestScale:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    def test_flows_on_a_10000_leaf_star(self, tmp_path):
+        # the face walk finds each next arc end in one lookup: a search of the
+        # hub's 10,000-end rotation per visit took 15 s here
+        leaves = range(1, 10_001)
+        ids = [f"a{i}" for i in leaves]
+        rotation = {"0": [{"arc": a, "end": "tail"} for a in ids]}
+        rotation.update({str(i): [{"arc": a, "end": "head"}] for i, a in zip(leaves, ids)})
+        doc = {
+            "vertices": [0, *leaves],
+            "arcs": [{"id": a, "tail": 0, "head": i} for i, a in zip(leaves, ids)],
+            "rotation": rotation,
+            "lower": dict.fromkeys(ids, 0),
+            "upper": dict.fromkeys(ids, 1),
+        }
+        start = time.perf_counter()
+        code, payload = run_cli(tmp_path, "flows", doc)
+        elapsed = time.perf_counter() - start
+        # a tree has one face, walked along each arc both ways
+        (face,) = payload["decode"]["faces"]
+        assert code == 0 and len(face) == 20_000 and elapsed < 1.5
+
+    def test_product_size_past_the_digit_limit_is_written_whole(self, tmp_path):
+        # 2,200 one-arc components with windows [0, 1] multiply to 2**2200, whose
+        # 663 digits pass a limit of 640, the least the interpreter allows; its
+        # default of 4,300 digits is passed the same way at 14,286 components
+        ids = [f"a{i}" for i in range(2200)]
+        doc = {
+            "vertices": list(range(4400)),
+            "arcs": [{"id": a, "tail": 2 * i, "head": 2 * i + 1} for i, a in enumerate(ids)],
+            "lower": dict.fromkeys(ids, 0),
+            "upper": dict.fromkeys(ids, 1),
+            "reference": dict.fromkeys(ids, 0),
+        }
+        source, sink = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_text(dumps(doc), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["enumerate", "--input", str(source), "--output", str(sink)])
+            assert sys.get_int_max_str_digits() == 640  # lifted only while writing
+        finally:
+            sys.set_int_max_str_digits(limit)
+        payload = json.loads(sink.read_text(encoding="utf-8"))
+        assert code == 0 and payload["product_size"] == 2**2200
+        assert [c["count"] for c in payload["components"]] == [2] * 2200
+
 
 class TestBadInput:
     def test_malformed_json(self, tmp_path, capsys):
@@ -1110,6 +1156,14 @@ class TestBadInput:
         assert main(["reduce", "--input", str(source)]) == 2
         err = capsys.readouterr().err
         assert err == "input error: (document root): invalid JSON: nested too deeply\n"
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        source = tmp_path / "long.json"
+        source.write_text('{"vertices": [' + "9" * 5000 + '], "arcs": []}', encoding="utf-8")
+        assert main(["reduce", "--input", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: (document root): invalid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1 and err.endswith("value has 5000 digits\n")
 
     def test_unwritable_output_and_dot(self, tmp_path, capsys):
         source = tmp_path / "in.json"

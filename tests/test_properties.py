@@ -84,6 +84,7 @@ from util import (
     oracle_fork_witnesses,
     oracle_game,
     oracle_unfire,
+    partial_order_violation,
     reachability_masks,
     representation_report,
     rigid_classes_by_reachability,
@@ -636,14 +637,16 @@ def test_check_uld_exits_cleanly_and_agrees_with_brute_force(doc):
 def closure_lattices(draw):
     """Lattices of the subsets of a 1-5 element ground set that are
     intersections of drawn sets, with the ground set on top, in a drawn
-    element order.  Non-ULD lattices such as M3 occur."""
+    element order.  Non-ULD lattices such as M3 occur.  The poset is closed
+    from every comparable pair, so the closure also runs on relations that
+    are not reduced."""
     full = (1 << draw(st.integers(1, 5))) - 1
     sets = {full, *draw(st.lists(st.integers(0, full), max_size=6))}
     while more := {a & b for a in sets for b in sets} - sets:
         sets |= more
     order = draw(st.permutations(sorted(sets)))
-    above = [sum(1 << j for j, t in enumerate(order) if s & t == s) for s in order]
-    return FinitePoset(tuple(range(len(order))), above)
+    pairs = [(i, j) for i, s in enumerate(order) for j, t in enumerate(order) if i != j and s & t == s]
+    return FinitePoset.from_covers(tuple(range(len(order))), pairs)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -722,7 +725,23 @@ def test_closure_is_the_reachability_oracle(succ):
         with pytest.raises(PosetError, match="directed cycle"):
             FinitePoset.from_covers(range(len(succ)), pairs)
     else:
-        assert FinitePoset.from_covers(range(len(succ)), pairs).above == tuple(above)
+        pred: list[list[int]] = [[] for _ in succ]
+        for i, j in pairs:
+            pred[j].append(i)
+        below, _ = reachability_masks(pred)
+        p = FinitePoset.from_covers(range(len(succ)), pairs)
+        assert p.above == tuple(above) and p.below == tuple(below)
+        assert (p.dual().above, p.dual().below) == (p.below, p.above)
+        assert partial_order_violation(p.above) is None
+        assert partial_order_violation(p.below) is None
+
+
+def test_partial_order_oracle_names_each_failure():
+    assert partial_order_violation([0b10, 0b10]) == ("reflexive", 0, 0)
+    assert partial_order_violation([0b11, 0b11]) == ("antisymmetric", 0, 1)
+    assert partial_order_violation([0b011, 0b110, 0b100]) == ("transitive", 0, 1)
+    assert partial_order_violation([0b101, 0b10]) == ("range", 0, 0)
+    assert partial_order_violation([0b111, 0b110, 0b100]) is None
 
 
 _IDS = st.one_of(

@@ -18,8 +18,9 @@ library's move index, and the cover-verdict
 oracle reads the arcs from the public graph and colors, copies the
 reversed arcs for the lower side and runs every structure check in order
 instead of one Kahn pass read from either end,
-and the DOT oracle writes one line at a time with f-strings instead of
-block templates.
+the partial-order oracle tests each law on element sets instead of
+trusting the masks a closure is built with, and the DOT oracle writes one
+line at a time with f-strings instead of block templates.
 """
 
 from __future__ import annotations
@@ -386,6 +387,27 @@ def reachability_masks(succ: list) -> tuple[list[int], bool]:
     reach = [_reach(succ, i) for i in range(len(succ))]
     cyclic = any(i in reach[j] for i, heads in enumerate(succ) for j in heads)
     return [sum(1 << j for j in seen) for seen in reach], cyclic
+
+
+def partial_order_violation(above: list) -> tuple | None:
+    """The first (kind, i, j) at which the masks `above`, with bit j of
+    above[i] set when i <= j, fail to order 0..n-1: "range" when above[i]
+    names an element past n - 1, "reflexive" when i is not above itself,
+    "antisymmetric" when i <= j <= i for j != i, and "transitive" when i <= j
+    but some element above j is not above i.  None for a partial order."""
+    n = len(above)
+    ups = [{j for j in range(n) if above[i] >> j & 1} for i in range(n)]
+    for i in range(n):
+        if above[i] >> n:
+            return ("range", i, i)
+        if i not in ups[i]:
+            return ("reflexive", i, i)
+        for j in sorted(ups[i]):
+            if j != i and i in ups[j]:
+                return ("antisymmetric", i, j)
+            if not ups[j] <= ups[i]:
+                return ("transitive", i, j)
+    return None
 
 
 # Chip-firing oracle: arrangements are dicts, every move copies one, and
