@@ -25,17 +25,18 @@ rigid exactly when its ends lie on one zero-weight cycle of the constraint
 graph.  The minimum bond is x(a) = reference(a) - d(tail, f) + d(head, f),
 with d the shortest constraint-graph distance and f the forbidden vertex.
 
-Costs, for n vertices and m arcs.  Distances come from a FIFO-queue
-Bellman-Ford pass, linear on trees and O(n m) at worst; a distance resting
-on n edges proves a negative cycle, and the infeasible system then pays one
-arc-order pass, O(n m), for its certificate.  `initial_bond` (the
-`find-bond` command) costs one distance pass.  `reduce` adds one
-strong-component pass over the tight edges, O(n + m), and builds the
-contracted graph in O(m log m); the reduced system's `minimum_bond` costs
-one more pass.  After it, `push_counts` costs O(m) per call: it walks
-`Multigraph.search_plan`, built once per root, which `PotentialFamily.decode`
-walks too.  Push counts are `Counter`s, so `leq`, `meet` and `join` are
-their `<=`, `&` and `|`, at O(m) per call.
+Costs, for n vertices and m arcs.  Building a system reads each window table
+in one bulk pass, O(m), and checks arc by arc only to name a fault.
+Distances come from a FIFO-queue Bellman-Ford pass, linear on trees and
+O(n m) at worst; a distance resting on n edges proves a negative cycle, and
+the infeasible system then pays one arc-order pass, O(n m), for its
+certificate.  `initial_bond` (the `find-bond` command) costs one distance
+pass.  `reduce` adds one strong-component pass over the tight edges,
+O(n + m), and builds the contracted graph in O(m log m); the reduced
+system's `minimum_bond` costs one more pass.  After it, `push_counts` costs
+O(m) per call: it walks `Multigraph.search_plan`, built once per root, which
+`PotentialFamily.decode` walks too.  Push counts are `Counter`s, so `leq`,
+`meet` and `join` are their `<=`, `&` and `|`, at O(m) per call.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, le
 
 from .graph import (
     Arc,
@@ -56,6 +59,7 @@ from .graph import (
 )
 
 _INF = float("inf")
+_id = attrgetter("id")
 
 
 class InfeasibleError(ValueError):
@@ -145,16 +149,12 @@ class BondSystem:
         if not graph.has_vertex(forbidden):
             raise GraphError(f"forbidden vertex {forbidden!r} is not in the graph")
         self.graph = graph
-        self.lower = {a.id: _as_int(lower, a.id, "lower") for a in graph.arcs}
-        self.upper = {a.id: _as_int(upper, a.id, "upper") for a in graph.arcs}
-        self.reference = {a.id: _as_int(reference, a.id, "reference") for a in graph.arcs}
-        for a in graph.arcs:
-            if self.lower[a.id] > self.upper[a.id]:
-                raise GraphError(
-                    f"arc {a.id!r} has empty capacity window [{self.lower[a.id]}, {self.upper[a.id]}]"
-                )
+        self._arc_order = ids = tuple(map(_id, graph.arcs))
+        tables = [list(map(table.get, ids)) for table in (lower, upper, reference)]  # None where missing
+        if not (set(map(type, chain.from_iterable(tables))) <= {int} and all(map(le, tables[0], tables[1]))):
+            tables = _window_tables(graph, lower, upper, reference)
+        self.lower, self.upper, self.reference = (dict(zip(ids, values)) for values in tables)
         self.forbidden = forbidden
-        self._arc_order = tuple(a.id for a in graph.arcs)
         self._dist_cache: dict = {}
         self._index = {v: i for i, v in enumerate(graph.vertices)}
         self._classes: tuple | None = None
@@ -434,12 +434,19 @@ class BondSystem:
         return self.bond_from_counts(self.push_counts(x) | self.push_counts(y))
 
 
-def _as_int(table: Mapping, arc_id, what: str) -> int:
-    try:
-        value = table[arc_id]
-    except KeyError:
-        raise GraphError(f"{what} capacity table misses arc {arc_id!r}") from None
-    return _integer(value, f"{what} value for arc {arc_id!r}")
+def _window_tables(graph: Multigraph, lower: Mapping, upper: Mapping, reference: Mapping) -> list:
+    """The tables' values in arc order, checked arc by arc to name the first fault."""
+    tables: list = []
+    for table, what in ((lower, "lower"), (upper, "upper"), (reference, "reference")):
+        tables.append([])
+        for a in graph.arcs:
+            if a.id not in table:
+                raise GraphError(f"{what} capacity table misses arc {a.id!r}")
+            tables[-1].append(_integer(table[a.id], f"{what} value for arc {a.id!r}"))
+    for a, lo, hi in zip(graph.arcs, tables[0], tables[1]):
+        if lo > hi:
+            raise GraphError(f"arc {a.id!r} has empty capacity window [{lo}, {hi}]")
+    return tables
 
 
 def _integer(value, name: str) -> int:

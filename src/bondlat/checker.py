@@ -37,6 +37,7 @@ from .graph import Arc, GraphError, Multigraph, Record, id_key
 
 ULD = "uld"
 LLD = "lld"
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class PosetError(ValueError):
@@ -74,7 +75,7 @@ class ColoredDigraph:
             if a.id not in colors:
                 raise GraphError(f"arc {a.id!r} has no color")
         index = {v: i for i, v in enumerate(graph.vertices)}
-        arcs = sorted(graph.arcs, key=lambda a: id_key(a.id))
+        arcs = graph.arcs_by_id
         triples = tuple((index[a.tail], index[a.head], colors[a.id]) for a in arcs)
         self._index(graph.vertices, triples, tuple(a.id for a in arcs))
         self.graph, self.colors = graph, colors
@@ -90,11 +91,14 @@ class ColoredDigraph:
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
-        """Digraph on 0..n-1 whose arc k is the k-th (tail, head, color) triple."""
+        """Digraph on 0..n-1 whose arc k is the k-th (tail, head, color) triple;
+        the ends are range-checked in bulk, and arc by arc only to name a fault."""
         arcs = tuple(triples)
-        for k, (tail, head, _) in enumerate(arcs):
-            if not (0 <= tail < n and 0 <= head < n):
-                raise GraphError(f"arc {k!r} references unknown vertex {tail!r} or {head!r}")
+        ends = [*map(_first, arcs), *map(_second, arcs)]
+        if ends and (min(ends) < 0 or max(ends) >= n):
+            for k, (tail, head, _) in enumerate(arcs):
+                if not (0 <= tail < n and 0 <= head < n):
+                    raise GraphError(f"arc {k!r} references unknown vertex {tail!r} or {head!r}")
         cd = cls.__new__(cls)
         cd._index(range(n), arcs, range(len(arcs)))
         return cd
@@ -152,7 +156,9 @@ class ColoredDigraph:
         for i in order:
             for arc in self.into[i]:
                 below[i] |= below[arc[0]]
-        return FinitePoset(self.labels, above, below)
+        heads = [list(map(_second, arcs)) for arcs in self.out]
+        tails = [list(map(_first, arcs)) for arcs in self.into]
+        return FinitePoset(self.labels, above, below, heads, tails)
 
     def tallies(self, far: int = 1) -> tuple[tuple, list[tuple]]:
         """The colors in first-seen arc order, and each vertex's count tuple
@@ -372,10 +378,13 @@ class FinitePoset:
     `above[i]` has bit j set when element i <= element j, and `below[i]`
     bit j when j <= i.  Both are built from one Kahn order by
     `ColoredDigraph.closure`, which `from_covers` returns for cover pairs.
+    `heads[i]` / `tails[i]` are the far ends of the generating arcs leaving
+    / entering i; nothing lies between i and a cover, so its covers are heads.
     """
 
-    def __init__(self, labels: Sequence, above: Sequence[int], below: Sequence[int]):
+    def __init__(self, labels: Sequence, above: Sequence[int], below: Sequence[int], heads: list, tails: list):
         self.labels, self.above, self.below = tuple(labels), tuple(above), tuple(below)
+        self.heads, self.tails = heads, tails
 
     @classmethod
     def from_covers(cls, labels: Sequence, cover_pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -398,14 +407,14 @@ class FinitePoset:
         return bool((self.above[i] >> j) & 1)
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.labels, self.below, self.above)
+        return FinitePoset(self.labels, self.below, self.above, self.tails, self.heads)
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as sorted (lower, upper) index pairs."""
         return [(i, j) for i in range(self.n) for j in self.upper_covers(i)]
 
     def upper_covers(self, i: int) -> list[int]:
-        return self._minimal_of(self.above[i] & ~(1 << i))
+        return self._minimal_of(reduce(or_, (1 << j for j in self.heads[i]), 0))
 
     def _maximal_of(self, mask: int) -> list[int]:
         return [j for j in _bits(mask) if self.above[j] & mask == 1 << j]
@@ -463,13 +472,14 @@ def brute_uld(p: FinitePoset) -> BruteReport:
         return BruteReport(False, "empty", (), False, None, None, None)
     # Two elements have a meet exactly when their common down-set is one
     # element's down-set, and a join when their common up-set is one
-    # element's up-set: one set lookup each, in the order `meet`/`join` ask.
-    downs, ups = set(p.below), set(p.above)
-    for i, j in combinations(range(p.n), 2):
-        if (p.below[i] & p.below[j]) not in downs:
-            return BruteReport(False, (i, j, "meet"), (), False, None, None, None)
-        if (p.above[i] & p.above[j]) not in ups:
-            return BruteReport(False, (i, j, "join"), (), False, None, None, None)
+    # element's: one set lookup each, tried only for incomparable j > i.
+    downs, ups, full = set(p.below), set(p.above), (1 << p.n) - 1
+    for i in range(p.n):
+        for j in _bits(full & -(2 << i) & ~(p.above[i] | p.below[i])):
+            if (p.below[i] & p.below[j]) not in downs:
+                return BruteReport(False, (i, j, "meet"), (), False, None, None, None)
+            if (p.above[i] & p.above[j]) not in ups:
+                return BruteReport(False, (i, j, "join"), (), False, None, None, None)
     irreducibles = tuple(p.meet_irreducible_indices())
     mask = sum(1 << m for m in irreducibles)
     certificate = None

@@ -30,6 +30,7 @@ FORWARD = 1
 BACKWARD = -1
 
 _set = object.__setattr__  # stores a Record's fields
+_id, _tail, _head = attrgetter("id"), attrgetter("tail"), attrgetter("head")
 
 
 class GraphError(ValueError):
@@ -49,6 +50,15 @@ def id_key(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)
     return (1, str(value))
+
+
+def sorted_by_id(items: Iterable, id_of=None) -> list:
+    """`items` in ascending `id_key` order of their ids, `id_of(item)` or the
+    items; ids all ints, or all strings, sort by themselves, with no key calls."""
+    items = list(items)
+    if set(map(type, items if id_of is None else map(id_of, items))) in ({int}, {str}):
+        return sorted(items, key=id_of)
+    return sorted(items, key=id_key if id_of is None else lambda item: id_key(id_of(item)))
 
 
 class Record:
@@ -101,10 +111,9 @@ class Arc(Record):
     tail: Hashable
     head: Hashable
 
-    def __init__(self, id, tail, head):  # built once per arc per graph
-        _set(self, "id", id)
-        _set(self, "tail", tail)
-        _set(self, "head", head)
+    def __init__(self, id, tail, head):  # built once per arc per graph: stores the fields directly
+        fields = self.__dict__
+        fields["id"], fields["tail"], fields["head"] = id, tail, head
 
     def is_loop(self) -> bool:
         return self.tail == self.head
@@ -115,31 +124,31 @@ class Multigraph:
 
     Parallel arcs and loops are permitted.  Instances are treated as
     immutable: nothing mutates `vertices` or `arcs` after construction.
+    The arcs are sorted by id once, into `arcs_by_id`, and every per-vertex
+    list is read off that sort in one pass, so no list is sorted by itself.
     """
 
     def __init__(self, vertices: Iterable, arcs: Iterable):
-        self.vertices: tuple = tuple(sorted(set(vertices), key=id_key))
-        vset = set(self.vertices)
-        normalized = []
-        for a in arcs:
-            arc = a if isinstance(a, Arc) else Arc(*a)
-            if arc.tail not in vset or arc.head not in vset:
-                raise GraphError(f"arc {arc.id!r} references unknown vertex {arc.tail!r} or {arc.head!r}")
-            normalized.append(arc)
-        self.arcs: tuple[Arc, ...] = tuple(normalized)
-        self._by_id: dict = {}
-        for arc in self.arcs:
-            if arc.id in self._by_id:
-                raise GraphError(f"duplicate arc id {arc.id!r}")
-            self._by_id[arc.id] = arc
-        self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
-        for arc in self.arcs:
+        self.vertices: tuple = tuple(sorted_by_id(set(vertices)))
+        self.arcs: tuple[Arc, ...] = tuple(arcs)
+        if not set(map(type, self.arcs)) <= {Arc}:
+            self.arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
+        self._by_id: dict = {arc.id: arc for arc in self.arcs}
+        self._out: dict = {v: [] for v in self.vertices}
+        ends = {*map(_tail, self.arcs), *map(_head, self.arcs)}
+        if len(self._by_id) != len(self.arcs) or not self._out.keys() >= ends:
+            # name the first arc with an unknown end, else the first repeated id
+            for arc in self.arcs:
+                if arc.tail not in self._out or arc.head not in self._out:
+                    raise GraphError(f"arc {arc.id!r} references unknown vertex {arc.tail!r} or {arc.head!r}")
+            seen: set = set()
+            for arc in self.arcs:
+                if arc.id in seen:
+                    raise GraphError(f"duplicate arc id {arc.id!r}")
+                seen.add(arc.id)
+        self.arcs_by_id: tuple[Arc, ...] = tuple(sorted_by_id(self.arcs, _id))
+        for arc in self.arcs_by_id:
             self._out[arc.tail].append(arc)
-            self._in[arc.head].append(arc)
-        for v in self.vertices:
-            self._out[v].sort(key=lambda a: id_key(a.id))
-        self._incident: dict = {}
         self._plans: dict = {}
 
     def __eq__(self, other):
@@ -164,14 +173,19 @@ class Multigraph:
     def out_arcs(self, v) -> list[Arc]:
         return list(self._out[v])
 
-    def incident_arcs(self, v) -> tuple[Arc, ...]:
-        """All arcs touching v, loops listed once, ascending by id; sorted on
-        the first call for v and returned again after."""
-        arcs = self._incident.get(v)
-        if arcs is None:
-            seen = {arc.id: arc for arc in self._out[v] + self._in[v]}
-            arcs = self._incident[v] = tuple(sorted(seen.values(), key=lambda a: id_key(a.id)))
-        return arcs
+    def incident_arcs(self, v) -> list[Arc]:
+        """All arcs touching v, loops listed once, ascending by id (a shared list)."""
+        return self._incident[v]
+
+    @cached_property
+    def _incident(self) -> dict:
+        """Every vertex's `incident_arcs`, from one pass over `arcs_by_id`."""
+        incident: dict = {v: [] for v in self.vertices}
+        for arc in self.arcs_by_id:
+            incident[arc.tail].append(arc)
+            if arc.head != arc.tail:
+                incident[arc.head].append(arc)
+        return incident
 
     def search_plan(self, root) -> tuple:
         """A depth-first search from `root` over `incident_arcs`, as (arc id,
@@ -199,31 +213,26 @@ class Multigraph:
             plan = self._plans[root] = tuple(steps)
         return plan
 
-    @cached_property
-    def arcs_by_id(self) -> tuple[Arc, ...]:
-        """The arcs in ascending id order."""
-        return tuple(sorted(self.arcs, key=lambda a: id_key(a.id)))
-
     def out_degree(self, v) -> int:
         return len(self._out[v])
 
     def connected_components(self) -> list[frozenset]:
         """Vertex sets of the underlying undirected components, each sorted
         internally; components ordered by their smallest vertex."""
+        incident = self._incident
         unvisited = set(self.vertices)
         components = []
         for start in self.vertices:
             if start not in unvisited:
                 continue
             seen = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for arc in self.incident_arcs(v):
-                    for w in (arc.tail, arc.head):
-                        if w not in seen:
-                            seen.add(w)
-                            queue.append(w)
+            reached = [start]
+            for v in reached:  # the list is the queue: newly seen vertices join its tail
+                for arc in incident[v]:
+                    w = arc.tail if arc.head == v else arc.head
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
             unvisited -= seen
             components.append(frozenset(seen))
         return components
@@ -251,13 +260,13 @@ class CycleVector(Record):
         return self.signs.get(arc_id, 0)
 
     def support(self) -> list:
-        return sorted(self.signs, key=id_key)
+        return sorted_by_id(self.signs)
 
     def forward_arcs(self) -> list:
-        return sorted((a for a, s in self.signs.items() if s == 1), key=id_key)
+        return sorted_by_id(a for a, s in self.signs.items() if s == 1)
 
     def backward_arcs(self) -> list:
-        return sorted((a for a, s in self.signs.items() if s == -1), key=id_key)
+        return sorted_by_id(a for a, s in self.signs.items() if s == -1)
 
     def reversed(self) -> "CycleVector":
         return CycleVector({a: -s for a, s in self.signs.items()})

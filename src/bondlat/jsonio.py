@@ -14,17 +14,20 @@ rejected.  Unknown top-level keys are ignored so that command outputs can
 feed the next command unchanged.
 
 Schema violations raise InputFormatError carrying a dotted path into the
-document (e.g. "arcs[3].head").  Serialization emits keys in a fixed
-order, so equal objects always produce identical bytes.  `iterdumps`
-streams the text, a block of table rows at a time; `dumps` joins it.
+document (e.g. "arcs[3].head").  The graph and each id-keyed table are
+checked in one bulk pass, O(size), of types and str(id) key sets; the
+ordered checks that build error text run only when it fails.
+Serialization emits keys in a fixed order, so equal objects always produce
+identical bytes.  `iterdumps` streams the text, a block of table rows at a
+time; `dumps` joins it.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, groupby, repeat, starmap
+from operator import add, attrgetter, itemgetter
 
 from .bonds import Bond, BondSystem, ContractionMap, InfeasibleSystemError, ValidityReport
 from .checker import ColoredDigraph, CoverVerdict, FinitePoset, PosetError
@@ -40,6 +43,7 @@ from .graph import (
     Record,
     TAIL,
     id_key,
+    sorted_by_id,
     spanning_tree,
 )
 from .lattice import CoverDigraph
@@ -71,43 +75,49 @@ def dumps(obj) -> str:
     return "".join(iterdumps(obj))
 
 
-class _HoldsTable(Exception):
-    """Raised out of `json.dumps` at the first `RowTable` it meets."""
+def iterdumps(obj) -> Iterator[str]:
+    """`dumps(obj)` in pieces: a table's one per block of `BLOCK_ROWS` rows, and
+    one for the text between tables, so a document without a table is one
+    piece.  They join to `json.dumps(obj, indent=2, ensure_ascii=True)` + "\n"."""
+    parts: list = []
+    _write(obj, "\n", parts)
+    parts.append("\n")
+    for text, run in groupby(parts, lambda part: part.__class__ is str):
+        yield from ["".join(run)] if text else chain.from_iterable(run)
 
 
-# Shorter tables go into the one `json.dumps` as plain rows: a splice costs a dumps per outer value.
-_TEMPLATE_MIN_ROWS = 8
+_escape = json.encoder.encode_basestring_ascii  # json's own escaper: quotes, and \uXXXX past ASCII
 
 
-def _refuse(obj):
-    if isinstance(obj, RowTable):
-        if len(obj.rows) < _TEMPLATE_MIN_ROWS:
-            return list(obj)
-        raise _HoldsTable
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def iterdumps(obj, newline: str = "\n", tail: str = "\n") -> Iterator[str]:
-    """`dumps(obj)` in pieces: one per block of `BLOCK_ROWS` rows of each
-    table, one per other value, so a document without a table is one piece.
-    They join to `json.dumps(obj, indent=2, ensure_ascii=True)` of the plain
-    rows, with `newline` (a line break and obj's indent) between lines and
-    `tail` after the last.  The re-indent is a plain replace: `ensure_ascii`
-    escapes every newline in a string."""
-    if isinstance(obj, RowTable):
-        yield from obj.json_pieces(newline, tail)
-        return
-    try:
-        text = json.dumps(obj, indent=2, ensure_ascii=True, default=_refuse)
-    except _HoldsTable:
+def _write(obj, newline: str, parts: list):
+    """Append the text of `obj` at the indent `newline` gives, and each table's
+    pieces, unmade, to `parts`.  Keys are strings; ints and strings alone are one join."""
+    kind = obj.__class__
+    if kind is str:
+        parts.append(_escape(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is RowTable:
+        parts.append(obj.json_pieces(newline))
+    elif not isinstance(obj, (dict, list, tuple)):
+        parts.append(json.dumps(obj))  # null, true, false, a float, or json's TypeError
+    elif not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    else:
         inner, keyed = newline + "  ", isinstance(obj, dict)
-        items = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()] if keyed else [("", v) for v in obj]
-        for k, (key, v) in enumerate(items):
-            yield ("," if k else "{" if keyed else "[") + inner + key
-            yield from iterdumps(v, inner, "")
-        yield newline + ("}" if keyed else "]") + tail
-        return
-    yield (text if newline == "\n" else text.replace("\n", newline)) + tail
+        opening, closing = ("{", newline + "}") if keyed else ("[", newline + "]")
+        heads = map("%s: ".__mod__, map(_escape, obj)) if keyed else repeat("")
+        values = obj.values() if keyed else obj
+        if set(map(type, values)) <= _ID_TYPES:
+            texts = [_escape(v) if v.__class__ is str else int.__repr__(v) for v in values]
+            parts.append(opening + inner + ("," + inner).join(map(add, heads, texts)) + closing)
+            return
+        sep = opening + inner
+        for head, value in zip(heads, values):
+            parts.append(sep + head)
+            sep = "," + inner
+            _write(value, inner, parts)
+        parts.append(closing)
 
 
 class RowTable(Sequence):
@@ -130,9 +140,9 @@ class RowTable(Sequence):
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, RowTable)) else NotImplemented
 
-    def json_pieces(self, newline: str, tail: str) -> Iterator[str]:
+    def json_pieces(self, newline: str) -> Iterator[str]:
         if not self.rows:
-            yield "[]" + tail
+            yield "[]"
             return
         inner, deeper = newline + "  ", newline + "    "
         if self.keys is None:
@@ -145,7 +155,7 @@ class RowTable(Sequence):
             blocks = (row * len(block) % tuple(chain.from_iterable(block)) for block in in_blocks(self.rows))
         yield "[" + next(blocks)[1:]  # the first row has no "," before it
         yield from blocks
-        yield newline + "]" + tail
+        yield newline + "]"
 
 
 BLOCK_ROWS = 4096  # rows per `%`, and per piece of written text
@@ -195,6 +205,10 @@ def _integer(value, path: str) -> int:
     return value
 
 
+_ID_TYPES = frozenset((int, str))  # the exact types a bulk check lets through: no bool, no float
+_VALUE_TYPES = {_identifier: _ID_TYPES, _integer: frozenset((int,))}
+
+
 def _str_key_index(ids, what: str, path: str) -> dict:
     index: dict = {}
     for i in ids:
@@ -207,23 +221,30 @@ def _str_key_index(ids, what: str, path: str) -> dict:
     return index
 
 
+_ARC_FIELDS = itemgetter("id", "tail", "head")
+_first, _id = itemgetter(0), attrgetter("id")
+
+
 def parse_graph(doc) -> Multigraph:
     doc = _expect_object(doc, "")
-    raw_vertices = _expect_list(_get(doc, "vertices", ""), "vertices")
-    if not raw_vertices:
+    vertices = _expect_list(_get(doc, "vertices", ""), "vertices")
+    if not vertices:
         raise InputFormatError("vertices", "at least one vertex is required")
-    vertices = [_identifier(v, f"vertices[{i}]") for i, v in enumerate(raw_vertices)]
-    arcs = []
-    for i, entry in enumerate(_expect_list(_get(doc, "arcs", ""), "arcs")):
-        where = f"arcs[{i}]"
-        entry = _expect_object(entry, where)
-        arcs.append(
-            Arc(
-                _identifier(_get(entry, "id", where), f"{where}.id"),
-                _identifier(_get(entry, "tail", where), f"{where}.tail"),
-                _identifier(_get(entry, "head", where), f"{where}.head"),
-            )
-        )
+    if not set(map(type, vertices)) <= _ID_TYPES:  # one pass; the ordered checks name the first fault
+        vertices = [_identifier(v, f"vertices[{i}]") for i, v in enumerate(vertices)]
+    entries = _expect_list(_get(doc, "arcs", ""), "arcs")
+    try:
+        fields = list(map(_ARC_FIELDS, entries)) if set(map(type, entries)) <= {dict} else None
+    except KeyError:
+        fields = None
+    if fields is not None and set(map(type, chain.from_iterable(fields))) <= _ID_TYPES:
+        arcs = list(starmap(Arc, fields))
+    else:  # the ordered checks name the first fault
+        arcs = []
+        for i, entry in enumerate(entries):
+            where = f"arcs[{i}]"
+            entry = _expect_object(entry, where)
+            arcs.append(Arc(*(_identifier(_get(entry, f, where), f"{where}.{f}") for f in ("id", "tail", "head"))))
     try:
         return Multigraph(vertices, arcs)
     except GraphError as exc:
@@ -235,6 +256,12 @@ def _int_map(doc, key: str, ids, what: str, partial=False, value=_integer, stray
     Every id of `ids` needs an entry unless `partial`; a key that is no id
     raises `stray` (default "no `what` has this id")."""
     table = _expect_object(_get(_expect_object(doc, ""), key, ""), key)
+    ids = list(ids)
+    index = dict(zip(map(str, ids), ids))
+    keys = table.keys()
+    fits = keys <= index.keys() if partial else keys == index.keys()
+    if fits and len(index) == len(ids) and set(map(type, table.values())) <= _VALUE_TYPES[value]:
+        return dict(zip(map(index.__getitem__, keys), table.values()))
     index = _str_key_index(ids, what, key)
     out = {}
     for k, entry in table.items():
@@ -301,7 +328,7 @@ def _read_systems(doc, forbidden_override, split: bool) -> list:
         )
     forbidden = parse_id(doc, "forbidden", forbidden_override)
     if forbidden is None and not split:
-        forbidden = min(g.vertices, key=id_key)
+        forbidden = g.vertices[0]
     if forbidden is not None and not g.has_vertex(forbidden):
         raise InputFormatError("forbidden", f"no vertex has id {forbidden!r}")
     parts = [(g, forbidden)]
@@ -338,7 +365,7 @@ def parse_bond(doc, key: str, g: Multigraph) -> Bond:
 
 def parse_arc_map(doc, key: str, g: Multigraph) -> dict:
     """Arc-keyed integer map covering every arc of the graph."""
-    return _int_map(doc, key, (a.id for a in g.arcs), "arc")
+    return _int_map(doc, key, map(_id, g.arcs), "arc")
 
 
 def parse_arc_subset_map(doc, key: str, arc_ids) -> dict:
@@ -384,7 +411,7 @@ def parse_embedding(doc) -> PlanarEmbedding:
 
 def parse_colored_digraph(doc) -> ColoredDigraph:
     g = parse_graph(doc)
-    colors = _int_map(doc, "colors", (a.id for a in g.arcs), "arc", partial=True, value=_identifier)
+    colors = _int_map(doc, "colors", map(_id, g.arcs), "arc", partial=True, value=_identifier)
     try:
         return ColoredDigraph(g, colors)
     except (GraphError, PosetError) as exc:
@@ -453,13 +480,13 @@ def system_json(system: BondSystem) -> dict:
 
 def contraction_json(cmap: ContractionMap) -> dict:
     return {
-        "forced": {str(a): value for a, value in sorted(cmap.forced.items(), key=lambda kv: id_key(kv[0]))},
-        "vertex_map": {str(v): w for v, w in sorted(cmap.vertex_map.items(), key=lambda kv: id_key(kv[0]))},
+        "forced": {str(a): value for a, value in sorted_by_id(cmap.forced.items(), _first)},
+        "vertex_map": {str(v): w for v, w in sorted_by_id(cmap.vertex_map.items(), _first)},
     }
 
 
 def cycle_json(cycle: CycleVector) -> dict:
-    return {str(a): sign for a, sign in sorted(cycle.items(), key=lambda kv: id_key(kv[0]))}
+    return {str(a): sign for a, sign in cycle.items()}
 
 
 def infeasible_json(exc: InfeasibleSystemError) -> dict:
@@ -491,7 +518,7 @@ def cover_digraph_json(cd: CoverDigraph, forced: Mapping | None = None) -> dict:
 
     Covers are [lower index, upper index, pushed vertex] triples.
     """
-    order = sorted(dict.fromkeys((*cd.arc_order, *(forced or {}))), key=id_key)
+    order = sorted_by_id(dict.fromkeys((*cd.arc_order, *(forced or {}))))
     return {
         "elements": RowTable(cd.value_rows(order, forced), [str(a) for a in order]),
         "covers": RowTable(cd.covers),
@@ -504,7 +531,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(x) for x in value]
     if isinstance(value, (set, frozenset)):
-        return [_jsonable(x) for x in sorted(value, key=id_key)]
+        return [_jsonable(x) for x in sorted_by_id(value)]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return repr(value)

@@ -1083,12 +1083,12 @@ class TestScale:
         assert code == 0 and len(face) == 20_000 and elapsed < 1.5
 
     def test_product_size_past_the_digit_limit_is_written_whole(self, tmp_path):
-        # 2,200 one-arc components with windows [0, 1] multiply to 2**2200, whose
-        # 663 digits pass a limit of 640, the least the interpreter allows; its
+        # 4,000 one-arc components with windows [0, 1] multiply to 2**4000, whose
+        # 1,205 digits pass a limit of 640, the least the interpreter allows; its
         # default of 4,300 digits is passed the same way at 14,286 components
-        ids = [f"a{i}" for i in range(2200)]
+        ids = [f"a{i}" for i in range(4000)]
         doc = {
-            "vertices": list(range(4400)),
+            "vertices": list(range(8000)),
             "arcs": [{"id": a, "tail": 2 * i, "head": 2 * i + 1} for i, a in enumerate(ids)],
             "lower": dict.fromkeys(ids, 0),
             "upper": dict.fromkeys(ids, 1),
@@ -1104,8 +1104,12 @@ class TestScale:
         finally:
             sys.set_int_max_str_digits(limit)
         payload = json.loads(sink.read_text(encoding="utf-8"))
-        assert code == 0 and payload["product_size"] == 2**2200
-        assert [c["count"] for c in payload["components"]] == [2] * 2200
+        assert code == 0 and payload["product_size"] == 2**4000
+        assert [c["count"] for c in payload["components"]] == [2] * 4000
+        # every table here is small, so the writer writes nearly all of the document
+        # itself: the digest is of the text json.dumps(indent=2, ensure_ascii=True) gives
+        digest = hashlib.sha256(sink.read_bytes()).hexdigest()
+        assert digest == "d04925494efd6b722efe7b18ec71ac0c3e3de1637f4bcc39f95ac14d86a90fda"
 
 
 class TestBadInput:

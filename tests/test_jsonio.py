@@ -1,8 +1,13 @@
 """JSON input parsing (with positioned errors) and canonical serialization."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bondlat import Bond, ChipArrangement, faces
 from bondlat.jsonio import (
@@ -33,7 +38,9 @@ from bondlat.jsonio import (
 from bondlat.bonds import InfeasibleSystemError
 from bondlat.graph import CycleVector
 
-from util import first_difference, tri_system
+from bondlat.cli import main
+
+from util import first_difference, path_document, tri_system
 
 
 def tri_doc(**extra):
@@ -509,3 +516,88 @@ def test_triple_tables_write_what_json_dumps_writes_at_every_block_edge(n, color
             assert dumps(shape(table)) == "".join(pieces)
             # no piece holds more than one block of rows, plus the wrapper's 11 lines
             assert max(piece.count("\n") for piece in pieces) <= BLOCK_ROWS * row_lines + 11
+
+
+# ---------------------------------------------------------------------------
+# one fault planted in a valid document: the one-pass checks must hand it to
+# the ordered checks, which name it as they name it on their own
+
+_NO_IDS = (True, False, 1.5, 2.0, -0.0)
+_FAULTS = (
+    "id", "value", "missing head", "not an object", "unknown end",
+    "duplicate id", "stray entry", "missing entry", "key collision", "empty window",
+)
+
+
+@st.composite
+def planted_faults(draw, fault):
+    """(document, path, message): a `util.path_document` with `fault`
+    planted at a drawn spot, and the error the fault itself calls for."""
+    n = draw(st.integers(3, 9))
+    doc = path_document(n, draw(st.booleans()))
+    arcs = doc["arcs"]
+    k = draw(st.integers(0, len(arcs) - 1))
+    other = draw(st.integers(0, len(arcs) - 2))
+    other += other >= k  # another arc than k
+    arc, where = arcs[k], f"arcs[{k}]"
+    table = draw(st.sampled_from(["lower", "upper", "reference"]))
+    if fault == "id":
+        bad = draw(st.sampled_from(_NO_IDS))
+        spot = draw(st.sampled_from(["vertex", "id", "tail", "head"]))
+        if spot == "vertex":
+            i = draw(st.integers(0, n - 1))
+            doc["vertices"][i] = bad
+            return doc, f"vertices[{i}]", f"ids must be integers or strings, got {bad!r}"
+        arc[spot] = bad
+        return doc, f"{where}.{spot}", f"ids must be integers or strings, got {bad!r}"
+    if fault == "value":
+        bad = draw(st.sampled_from(_NO_IDS))
+        doc[table][arc["id"]] = bad
+        return doc, f"{table}.{arc['id']}", f"expected an integer, got {bad!r}"
+    if fault == "missing head":
+        del arc["head"]
+        return doc, where, "missing required key 'head'"
+    if fault == "not an object":
+        arcs[k] = draw(st.sampled_from([[arc["id"], arc["tail"], arc["head"]], arc["id"], 7, None]))
+        return doc, where, f"expected a JSON object, got {type(arcs[k]).__name__}"
+    if fault == "unknown end":
+        arc[draw(st.sampled_from(["tail", "head"]))] = draw(st.sampled_from([n, -1, "v"]))
+        return doc, "(document root)", (
+            f"arc {arc['id']!r} references unknown vertex {arc['tail']!r} or {arc['head']!r}"
+        )
+    if fault == "duplicate id":
+        arc["id"] = arcs[other]["id"]
+        return doc, "(document root)", f"duplicate arc id {arc['id']!r}"
+    if fault == "stray entry":
+        stray = draw(st.sampled_from(["zz", "0", "a99"]))
+        doc[table][stray] = 0
+        return doc, f"{table}.{stray}", "no arc has this id"
+    if fault == "missing entry":
+        del doc[table][arc["id"]]
+        return doc, table, f"missing entry for arc {arc['id']!r}"
+    if fault == "key collision":
+        arc["id"], arcs[other]["id"] = 5, "5"
+        first, second = (5, "5") if k < other else ("5", 5)
+        return doc, "lower", f"arc ids {first!r} and {second!r} collide as JSON key '5'"
+    lower = doc["upper"][arc["id"]] + draw(st.integers(1, 3))
+    doc["lower"][arc["id"]] = lower
+    return doc, "(document root)", (
+        f"arc {arc['id']!r} has empty capacity window [{lower}, {doc['upper'][arc['id']]}]"
+    )
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_planted_fault_is_named_where_it_was_planted(fault, data):
+    doc, path, message = data.draw(planted_faults(fault))
+    with pytest.raises(InputFormatError) as exc:
+        parse_system(doc)
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["find-bond", "--input", str(source), "--output", str(sink)])
+    assert (code, stderr.getvalue()) == (2, f"input error: {path}: {message}\n")

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from collections import Counter
 from collections.abc import Sequence
@@ -56,7 +57,9 @@ from bondlat.checker import (
 )
 from bondlat.cli import main
 from bondlat.jsonio import (
+    BLOCK_ROWS,
     InputFormatError,
+    RowTable,
     complete_game_json,
     cover_digraph_json,
     dumps,
@@ -75,6 +78,7 @@ from util import (
     arc_order_distances,
     closure_poset,
     cut_vector,
+    lattice_witness,
     oracle_can_fire,
     oracle_can_unfire,
     oracle_complete_game,
@@ -90,6 +94,7 @@ from util import (
     rigid_classes_by_reachability,
     tension_bonds,
     tension_potential,
+    transitive_reduction,
     uld_certificate,
 )
 
@@ -433,7 +438,7 @@ def system_docs(draw):
     their windows, so many systems are infeasible.  "x" and "y" are the
     reference or a drawn labeling.
     """
-    n = draw(st.integers(1, 12))  # both sides of jsonio's 8-row template switch
+    n = draw(st.integers(1, 12))
     rooted = draw(st.integers(0, 3)) != 2
     pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if rooted else []
     for _ in range(draw(st.integers(0, 5))):
@@ -671,6 +676,15 @@ def acyclic_posets(draw):
     return FinitePoset.from_covers(tuple(f"e{i}" for i in range(n)), covers)
 
 
+@settings(max_examples=100, deadline=None)
+@given(acyclic_posets())
+def test_lattice_witness_is_the_first_pair_without_a_meet_or_join(p):
+    expected = lattice_witness(p.above)
+    event("lattice" if expected is None else expected[2])
+    report = brute_uld(p)
+    assert (report.is_lattice, report.lattice_witness if expected else None) == (expected is None, expected)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(acyclic_posets(), closure_lattices()))
 def test_representation_report_agrees_with_the_subset_search(p):
@@ -734,6 +748,9 @@ def test_closure_is_the_reachability_oracle(succ):
         assert (p.dual().above, p.dual().below) == (p.below, p.above)
         assert partial_order_violation(p.above) is None
         assert partial_order_violation(p.below) is None
+        # the covers are read off the generating arcs, shortcuts and parallel copies among them
+        assert p.covers() == transitive_reduction(above)
+        assert p.dual().covers() == transitive_reduction(below)
 
 
 def test_partial_order_oracle_names_each_failure():
@@ -999,10 +1016,8 @@ def test_fire_and_unfire_match_the_dict_oracle(doc, data):
 # Ids for the writer properties: ints, and short strings mixing ASCII,
 # non-ASCII, JSON escapes ('"', '\\', control characters) and '%', which
 # the row templates must escape.
-_WRITER_IDS = st.one_of(
-    st.integers(-30, 30),
-    st.text(alphabet='a%d"\\\n\t\x00\x1f\u00e9\u03bb\u20ac\U0001f600 ', max_size=4),
-)
+_WRITER_TEXT = st.text(alphabet='a%d"\\\n\t\x00\x1f\u00e9\u03bb\u20ac\U0001f600 ', max_size=4)
+_WRITER_IDS = st.one_of(st.integers(-30, 30), _WRITER_TEXT)
 
 
 def _plain(value):
@@ -1031,7 +1046,7 @@ def enumerate_payloads(draw):
     split = draw(st.integers(0, len(ids)))
     arc_order, forced_ids = ids[:split], ids[split:]
     forced = {a: draw(st.integers(-3, 3)) for a in forced_ids}
-    n = draw(st.integers(1, 12))  # both sides of jsonio's 8-row template switch
+    n = draw(st.integers(1, 12))
     vectors = [tuple(draw(st.integers(-20, 20)) for _ in arc_order) for _ in range(n)]
     covers = []
     if n > 1:
@@ -1075,3 +1090,46 @@ def test_writer_matches_json_dumps_on_games(doc, names):
         payload["certificate"] = game_certificate_json(certify_game(game), game)
     _assert_written_as_json_dumps(payload)
     _assert_written_as_json_dumps(complete_game_json(build_complete_game(g, start, cap=6)))
+
+
+# 0-9 rows, or, for three draws in a hundred, one row either side of a `BLOCK_ROWS` edge or on it
+_TABLE_SIZES = st.integers(0, 99).map(lambda k: k % 10 if k < 97 else BLOCK_ROWS + k - 98)
+
+
+@st.composite
+def row_tables(draw):
+    """A `RowTable` of either kind: triples with int or string colours, or
+    rows keyed by drawn keys."""
+    n, step = draw(_TABLE_SIZES), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        colors = draw(st.lists(_WRITER_IDS, min_size=1, max_size=4))
+        return RowTable(tuple((k, k + step, colors[k % len(colors)]) for k in range(n)))
+    keys = draw(st.lists(_WRITER_TEXT, max_size=4, unique=True))
+    return RowTable(tuple(tuple((k * step + j) % 13 - 6 for j in range(len(keys))) for k in range(n)), keys)
+
+
+_PAST_THE_DIGIT_LIMIT = st.integers(4300, 4400).flatmap(lambda d: st.sampled_from([10**d + 7, -(10**d) - 3]))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _PAST_THE_DIGIT_LIMIT, _WRITER_TEXT, row_tables()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_WRITER_TEXT, inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_JSON_VALUES)
+def test_writer_matches_json_dumps_on_any_json_value(value):
+    # scalars, empty containers, tuples and integers past the digit limit, with tables at any depth
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)
+    try:
+        _assert_written_as_json_dumps(value)
+    finally:
+        if set_limit:
+            set_limit(limit)

@@ -389,6 +389,31 @@ def reachability_masks(succ: list) -> tuple[list[int], bool]:
     return [sum(1 << j for j in seen) for seen in reach], cyclic
 
 
+def transitive_reduction(above: list) -> list[tuple[int, int]]:
+    """The covers of the order whose masks are `above` (bit j of above[i]
+    set when i <= j): the pairs i < j with nothing strictly between, in
+    ascending order."""
+    n = len(above)
+    ups = [{j for j in range(n) if j != i and above[i] >> j & 1} for i in range(n)]
+    return [(i, j) for i in range(n) for j in sorted(ups[i]) if not any(j in ups[k] for k in ups[i])]
+
+
+def lattice_witness(above: list) -> tuple | None:
+    """The first pair i < j, in lexicographic order, that has no meet or
+    (asked second) no join in the order whose masks are `above`, as
+    (i, j, "meet" or "join"); None for a lattice.  A meet is a common lower
+    bound whose down-set is all the common lower bounds, read off sets."""
+    n = len(above)
+    ups = [{j for j in range(n) if above[i] >> j & 1} for i in range(n)]
+    downs = [{j for j in range(n) if i in ups[j]} for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        for kind, bounds in (("meet", downs), ("join", ups)):
+            common = bounds[i] & bounds[j]
+            if not any(bounds[k] == common for k in common):
+                return (i, j, kind)
+    return None
+
+
 def partial_order_violation(above: list) -> tuple | None:
     """The first (kind, i, j) at which the masks `above`, with bit j of
     above[i] set when i <= j, fail to order 0..n-1: "range" when above[i]
