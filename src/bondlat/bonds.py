@@ -20,23 +20,23 @@ order whenever no arc is rigid (equal value in every bond); rigid arcs are
 removed by `reduce`, which contracts them and remembers their forced values.
 
 A push raises p on the pushed set, so with p(forbidden) = 0 the order is
-the componentwise order on p, and both steps have closed forms.  An arc is
-rigid exactly when its ends lie on one zero-weight cycle of the constraint
-graph.  The minimum bond is x(a) = reference(a) - d(tail, f) + d(head, f),
-with d the shortest constraint-graph distance and f the forbidden vertex.
+the componentwise order on p, and meet and join are the pointwise min and
+max.  Within a rigid class p moves by one constant, so these hold reduced
+or not.  An arc is rigid exactly when its ends lie on one zero-weight cycle
+of the constraint graph.  The minimum bond is x(a) = reference(a) -
+d(tail, f) + d(head, f), with d the shortest constraint-graph distance and
+f the forbidden vertex.
 
 Costs, for n vertices and m arcs.  Building a system reads each window table
-in one bulk pass, O(m), and checks arc by arc only to name a fault.
-Distances come from a FIFO-queue Bellman-Ford pass, linear on trees and
-O(n m) at worst; a distance resting on n edges proves a negative cycle, and
-the infeasible system then pays one arc-order pass, O(n m), for its
-certificate.  `initial_bond` (the `find-bond` command) costs one distance
-pass.  `reduce` adds one strong-component pass over the tight edges,
-O(n + m), and builds the contracted graph in O(m log m); the reduced
-system's `minimum_bond` costs one more pass.  After it, `push_counts` costs
-O(m) per call: it walks `Multigraph.search_plan`, built once per root, which
-`PotentialFamily.decode` walks too.  Push counts are `Counter`s, so `leq`,
-`meet` and `join` are their `<=`, `&` and `|`, at O(m) per call.
+in one bulk pass, O(m).  A bond's p comes from one walk over the search plan
+from f, O(m), so `leq`, `meet`, `join` and a passing `check_bond` are O(m)
+on any feasible system, with no distance pass and no cycle basis; only a
+failing labeling builds the basis, for its report.  Distances come from a
+FIFO-queue Bellman-Ford pass, linear on trees and O(n m) at worst; a
+distance resting on n edges proves a negative cycle, and the certificate
+then costs one arc-order pass, O(n m).  `initial_bond` (`find-bond`) costs
+one distance pass; `reduce` adds a strong-component pass, O(n + m), and the
+contracted graph, O(m log m), and `minimum_bond` one more distance pass.
 """
 
 from __future__ import annotations
@@ -113,12 +113,7 @@ class ContractionMap(Record):
     vertex_map: Mapping    # original vertex -> surviving representative
 
     def expand(self, reduced_bond: Bond) -> Bond:
-        values = dict(reduced_bond.values)
-        values.update(self.forced)
-        return Bond(values)
-
-    def restrict(self, full_bond: Bond) -> Bond:
-        return Bond({a: v for a, v in full_bond.values.items() if a not in self.forced})
+        return Bond({**reduced_bond.values, **self.forced})
 
 
 def flow_difference(values: Mapping | Bond, cycle: CycleVector) -> int:
@@ -131,20 +126,12 @@ class BondSystem:
     """A connected multigraph with capacity windows, a reference labeling
     prescribing all cycle flow-differences, and a forbidden vertex."""
 
-    def __init__(
-        self,
-        graph: Multigraph,
-        lower: Mapping,
-        upper: Mapping,
-        reference: Mapping,
-        forbidden,
-    ):
+    def __init__(self, graph: Multigraph, lower: Mapping, upper: Mapping, reference: Mapping, forbidden):
         if not graph.vertices:
             raise GraphError("bond system needs at least one vertex")
-        if not graph.is_connected():
-            comps = graph.connected_components()
-            a = sorted(comps[0], key=id_key)[0]
-            b = sorted(comps[1], key=id_key)[0]
+        comps = graph.connected_components()
+        if len(comps) > 1:
+            a, b = (min(c, key=id_key) for c in comps[:2])
             raise GraphError(f"bond system requires a connected graph: {a!r} and {b!r} are separated")
         if not graph.has_vertex(forbidden):
             raise GraphError(f"forbidden vertex {forbidden!r} is not in the graph")
@@ -174,20 +161,45 @@ class BondSystem:
     # validation and feasibility
 
     def check_bond(self, x: Bond) -> ValidityReport:
-        """Test both bond conditions, reporting every violation."""
-        capacity = []
-        for a in self.graph.arcs:
-            if a.id not in x.values:
-                raise GraphError(f"labeling misses arc {a.id!r}")
-            v = x.values[a.id]
-            if not (self.lower[a.id] <= v <= self.upper[a.id]):
-                capacity.append((a.id, v, self.lower[a.id], self.upper[a.id]))
-        cycles = []
-        for cycle, target in zip(self.cycles, self.targets):
-            actual = flow_difference(x, cycle)
-            if actual != target:
-                cycles.append((cycle, target, actual))
-        return ValidityReport(not capacity and not cycles, tuple(capacity), tuple(cycles))
+        """Test both bond conditions, reporting every violation.  A bond
+        passes on one bulk window pass and one potential walk; only a
+        failing labeling builds the cycle basis, for the full report."""
+        values = list(map(x.values.get, self._arc_order))
+        if None in values:
+            raise GraphError(f"labeling misses arc {self._arc_order[values.index(None)]!r}")
+        lows, highs = self.lower.values(), self.upper.values()
+        if all(map(le, lows, values)) and all(map(le, values, highs)) and self._potential(x.values)[1] is None:
+            return ValidityReport(True, (), ())
+        rows = zip(self._arc_order, values, lows, highs)
+        capacity = tuple((a, v, lo, hi) for a, v, lo, hi in rows if not lo <= v <= hi)
+        rows = zip(self.cycles, self.targets, (flow_difference(x, cycle) for cycle in self.cycles))
+        cycles = tuple((cycle, want, got) for cycle, want, got in rows if want != got)
+        return ValidityReport(not capacity and not cycles, capacity, cycles)
+
+    def _potential(self, values: Mapping) -> tuple[dict, object]:
+        """(p, None) with values(a) = reference(a) + p(tail) - p(head) on
+        every arc and p(forbidden) = 0, from one pass over the search plan
+        from the forbidden vertex, O(m); or (p so far, the first arc whose
+        sign-0 step p does not fit), when no potential does."""
+        reference, p = self.reference, {self.forbidden: 0}
+        for arc_id, u, v, sign in self.graph.search_plan(self.forbidden):
+            if sign:
+                p[v] = p[u] - sign * (values[arc_id] - reference[arc_id])
+            elif p[u] - p[v] != values[arc_id] - reference[arc_id]:
+                return p, arc_id
+        return p, None
+
+    def _bond_potential(self, x: Bond) -> dict:
+        """x's potential, or a GraphError naming the first arc it does not fit."""
+        p, arc_id = self._potential(x.values)
+        if arc_id is not None:
+            message = f"labeling is not a bond of this system: arc {arc_id!r} disagrees with its push-count difference"
+            raise GraphError(message)
+        return p
+
+    def _tension(self, p: Mapping) -> Bond:
+        """The labeling reference(a) + p(tail) - p(head)."""
+        return Bond({a.id: self.reference[a.id] + p[a.tail] - p[a.head] for a in self.graph.arcs})
 
     @cached_property
     def _edges(self) -> tuple:
@@ -279,22 +291,14 @@ class BondSystem:
             if u == v:
                 break
         cycle = CycleVector(signs)
-        required = flow_difference(self.reference, cycle)
-        window_min = sum(self.lower[a] for a in cycle.forward_arcs()) - sum(
-            self.upper[a] for a in cycle.backward_arcs()
-        )
-        window_max = sum(self.upper[a] for a in cycle.forward_arcs()) - sum(
-            self.lower[a] for a in cycle.backward_arcs()
-        )
-        return InfeasibleSystemError(cycle, required, window_min, window_max)
+        fwd, back = cycle.forward_arcs(), cycle.backward_arcs()
+        low = sum(map(self.lower.get, fwd)) - sum(map(self.upper.get, back))
+        high = sum(map(self.upper.get, fwd)) - sum(map(self.lower.get, back))
+        return InfeasibleSystemError(cycle, flow_difference(self.reference, cycle), low, high)
 
     def initial_bond(self) -> Bond:
         """Some bond of the system, or raise with an infeasibility certificate."""
-        dist = self._distances(self.forbidden)
-        values = {
-            a.id: self.reference[a.id] + dist[a.tail] - dist[a.head] for a in self.graph.arcs
-        }
-        return Bond(values)
+        return self._tension(self._distances(self.forbidden))
 
     def value_range(self, arc_id) -> tuple[int, int]:
         """Tight min and max of x(arc) over all bonds (system must be feasible)."""
@@ -386,52 +390,45 @@ class BondSystem:
                     f"(forced to {value}); call reduce() first"
                 )
             to_f = self._distances(self.forbidden, reverse=True)
-            self._minimum = Bond(
-                {a.id: self.reference[a.id] - to_f[a.tail] + to_f[a.head] for a in self.graph.arcs}
-            )
+            self._minimum = self._tension({v: -d for v, d in to_f.items()})
         return self._minimum
 
     def push_counts(self, x: Bond) -> Counter:
         """Push counts of x relative to the minimum bond, a `Counter` over
-        every pushable vertex, from one pass over the graph's search plan
-        from the forbidden vertex: O(|A|)."""
-        m = self.minimum_bond()
-        offset = {a: x.values[a] - m.values[a] for a in self._arc_order}
-        counts = {self.forbidden: 0}
-        for arc_id, u, v, sign in self.graph.search_plan(self.forbidden):
-            if sign:
-                counts[v] = counts[u] - sign * offset[arc_id]
-            elif counts[u] - counts[v] != offset[arc_id]:
-                raise GraphError(
-                    f"labeling is not a bond of this system: arc {arc_id!r} "
-                    "disagrees with its push-count difference"
-                )
-        negatives = [v for v in counts if counts[v] < 0]
-        if negatives:
-            bad = sorted(negatives, key=id_key)[0]
-            raise GraphError(
-                f"labeling lies below the minimum bond (vertex {bad!r} has negative push count)"
-            )
+        every pushable vertex: x's potential less the minimum's, O(|A|)."""
+        low = self._potential(self.minimum_bond().values)[0]
+        counts = {v: q - low[v] for v, q in self._bond_potential(x).items()}
         del counts[self.forbidden]
+        negatives = [v for v, c in counts.items() if c < 0]
+        if negatives:
+            raise GraphError(
+                f"labeling lies below the minimum bond "
+                f"(vertex {min(negatives, key=id_key)!r} has negative push count)"
+            )
         return Counter(counts)
 
     def bond_from_counts(self, counts: Mapping) -> Bond:
-        m = self.minimum_bond()
-        values = {}
-        for a in self.graph.arcs:
-            ct = 0 if a.tail == self.forbidden else counts.get(a.tail, 0)
-            ch = 0 if a.head == self.forbidden else counts.get(a.head, 0)
-            values[a.id] = m.values[a.id] + ct - ch
-        return Bond(values)
+        """The bond whose pushable vertices are pushed `counts` times above
+        the minimum."""
+        p = {v: q + counts.get(v, 0) for v, q in self._potential(self.minimum_bond().values)[0].items()}
+        p[self.forbidden] = 0
+        return self._tension(p)
 
     def leq(self, x: Bond, y: Bond) -> bool:
-        return self.push_counts(x) <= self.push_counts(y)
+        """Whether x's potential is at most y's at every vertex, O(|A|)."""
+        return all(map(le, self._bond_potential(x).values(), self._bond_potential(y).values()))
 
     def meet(self, x: Bond, y: Bond) -> Bond:
-        return self.bond_from_counts(self.push_counts(x) & self.push_counts(y))
+        """The greatest lower bound: the pointwise min of the potentials."""
+        return self._combine(min, x, y)
 
     def join(self, x: Bond, y: Bond) -> Bond:
-        return self.bond_from_counts(self.push_counts(x) | self.push_counts(y))
+        """The least upper bound: the pointwise max of the potentials."""
+        return self._combine(max, x, y)
+
+    def _combine(self, pick, x: Bond, y: Bond) -> Bond:
+        px, py = self._bond_potential(x), self._bond_potential(y)  # both keyed in plan order
+        return self._tension(dict(zip(px, map(pick, px.values(), py.values()))))
 
 
 def _window_tables(graph: Multigraph, lower: Mapping, upper: Mapping, reference: Mapping) -> list:

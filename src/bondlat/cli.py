@@ -148,19 +148,13 @@ def _run_enumerate(args, doc, analyze):
 
 def _cmd_order_op(args, doc, op):
     system = jsonio.parse_system(doc, args.forbidden)
-    x = jsonio.parse_bond(doc, "x", system.graph)
-    y = jsonio.parse_bond(doc, "y", system.graph)
-    for name, bond in (("x", x), ("y", y)):
+    x, y = (jsonio.parse_bond(doc, name, system.graph) for name in "xy")
+    for name, bond in zip("xy", (x, y)):
         report = system.check_bond(bond)
         if not report.ok:
-            payload = {"verdict": "not a bond", "which": name, "report": jsonio.validity_json(report)}
-            return 1, payload, None
-    reduced, cmap = system.reduce()
-    xr, yr = cmap.restrict(x), cmap.restrict(y)
-    if op == "leq":
-        return 0, {"leq": reduced.leq(xr, yr)}, None
-    result = reduced.meet(xr, yr) if op == "meet" else reduced.join(xr, yr)
-    return 0, {op: jsonio.bond_json(cmap.expand(result), system.graph)}, None
+            return 1, {"verdict": "not a bond", "which": name, "report": jsonio.validity_json(report)}, None
+    result = getattr(system, op)(x, y)  # on the parsed system: potentials need no reduce
+    return 0, {op: result if op == "leq" else jsonio.bond_json(result, system.graph)}, None
 
 
 def _cmd_check_uld(args, doc):

@@ -310,17 +310,12 @@ class PotentialFamily(Record):
     anchor: Hashable
 
     def decode(self, bond: Bond) -> dict:
-        """Bond -> potential, by signed path sums along the graph's search
-        plan from the anchor."""
-        potential = {self.anchor: 0}
-        for arc_id, u, v, sign in self.system.graph.search_plan(self.anchor):
-            if sign:
-                potential[v] = potential[u] + sign * bond.values[arc_id]
-            elif potential[v] - potential[u] != bond.values[arc_id]:
-                raise GraphError(
-                    f"labeling has nonzero flow-difference around a cycle through {arc_id!r}"
-                )
-        return potential
+        """Bond -> potential: the system's potential walk from the anchor,
+        negated, since the reference is zero and x(a) = p(head) - p(tail)."""
+        walked, arc_id = self.system._potential(bond.values)
+        if arc_id is not None:
+            raise GraphError(f"labeling has nonzero flow-difference around a cycle through {arc_id!r}")
+        return {v: -q for v, q in walked.items()}
 
     def encode(self, potential: Mapping) -> Bond:
         if potential.get(self.anchor, 0) != 0:

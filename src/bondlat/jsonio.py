@@ -251,13 +251,13 @@ def parse_graph(doc) -> Multigraph:
         raise InputFormatError("", str(exc)) from None
 
 
-def _int_map(doc, key: str, ids, what: str, partial=False, value=_integer, stray="") -> dict:
+def _int_map(doc, key: str, known: tuple, what: str, partial=False, value=_integer, stray="") -> dict:
     """The table under `key`, str(id)-keyed, as id -> `value` of the entry.
-    Every id of `ids` needs an entry unless `partial`; a key that is no id
-    raises `stray` (default "no `what` has this id")."""
+    `known` is ids and their str(id) index, from `_keys`: every id needs an
+    entry unless `partial`, and a key that is no id raises `stray` (default
+    "no `what` has this id")."""
     table = _expect_object(_get(_expect_object(doc, ""), key, ""), key)
-    ids = list(ids)
-    index = dict(zip(map(str, ids), ids))
+    ids, index = known
     keys = table.keys()
     fits = keys <= index.keys() if partial else keys == index.keys()
     if fits and len(index) == len(ids) and set(map(type, table.values())) <= _VALUE_TYPES[value]:
@@ -356,7 +356,7 @@ def _reference_from_cycle_targets(doc: Mapping, g: Multigraph) -> dict:
         raise InputFormatError(key, str(exc)) from None
     non_tree = [a.id for a in g.arcs if a.id not in tree]
     stray = "not a non-tree arc of the deterministic spanning tree"
-    return {a.id: 0 for a in g.arcs} | _int_map(doc, key, non_tree, "non-tree arc", stray=stray)
+    return {a.id: 0 for a in g.arcs} | _int_map(doc, key, _keys(non_tree), "non-tree arc", stray=stray)
 
 
 def parse_bond(doc, key: str, g: Multigraph) -> Bond:
@@ -365,17 +365,31 @@ def parse_bond(doc, key: str, g: Multigraph) -> Bond:
 
 def parse_arc_map(doc, key: str, g: Multigraph) -> dict:
     """Arc-keyed integer map covering every arc of the graph."""
-    return _int_map(doc, key, map(_id, g.arcs), "arc")
+    return _int_map(doc, key, _arc_keys(g), "arc")
+
+
+def _keys(ids) -> tuple:
+    """The ids as a tuple, with their str(id) index."""
+    ids = tuple(ids)
+    return ids, dict(zip(map(str, ids), ids))
+
+
+def _arc_keys(g: Multigraph) -> tuple:
+    """`_keys` of `g`'s arc ids, made on the first call and kept on `g`, so
+    a system's window tables and its bonds share one index."""
+    if "_arc_keys" not in vars(g):
+        g._arc_keys = _keys(map(_id, g.arcs))
+    return g._arc_keys
 
 
 def parse_arc_subset_map(doc, key: str, arc_ids) -> dict:
     """Arc-keyed integer map covering exactly the given arc ids."""
-    return _int_map(doc, key, arc_ids, "arc", stray="unexpected arc id for this map")
+    return _int_map(doc, key, _keys(arc_ids), "arc", stray="unexpected arc id for this map")
 
 
 def parse_vertex_map(doc, key: str, g: Multigraph, partial: bool = False) -> dict:
     """Vertex-keyed integer map; `partial` allows missing vertices."""
-    return _int_map(doc, key, g.vertices, "vertex", partial)
+    return _int_map(doc, key, _keys(g.vertices), "vertex", partial)
 
 
 def parse_embedding(doc) -> PlanarEmbedding:
@@ -411,7 +425,7 @@ def parse_embedding(doc) -> PlanarEmbedding:
 
 def parse_colored_digraph(doc) -> ColoredDigraph:
     g = parse_graph(doc)
-    colors = _int_map(doc, "colors", map(_id, g.arcs), "arc", partial=True, value=_identifier)
+    colors = _int_map(doc, "colors", _arc_keys(g), "arc", partial=True, value=_identifier)
     try:
         return ColoredDigraph(g, colors)
     except (GraphError, PosetError) as exc:
@@ -446,7 +460,7 @@ def parse_poset(doc) -> FinitePoset:
 
 def parse_chip_input(doc) -> tuple[Multigraph, ChipArrangement]:
     g = parse_graph(doc)
-    chips = _int_map(doc, "chips", g.vertices, "vertex", partial=True)
+    chips = _int_map(doc, "chips", _keys(g.vertices), "vertex", partial=True)
     for v, n in chips.items():
         if n < 0:
             raise InputFormatError(f"chips.{v}", "chip counts must be nonnegative")

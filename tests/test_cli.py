@@ -28,7 +28,7 @@ from bondlat import (
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
-from util import first_difference, oracle_dot, oracle_labels, path_document
+from util import first_difference, grid_order_document, oracle_dot, oracle_labels, path_document
 
 _SEQ = itertools.count()
 
@@ -344,24 +344,56 @@ class TestReduceAndFindBond:
         assert payload["verdict"] == "infeasible"
         assert payload["required"] == -4
 
+    # sha256 of the "not a bond" report for x = {a1: 2, a2: 1, a3: 0} on tri_doc(),
+    # recorded when every order operation still reduced the system first
+    NOT_A_BOND = "8ba60981ab97e99ebbb32d4d24840a376bab71ac961dece1ee98e7073ec5835f"
+
     def test_only_bond_checks_build_cycles(self, tmp_path, monkeypatch):
-        calls = []
-        real = bonds.fundamental_cycles
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(bonds, "fundamental_cycles", counting)
-        doc = tri_doc()
-        doc["x"] = {"a1": 1, "a2": 0, "a3": 0}
-        doc["y"] = {"a1": 0, "a2": 1, "a3": 0}
+        # a good meet, join or leq reads two potentials off the parsed system:
+        # no spanning tree, no cycle basis, no reduce and no push counts; only a
+        # labeling that fails its check builds the basis, for the full report
+        _, lattice = run_cli(tmp_path, "enumerate", mixed_doc())
+        cycles, reductions = [], []
+        for owner, name, calls in (
+            (bonds, "spanning_tree", cycles),
+            (bonds, "fundamental_cycles", cycles),
+            (bonds.BondSystem, "reduce", reductions),
+            (bonds.BondSystem, "push_counts", reductions),
+        ):
+            monkeypatch.setattr(owner, name, _recording(getattr(owner, name), name, calls))
+        doc = mixed_doc()  # arc 2 is rigid, so the old order operations reduced first
         for command in ("reduce", "find-bond", "lattice"):
             code, _ = run_cli(tmp_path, command, doc)
-            assert (command, code, calls) == (command, 0, [])
-        code, payload = run_cli(tmp_path, "meet", doc)
-        assert (code, payload) == (0, {"meet": {"a1": 1, "a2": 0, "a3": 0}})
-        assert calls
+            assert (command, code, cycles) == (command, 0, [])
+        reductions.clear()
+        bottom, x, top = lattice["elements"][0], lattice["elements"][1], lattice["elements"][-1]
+        doc["x"], doc["y"] = x, top
+        for command, expected in (("meet", x), ("join", top), ("leq", True)):
+            assert run_cli(tmp_path, command, doc) == (0, {command: expected})
+        doc["x"], doc["y"] = top, bottom
+        for command, expected in (("meet", bottom), ("join", top), ("leq", False)):
+            assert run_cli(tmp_path, command, doc) == (0, {command: expected})
+        assert (cycles, reductions) == ([], [])
+
+        doc = tri_doc()
+        doc["x"] = {"a1": 2, "a2": 1, "a3": 0}  # out of a1's window and off the cycle target
+        doc["y"] = {"a1": 0, "a2": 1, "a3": 0}
+        source, sink = tmp_path / "not-a-bond.json", tmp_path / "report.json"
+        source.write_text(dumps(doc), encoding="utf-8")
+        for command in ("meet", "join", "leq"):
+            assert main([command, "--input", str(source), "--output", str(sink)]) == 1
+            assert sha256(sink.read_text(encoding="utf-8")) == self.NOT_A_BOND
+        assert cycles and not reductions
+
+
+def _recording(real, name, calls):
+    """`real`, noting `name` in `calls` on each call."""
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return recorded
 
 
 class TestOrderOps:
@@ -1060,6 +1092,23 @@ class TestScale:
             assert code == 0 and best < 0.5
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+
+    def test_meet_on_a_100x100_grid(self, tmp_path, monkeypatch):
+        # meet, join and leq read two potential walks off the parsed system:
+        # with a reduce, a second distance pass and a cycle basis for each
+        # check, this took 0.7-1.4 s
+        cycles = []
+        monkeypatch.setattr(bonds, "fundamental_cycles", _recording(bonds.fundamental_cycles, "cycles", cycles))
+        doc = grid_order_document(100)
+        best = float("inf")
+        for _ in range(2):
+            start = time.perf_counter()
+            code, payload = run_cli(tmp_path, "meet", doc)
+            best = min(best, time.perf_counter() - start)
+        assert (code, payload) == (0, {"meet": doc["x"]})
+        assert best < 0.8
+        assert run_cli(tmp_path, "leq", doc) == (0, {"leq": True})
+        assert cycles == []
 
     def test_flows_on_a_10000_leaf_star(self, tmp_path):
         # the face walk finds each next arc end in one lookup: a search of the

@@ -89,6 +89,7 @@ from util import (
     oracle_game,
     oracle_unfire,
     partial_order_violation,
+    push_reachability,
     reachability_masks,
     representation_report,
     rigid_classes_by_reachability,
@@ -359,6 +360,44 @@ def test_rigid_arcs_and_minimum_match_the_tension_oracle(s):
     ]
     least = [x for x, p in zip(bonds, potentials) if all(p[v] <= q[v] for q in potentials for v in p)]
     assert least == [cmap.expand(reduced.minimum_bond())]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(feasible_systems(max_slack=1, max_extra=3), st.data())
+def test_order_operations_on_unreduced_systems_match_push_reachability(s, data):
+    # meet, join and leq compare potentials, so they need no reduce: rigid
+    # arcs keep their forced values, and the order is the set-push order
+    bonds = tension_bonds(s)
+    event("rigid arcs" if s.reduce()[1].forced else "no rigid arc")
+    event("several bonds" if len(bonds) > 1 else "one bond")
+    reach = push_reachability(s, bonds)
+    n = len(bonds)
+    assert [[s.leq(x, y) for y in bonds] for x in bonds] == [[(i, j) in reach for j in range(n)] for i in range(n)]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    below = [k for k in range(n) if (k, i) in reach and (k, j) in reach]
+    above = [k for k in range(n) if (i, k) in reach and (j, k) in reach]
+    (glb,) = [k for k in below if all((m, k) in reach for m in below)]
+    (lub,) = [k for k in above if all((k, m) in reach for m in above)]
+    assert s.meet(bonds[i], bonds[j]) == bonds[glb]
+    assert s.join(bonds[i], bonds[j]) == bonds[lub]
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(max_extra=5), st.data())
+def test_check_bond_matches_the_tension_and_window_oracles(s, data):
+    # a labeling near the reference's tensions, often off one: the report is
+    # ok exactly when the windows hold and some potential fits, and it lists
+    # every window fault in arc order
+    p = {v: data.draw(st.integers(-1, 1)) for v in s.graph.vertices}
+    values = {a.id: s.reference[a.id] + p[a.tail] - p[a.head] for a in s.graph.arcs}
+    for a in data.draw(st.lists(st.sampled_from([a.id for a in s.graph.arcs]), max_size=2)):
+        values[a] += data.draw(st.sampled_from((-1, 1)))
+    fits = tension_potential(s.graph, {a: values[a] - s.reference[a] for a in values}, s.forbidden) is not None
+    windows = [(a.id, values[a.id], s.lower[a.id], s.upper[a.id]) for a in s.graph.arcs]
+    faults = tuple(row for row in windows if not row[2] <= row[1] <= row[3])
+    event("bond" if fits and not faults else "not a bond")
+    report = s.check_bond(Bond(values))
+    assert (report.ok, report.capacity_violations, not report.cycle_violations) == (fits and not faults, faults, fits)
 
 
 @st.composite

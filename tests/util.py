@@ -142,6 +142,32 @@ def path_document(n: int, reverse: bool) -> dict:
     }
 
 
+def grid_order_document(k: int) -> dict:
+    """Anchored potentials on the k x k grid, arcs going right and down with
+    windows [-1, 1], forbidding vertex 0; "x" is all zeros and "y" the
+    tension c(tail) - c(head) of the checkerboard c(i, j) = (i + j) % 2, so
+    x lies below y."""
+    arcs = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                arcs.append({"id": f"h{i}_{j}", "tail": i * k + j, "head": i * k + j + 1})
+            if i + 1 < k:
+                arcs.append({"id": f"v{i}_{j}", "tail": i * k + j, "head": (i + 1) * k + j})
+    ids = [a["id"] for a in arcs]
+    return {
+        "vertices": list(range(k * k)),
+        "arcs": arcs,
+        "lower": dict.fromkeys(ids, -1),
+        "upper": dict.fromkeys(ids, 1),
+        "reference": dict.fromkeys(ids, 0),
+        "forbidden": 0,
+        "x": dict.fromkeys(ids, 0),
+        # tail and head differ by one step, so their colours differ
+        "y": {a["id"]: 1 if sum(divmod(a["tail"], k)) % 2 else -1 for a in arcs},
+    }
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
