@@ -129,9 +129,8 @@ class BondSystem:
     def __init__(self, graph: Multigraph, lower: Mapping, upper: Mapping, reference: Mapping, forbidden):
         if not graph.vertices:
             raise GraphError("bond system needs at least one vertex")
-        comps = graph.connected_components()
-        if len(comps) > 1:
-            a, b = (min(c, key=id_key) for c in comps[:2])
+        if not graph.is_connected():
+            a, b = (min(c, key=id_key) for c in graph.connected_components()[:2])
             raise GraphError(f"bond system requires a connected graph: {a!r} and {b!r} are separated")
         if not graph.has_vertex(forbidden):
             raise GraphError(f"forbidden vertex {forbidden!r} is not in the graph")
@@ -143,7 +142,6 @@ class BondSystem:
         self.lower, self.upper, self.reference = (dict(zip(ids, values)) for values in tables)
         self.forbidden = forbidden
         self._dist_cache: dict = {}
-        self._index = {v: i for i, v in enumerate(graph.vertices)}
         self._classes: tuple | None = None
         self._minimum: Bond | None = None
 
@@ -204,9 +202,10 @@ class BondSystem:
     @cached_property
     def _edges(self) -> tuple:
         """Difference constraints on p with x = reference + p(tail) - p(head),
-        two per arc in arc order: edge (u, v, w, arc, sign) on `_index` encodes
-        p(v) <= p(u) + w and walks the arc forward (sign 1) or backward (-1)."""
-        index = self._index
+        two per arc in arc order: edge (u, v, w, arc, sign) on the positions of
+        `graph.index` encodes p(v) <= p(u) + w and walks the arc forward (sign
+        1) or backward (-1)."""
+        index = self.graph.index
         edges = []
         for a in self.graph.arcs:
             t, h = index[a.tail], index[a.head]
@@ -227,7 +226,7 @@ class BondSystem:
         key = (source, reverse)
         if key in self._dist_cache:
             return self._dist_cache[key]
-        n = len(self._index)
+        n = len(self.graph.vertices)
         adj: list = [[] for _ in range(n)]
         for u, v, w, _, _ in self._edges:
             if reverse:
@@ -236,7 +235,7 @@ class BondSystem:
         dist = [_INF] * n
         length = [0] * n
         queued = [False] * n
-        start = self._index[source]
+        start = self.graph.index[source]
         dist[start] = 0
         queued[start] = True
         queue = deque([start])
@@ -265,9 +264,9 @@ class BondSystem:
         edges = self._edges
         if reverse:
             edges = [(v, u, w, a, -sign) for u, v, w, a, sign in edges]
-        n = len(self._index)
+        n = len(self.graph.vertices)
         dist = [_INF] * n
-        dist[self._index[source]] = 0
+        dist[self.graph.index[source]] = 0
         pred: list = [None] * n  # the edge that last lowered each vertex
         # a reachable negative cycle lowers some vertex in every round, so
         # all n - 1 rounds run
@@ -314,26 +313,22 @@ class BondSystem:
         """(vertex -> least member of its class, rigid arc -> forced value, x).
 
         A class holds the vertices whose potential offsets are equal in every
-        bond: those that reach each other along tight edges of x =
-        initial_bond(), head -> tail for an arc at its upper bound and tail ->
-        head for one at its lower bound.  Rigid arcs join two class members.
-        The classes are the strong components of that tight digraph, each
-        represented by its first vertex in graph order; found on the first
-        call and returned again after.
+        bond: those that reach each other along the `_edges` that are tight,
+        p(u) + w = p(v), under the distances p that give x = initial_bond():
+        those whose arc x holds at its upper or lower bound.  Rigid arcs join
+        two class members.  The classes are the strong components of that tight
+        digraph, each represented by its first vertex in graph order; found
+        on the first call and returned again after.
         """
         if self._classes is None:
             x = self.initial_bond()
-            index = self._index
-            succ: list = [[] for _ in index]
-            pred: list = [[] for _ in index]
-            for a in self.graph.arcs:
-                t, h = index[a.tail], index[a.head]
-                if x.values[a.id] == self.upper[a.id]:
-                    succ[h].append(t)
-                    pred[t].append(h)
-                if x.values[a.id] == self.lower[a.id]:
-                    succ[t].append(h)
-                    pred[h].append(t)
+            p = list(self._distances(self.forbidden).values())
+            succ: list = [[] for _ in p]
+            pred: list = [[] for _ in p]
+            for u, v, w, _, _ in self._edges:
+                if p[u] + w == p[v]:
+                    succ[u].append(v)
+                    pred[v].append(u)
             first: dict = {}
             rep = {
                 v: first.setdefault(c, v)

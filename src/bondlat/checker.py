@@ -33,7 +33,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from operator import itemgetter, or_
 
-from .graph import Arc, GraphError, Multigraph, Record, id_key
+from .graph import Arc, GraphError, Multigraph, Record, forest, id_key
 
 ULD = "uld"
 LLD = "lld"
@@ -65,16 +65,17 @@ class ColoredDigraph:
     list the arcs leaving / entering vertex i in that order.  `from_triples`
     keeps the triples it is given, with ids 0..m-1, and builds `graph` and
     `colors` when first read.  It alone reads the structure: each side's
-    Kahn order `order(far)`, its `end(far)`, its `tallies(far)`, and the
-    `closure`, built once from `order(1)`.  `FinitePoset.from_covers` indexes
-    its cover pairs the same way and returns that closure.
+    Kahn order `order(far)`, fork tables `forks(far)`, `end(far)` and
+    `tallies(far)`, and the `closure`, built once from `order(1)`.
+    `FinitePoset.from_covers` indexes its cover pairs the same way and
+    returns that closure.
     """
 
     def __init__(self, graph: Multigraph, colors: Mapping):
         for a in graph.arcs:
             if a.id not in colors:
                 raise GraphError(f"arc {a.id!r} has no color")
-        index = {v: i for i, v in enumerate(graph.vertices)}
+        index = graph.index
         arcs = graph.arcs_by_id
         triples = tuple((index[a.tail], index[a.head], colors[a.id]) for a in arcs)
         self._index(graph.vertices, triples, tuple(a.id for a in arcs))
@@ -88,6 +89,7 @@ class ColoredDigraph:
             self.out[arc[0]].append(arc)
             self.into[arc[1]].append(arc)
         self._orders: dict = {}
+        self._forks: dict = {}
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
@@ -130,6 +132,18 @@ class ColoredDigraph:
                         order.append(j)
             self._orders[far] = order if len(order) == len(indeg) else None
         return self._orders[far]
+
+    def forks(self, far: int = 1) -> list[dict]:
+        """Each vertex's `color -> far ends` table over its `out` (far 1) or
+        `into` (far 0) list, the ends in list order; made once per side."""
+        if far not in self._forks:
+            tables = self._forks[far] = []
+            for arcs in self.out if far else self.into:
+                table: dict = {}
+                for arc in arcs:
+                    table.setdefault(arc[2], []).append(arc[far])
+                tables.append(table)
+        return self._forks[far]
 
     def end(self, far: int = 1) -> int:
         """The unique source (far 1) or sink (far 0): the one vertex with no
@@ -209,30 +223,19 @@ def check_distinct_fork_colors(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     (vertex, arc id, arc id, color) with the two offending arcs.  Far 0
     checks the reversed digraph: `into` lists, with tails as heads.  A
     failing vertex's arcs are named by position, as one triple may be two.
+    A vertex with as many colors as arcs in its `forks` table passes as is.
     """
-    failed = []
-    for arcs in cd.out if far else cd.into:
-        by_color: dict = {}
-        for arc in arcs:
-            c = arc[2]
-            if c in by_color:
-                if by_color[c][far] != arc[far]:
-                    failed.append(arc[1 - far])
-                    break
-            else:
-                by_color[c] = arc
-    witnesses = []
-    if failed:
-        arcs, positions = cd.arcs, [[] for _ in cd.labels]
-        for k, arc in enumerate(arcs):
-            positions[arc[1 - far]].append(k)
-        for i in failed:
-            first: dict = {}
-            for k in positions[i]:
-                j = first.setdefault(arcs[k][2], k)
-                if arcs[j][far] != arcs[k][far]:
-                    witnesses.append((cd.labels[i], cd.ids[j], cd.ids[k], arcs[k][2]))
-    return AxiomReport(not failed, tuple(witnesses))
+    tables = zip(cd.out if far else cd.into, cd.forks(far))
+    if all(len(table) == len(arcs) or all(e.count(e[0]) == len(e) for e in table.values()) for arcs, table in tables):
+        return AxiomReport(True, ())
+    arcs, first, failing = cd.arcs, {}, []
+    for k, arc in enumerate(arcs):  # arc k fails against arc j, its color's first at its vertex
+        i = arc[1 - far]
+        j = first.setdefault((i, arc[2]), k)
+        if arcs[j][far] != arc[far]:
+            failing.append((i, k, j))
+    witnesses = [(cd.labels[i], cd.ids[j], cd.ids[k], arcs[k][2]) for i, k, j in sorted(failing)]
+    return AxiomReport(False, tuple(witnesses))
 
 
 def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
@@ -241,16 +244,11 @@ def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     For arcs (v,u) and (v,w) with u != w there must be a vertex z carrying
     arcs (u,z) colored like (v,w) and (w,z) colored like (v,u).  Witnesses
     are incompletable forks (v, u, w); far 0 checks the reversed digraph.
-    The `color -> heads` tables keep every head, so forks with repeated
-    colors are judged exactly too.
+    The `forks` tables keep every far end, so forks with repeated colors
+    are judged exactly too.
     """
     arc_lists = cd.out if far else cd.into
-    heads_by_color = []
-    for arcs in arc_lists:
-        table: dict = {}
-        for arc in arcs:
-            table.setdefault(arc[2], []).append(arc[far])
-        heads_by_color.append(table)
+    heads_by_color = cd.forks(far)
     labels = cd.labels
     witnesses: dict = {}  # insertion-ordered set
     for v, arcs in enumerate(arc_lists):
@@ -332,24 +330,20 @@ def certify_lld_cover(cd: ColoredDigraph) -> CoverVerdict:
 def _certify_cover(cd: ColoredDigraph, far: int) -> CoverVerdict:
     """The ULD chain on `cd` (far 1) or on its reversal (far 0).  If Kahn
     orders every vertex and one has no arc behind it, that source reaches
-    all, so the digraph is connected; otherwise connectivity, cycles and
-    sources are searched for in turn to name the first failure.  Both sides
-    read the forward order: a digraph is acyclic exactly when its reversal is."""
+    all, so the digraph is connected; otherwise connectivity (one union-find
+    `forest` pass), cycles and sources are searched for in turn to name the
+    first failure.  Both sides read the forward order: a digraph is acyclic
+    exactly when its reversal is."""
     labels = cd.labels
     if not labels:
         return CoverVerdict("empty", False)
     ahead, behind = (cd.out, cd.into) if far else (cd.into, cd.out)
     order = cd.order(1)
     if order is None or behind.count([]) != 1:
-        seen = [False] * len(labels)
-        stack = [0]
-        while stack:  # undirected reachability from vertex 0
-            i = stack.pop()
-            if not seen[i]:
-                seen[i] = True
-                stack += [arc[1] for arc in cd.out[i]] + [arc[0] for arc in cd.into[i]]
-        if not all(seen):
-            return CoverVerdict("disconnected", False, witness=(labels[0], labels[seen.index(False)]))
+        roots = forest(len(labels), zip(map(_first, cd.arcs), map(_second, cd.arcs)))[1]
+        stranded = next((i for i, root in enumerate(roots) if root != roots[0]), None)
+        if stranded is not None:
+            return CoverVerdict("disconnected", False, witness=(labels[0], labels[stranded]))
         if order is None:
             cycle = _find_directed_cycle(ahead, far)
             return CoverVerdict("cyclic", False, witness=tuple(labels[i] for i in cycle))

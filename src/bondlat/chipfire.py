@@ -57,8 +57,7 @@ def _check_arrangement(g: Multigraph, arrangement: ChipArrangement):
 def _rules(g: Multigraph, vertices) -> list:
     """The move rule of each of `vertices`: (its index in graph order, its
     out-degree, ((head index, arcs to that head), ...))."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rules = []
+    index, rules = g.index, []
     for v in vertices:
         arcs, heads = g.out_arcs(v), {}
         for arc in arcs:

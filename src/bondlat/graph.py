@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable, Iterable, Mapping
 from functools import cached_property
-from heapq import heappop, heappush
 from operator import attrgetter
 
 TAIL = "tail"
@@ -134,12 +133,12 @@ class Multigraph:
         if not set(map(type, self.arcs)) <= {Arc}:
             self.arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
         self._by_id: dict = {arc.id: arc for arc in self.arcs}
-        self._out: dict = {v: [] for v in self.vertices}
+        self.index: dict = {v: i for i, v in enumerate(self.vertices)}  # vertex -> position
         ends = {*map(_tail, self.arcs), *map(_head, self.arcs)}
-        if len(self._by_id) != len(self.arcs) or not self._out.keys() >= ends:
+        if len(self._by_id) != len(self.arcs) or not self.index.keys() >= ends:
             # name the first arc with an unknown end, else the first repeated id
             for arc in self.arcs:
-                if arc.tail not in self._out or arc.head not in self._out:
+                if arc.tail not in self.index or arc.head not in self.index:
                     raise GraphError(f"arc {arc.id!r} references unknown vertex {arc.tail!r} or {arc.head!r}")
             seen: set = set()
             for arc in self.arcs:
@@ -147,8 +146,6 @@ class Multigraph:
                     raise GraphError(f"duplicate arc id {arc.id!r}")
                 seen.add(arc.id)
         self.arcs_by_id: tuple[Arc, ...] = tuple(sorted_by_id(self.arcs, _id))
-        for arc in self.arcs_by_id:
-            self._out[arc.tail].append(arc)
         self._plans: dict = {}
 
     def __eq__(self, other):
@@ -168,10 +165,11 @@ class Multigraph:
             raise GraphError(f"unknown arc id {arc_id!r}") from None
 
     def has_vertex(self, v) -> bool:
-        return v in self._out
+        return v in self.index
 
     def out_arcs(self, v) -> list[Arc]:
-        return list(self._out[v])
+        """The arcs leaving v, ascending by id, read off `incident_arcs`."""
+        return [arc for arc in self._incident[v] if arc.tail == v]
 
     def incident_arcs(self, v) -> list[Arc]:
         """All arcs touching v, loops listed once, ascending by id (a shared list)."""
@@ -214,31 +212,50 @@ class Multigraph:
         return plan
 
     def out_degree(self, v) -> int:
-        return len(self._out[v])
+        return len(self.out_arcs(v))
+
+    @cached_property
+    def spanning_forest(self) -> tuple[list, list]:
+        """`forest` over the arc ends' positions in `arcs_by_id` order: the
+        ranks of the spanning tree's arcs there, and each vertex's root."""
+        position, arcs = self.index.__getitem__, self.arcs_by_id
+        return forest(len(self.index), zip(map(position, map(_tail, arcs)), map(position, map(_head, arcs))))
 
     def connected_components(self) -> list[frozenset]:
         """Vertex sets of the underlying undirected components, each sorted
         internally; components ordered by their smallest vertex."""
-        incident = self._incident
-        unvisited = set(self.vertices)
-        components = []
-        for start in self.vertices:
-            if start not in unvisited:
-                continue
-            seen = {start}
-            reached = [start]
-            for v in reached:  # the list is the queue: newly seen vertices join its tail
-                for arc in incident[v]:
-                    w = arc.tail if arc.head == v else arc.head
-                    if w not in seen:
-                        seen.add(w)
-                        reached.append(w)
-            unvisited -= seen
-            components.append(frozenset(seen))
-        return components
+        roots = self.spanning_forest[1]
+        parts: dict = {root: [] for root in roots}  # first seen in vertex order
+        for v, root in zip(self.vertices, roots):
+            parts[root].append(v)
+        return list(map(frozenset, parts.values()))
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        return len(self.spanning_forest[0]) + 1 >= len(self.vertices)
+
+
+def forest(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list]:
+    """Kruskal's algorithm over positions 0..n-1 (Kruskal 1956): the ranks of
+    the pairs, read in order, that join two trees, and each position's root,
+    shared by exactly the positions some path of pairs joins.  Union by size
+    and path halving make it O(m alpha(n)) for m pairs (Tarjan, JACM 1975).
+    For distinct ranks the kept pairs are the unique minimum spanning forest."""
+    parent, size, kept = list(range(n)), [1] * n, []
+    for k, (u, v) in enumerate(pairs):
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            kept.append(k)
+    for v in range(n):  # point every position at its root
+        while parent[v] != parent[parent[v]]:
+            parent[v] = parent[parent[v]]
+    return kept, parent
 
 
 class CycleVector(Record):
@@ -279,35 +296,18 @@ class CycleVector(Record):
 
 
 def spanning_tree(g: Multigraph) -> frozenset:
-    """Deterministic spanning tree of the underlying undirected graph.
-
-    Grows from the smallest vertex, repeatedly adding the smallest-id arc
-    with exactly one endpoint reached: Prim's algorithm with a heap of arc
-    ranks in id order, O(|A| log |A|).  An arc popped with both ends
-    reached never qualifies again, so it is dropped.  Raises on
-    disconnected input, naming two vertices with no connecting path.
+    """Deterministic spanning tree of the underlying undirected graph: the
+    minimum spanning tree by arc rank in id order, read off the graph's
+    `spanning_forest`, O(|A| alpha(|V|)) on the first call.  Raises on
+    disconnected input, naming the smallest vertex and the smallest one
+    with no path to it.
     """
     if not g.vertices:
         raise GraphError("empty graph has no spanning tree")
-    root = g.vertices[0]
-    ordered = g.arcs_by_id
-    rank = {arc.id: i for i, arc in enumerate(ordered)}
-    reached = {root}
-    tree: set = set()
-    heap = [rank[arc.id] for arc in g.incident_arcs(root)]  # ascending, so a heap
-    while len(reached) < len(g.vertices):
-        if not heap:
-            stranded = next(v for v in g.vertices if v not in reached)
-            raise GraphError(f"graph is disconnected: no path between {root!r} and {stranded!r}")
-        arc = ordered[heappop(heap)]
-        tail_in = arc.tail in reached
-        if tail_in != (arc.head in reached):
-            new = arc.head if tail_in else arc.tail
-            tree.add(arc.id)
-            reached.add(new)
-            for other in g.incident_arcs(new):
-                heappush(heap, rank[other.id])
-    return frozenset(tree)
+    if not g.is_connected():
+        root, stranded = (min(c, key=id_key) for c in g.connected_components()[:2])
+        raise GraphError(f"graph is disconnected: no path between {root!r} and {stranded!r}")
+    return frozenset(g.arcs_by_id[k].id for k in g.spanning_forest[0])
 
 
 def _check_spanning_tree(g: Multigraph, tree: frozenset) -> dict:

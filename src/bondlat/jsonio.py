@@ -306,8 +306,7 @@ def parse_systems(doc, forbidden_override=None) -> list:
 
 def _read_systems(doc, forbidden_override, split: bool) -> list:
     g = parse_graph(doc)
-    components = g.connected_components() if split else ()
-    split = len(components) > 1
+    split = split and not g.is_connected()
     if split and "reference" not in doc:
         raise InputFormatError(
             "", 'a disconnected input requires an explicit "reference" labeling'
@@ -333,13 +332,13 @@ def _read_systems(doc, forbidden_override, split: bool) -> list:
         raise InputFormatError("forbidden", f"no vertex has id {forbidden!r}")
     parts = [(g, forbidden)]
     if split:
-        place = {v: k for k, c in enumerate(components) for v in c}
-        arcs: list[list] = [[] for _ in components]
+        roots, index = g.spanning_forest[1], g.index
+        arcs: dict = {root: [] for root in roots}  # in component order, as the forest's roots
         for a in g.arcs:  # one pass, each component keeping the input's arc order
-            arcs[place[a.tail]].append(a)
+            arcs[roots[index[a.tail]]].append(a)
         parts = [
             (Multigraph(c, own), forbidden if forbidden in c else min(c, key=id_key))
-            for c, own in zip(components, arcs)
+            for c, own in zip(g.connected_components(), arcs.values())
         ]
     try:
         return [BondSystem(sub, lower, upper, reference, anchor) for sub, anchor in parts]

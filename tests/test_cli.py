@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 from bondlat import (
     Arc,
@@ -28,7 +29,16 @@ from bondlat import (
 from bondlat.cli import main
 from bondlat.jsonio import dumps, system_json
 
-from util import first_difference, grid_order_document, oracle_dot, oracle_labels, path_document
+from util import (
+    aztec_document,
+    box_document,
+    first_difference,
+    grid_order_document,
+    macmahon,
+    oracle_dot,
+    oracle_labels,
+    path_document,
+)
 
 _SEQ = itertools.count()
 
@@ -787,6 +797,50 @@ class TestEncoders:
             err = capsys.readouterr().err
             assert err.startswith("input error: anchor: ") and err.count("\n") == 1
             assert "Traceback" not in err
+
+
+class TestClosedForms:
+    """Counts the paper's instance families have in closed form: domino
+    tilings of the Aztec diamond through `alpha`, and plane partitions in a
+    box through `potentials`, each then run through `enumerate`."""
+
+    def encoded(self, tmp_path, command, doc, then="enumerate"):
+        code, system = run_cli(tmp_path, command, doc)
+        assert code == 0
+        code, payload = run_cli(tmp_path, then, system)
+        assert code == 0
+        return system, payload
+
+    def test_aztec_diamonds_have_2_to_the_n_n_plus_1_over_2_tilings(self, tmp_path):
+        for n in range(1, 5):
+            assert self.encoded(tmp_path, "alpha", aztec_document(n))[1]["count"] == 2 ** (n * (n + 1) // 2)
+
+    def test_aztec_3_elements_decode_to_64_distinct_tilings(self, tmp_path):
+        doc = aztec_document(3)
+        system, payload = self.encoded(tmp_path, "alpha", doc)
+        reference = system["decode"]["reference"]["arcs"]
+        white = {arc["tail"] for arc in doc["arcs"]}  # every arc runs from a white square
+        black = {arc["head"] for arc in doc["arcs"]}
+        matchings = set()
+        for element in payload["elements"]:
+            # the decode rule: a reference arc is reversed exactly when its value is 1
+            oriented = [(a["head"], a["tail"]) if element[a["id"]] else (a["tail"], a["head"]) for a in reference]
+            tails = Counter(tail for tail, _ in oriented)
+            assert all(tails[v] == 1 for v in white)
+            matching = frozenset(arc for arc in oriented if arc[0] in white)
+            assert sorted(head for _, head in matching) == sorted(black)
+            matchings.add(matching)
+        assert len(payload["elements"]) == len(matchings) == 64
+
+    def test_boxes_have_macmahons_count_of_plane_partitions(self, tmp_path):
+        for box in ((2, 2, 2), (3, 3, 3), (2, 3, 4)):
+            assert self.encoded(tmp_path, "potentials", box_document(*box))[1]["count"] == macmahon(*box)
+
+    def test_box_3x3x3_lattice_has_27_meet_irreducibles_and_is_distributive(self, tmp_path):
+        payload = self.encoded(tmp_path, "potentials", box_document(3, 3, 3), then="lattice")[1]
+        assert payload["count"] == 980
+        assert len(payload["meet_irreducibles"]) == 27
+        assert payload["distributive"] is True
 
 
 class TestChipfire:

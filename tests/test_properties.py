@@ -29,6 +29,7 @@ from bondlat import (
     ChipArrangement,
     CoverDigraph,
     FinitePoset,
+    GraphError,
     InfeasibleSystemError,
     Multigraph,
     PosetError,
@@ -82,11 +83,13 @@ from util import (
     oracle_can_fire,
     oracle_can_unfire,
     oracle_complete_game,
+    oracle_components,
     oracle_fire,
     oracle_firing_sequences,
     oracle_cover_verdict,
     oracle_fork_witnesses,
     oracle_game,
+    oracle_spanning_tree,
     oracle_unfire,
     partial_order_violation,
     push_reachability,
@@ -147,6 +150,50 @@ def test_cut_cycle_orthogonality(data):
     sigma = dict(zip((a.id for a in g.arcs), cut_vector(g.arcs, inside)))
     for cycle in fundamental_cycles(g, spanning_tree(g)):
         assert sum(sign * sigma[a] for a, sign in cycle.items()) == 0
+
+
+@st.composite
+def split_multigraphs(draw):
+    """One to four components, each a path with up to four more arcs,
+    loops and parallel arcs among them; vertex and arc ids are all ints,
+    all strings or mixed, and the arcs are listed in a random order."""
+    n = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    order = draw(st.permutations(range(n)))
+    groups = [order[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+    kind = draw(st.sampled_from(("int", "str", "mixed")))
+
+    def name(i, prefix):
+        return i if kind == "int" or (kind == "mixed" and i % 2) else f"{prefix}{i}"
+
+    ends = []
+    for group in groups:
+        for u, w in zip(group, group[1:]):
+            ends.append((u, w) if draw(st.booleans()) else (w, u))
+        for _ in range(draw(st.integers(0, 4))):
+            ends.append((draw(st.sampled_from(group)), draw(st.sampled_from(group))))
+    ids = draw(st.permutations(range(len(ends))))
+    arcs = [Arc(name(k, "a"), name(t, "v"), name(h, "v")) for k, (t, h) in zip(ids, ends)]
+    return Multigraph([name(i, "v") for i in range(n)], draw(st.permutations(arcs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_multigraphs())
+def test_forest_matches_prim_and_breadth_first_oracles(g):
+    """The union-find forest gives Prim's tree by arc rank, or its exact
+    error text, and the breadth-first components in order."""
+    try:
+        tree = oracle_spanning_tree(g)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            spanning_tree(g)
+        assert str(got.value) == str(exc)
+    else:
+        assert spanning_tree(g) == tree
+    components = oracle_components(g)
+    event(f"{len(components)} components")
+    assert g.connected_components() == components
+    assert g.is_connected() == (len(components) <= 1)
 
 
 @given(data=st.data())

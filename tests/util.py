@@ -19,15 +19,20 @@ oracle reads the arcs from the public graph and colors, copies the
 reversed arcs for the lower side and runs every structure check in order
 instead of one Kahn pass read from either end,
 the partial-order oracle tests each law on element sets instead of
-trusting the masks a closure is built with, and the DOT oracle writes one
-line at a time with f-strings instead of block templates.
+trusting the masks a closure is built with, the spanning-tree and component
+oracles grow Prim's heap and search breadth-first instead of reading the
+library's one union-find forest, and the DOT oracle writes one line at a
+time with f-strings instead of block templates.  The Aztec-diamond and box
+documents and MacMahon's count are written from their definitions alone.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections import Counter, deque
+from fractions import Fraction
 
 from bondlat import (
     Arc,
@@ -36,6 +41,7 @@ from bondlat import (
     BondSystem,
     ColoredDigraph,
     FinitePoset,
+    GraphError,
     Multigraph,
     PlanarEmbedding,
     PosetError,
@@ -263,6 +269,56 @@ def cut_vector(arcs, inside: set) -> tuple:
     on an arc leaving the set, -1 on one entering it, 0 on loops and on arcs
     inside or outside it."""
     return tuple((a.tail in inside) - (a.head in inside) for a in arcs)
+
+
+def oracle_spanning_tree(g: Multigraph) -> frozenset:
+    """Prim's algorithm from the smallest vertex with a heap of arc ranks in
+    id order: the least-rank arc with exactly one end reached joins the tree,
+    and an arc popped with both ends reached is dropped.  Raises GraphError
+    with the library's text on an empty or disconnected graph."""
+    if not g.vertices:
+        raise GraphError("empty graph has no spanning tree")
+    ordered = sorted(g.arcs, key=lambda arc: id_key(arc.id))
+    touching: dict = {v: [] for v in g.vertices}
+    for rank, arc in enumerate(ordered):
+        touching[arc.tail].append(rank)
+        touching[arc.head].append(rank)
+    root = g.vertices[0]
+    reached, tree, heap = {root}, set(), list(touching[root])
+    heapq.heapify(heap)
+    while len(reached) < len(g.vertices):
+        if not heap:
+            stranded = next(v for v in g.vertices if v not in reached)
+            raise GraphError(f"graph is disconnected: no path between {root!r} and {stranded!r}")
+        arc = ordered[heapq.heappop(heap)]
+        if (arc.tail in reached) != (arc.head in reached):
+            new = arc.head if arc.tail in reached else arc.tail
+            tree.add(arc.id)
+            reached.add(new)
+            for rank in touching[new]:
+                heapq.heappush(heap, rank)
+    return frozenset(tree)
+
+
+def oracle_components(g: Multigraph) -> list[frozenset]:
+    """The underlying undirected components, by a breadth-first search from
+    each vertex not yet reached, in vertex order."""
+    neighbours: dict = {v: [] for v in g.vertices}
+    for arc in g.arcs:
+        neighbours[arc.tail].append(arc.head)
+        neighbours[arc.head].append(arc.tail)
+    components: list = []
+    for start in g.vertices:
+        if any(start in c for c in components):
+            continue
+        seen, queue = {start}, deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        components.append(frozenset(seen))
+    return components
 
 
 _BRUTE_SUBSET_LIMIT = 18
@@ -760,3 +816,67 @@ def first_difference(got: str, expected: str):
 def oracle_labels(rows) -> list[str]:
     """Each row's values, comma-joined."""
     return [",".join(str(x) for x in row) for row in rows]
+
+
+def aztec_document(n: int) -> dict:
+    """The Aztec diamond of order n as an `alpha` input.  Its unit squares,
+    lower-left corners (i, j) with |2i + 1| + |2j + 1| <= 2n, are numbered in
+    sorted order; each two adjacent squares are joined by an arc from the
+    white square (i + j odd) to the black one; each square's rotation lists
+    its neighbours north, east, south, west, which is clockwise; a white
+    square gets out-degree 1 and a black one its degree less 1.  So the
+    alpha-orientations are the perfect matchings of the squares, the domino
+    tilings (Felsner 2004), of which there are 2^(n(n+1)/2) (Elkies,
+    Kuperberg, Larsen and Propp 1992)."""
+    squares = sorted((i, j) for i in range(-n, n) for j in range(-n, n) if abs(2 * i + 1) + abs(2 * j + 1) <= 2 * n)
+    number = {s: k for k, s in enumerate(squares)}
+    ends: dict = {s: {} for s in squares}  # square -> {step to the neighbour: arc end}
+    arcs = []
+    for i, j in squares:
+        for neighbour in ((i + 1, j), (i, j + 1)):
+            if neighbour in number:
+                tail, head = ((i, j), neighbour) if (i + j) % 2 else (neighbour, (i, j))
+                arc_id = f"e{len(arcs)}"
+                arcs.append({"id": arc_id, "tail": number[tail], "head": number[head]})
+                ends[tail][head[0] - tail[0], head[1] - tail[1]] = {"arc": arc_id, "end": "tail"}
+                ends[head][tail[0] - head[0], tail[1] - head[1]] = {"arc": arc_id, "end": "head"}
+    clockwise = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    return {
+        "vertices": list(range(len(squares))),
+        "arcs": arcs,
+        "rotation": {str(number[s]): [ends[s][d] for d in clockwise if d in ends[s]] for s in squares},
+        "out_degrees": {str(number[s]): 1 if sum(s) % 2 else len(ends[s]) - 1 for s in squares},
+    }
+
+
+def box_document(a: int, b: int, c: int) -> dict:
+    """Plane partitions in an a x b x c box as a `potentials` input.  Cell
+    (i, j) of an a x b grid is vertex i * b + j, with an arc to its right and
+    to its lower neighbour of window [-c, 0], so heights fall weakly along
+    rows and columns; the anchor a * b has arcs of window [0, c] to the
+    first and the last cell, so every height lies in [0, c]."""
+    anchor, arcs = a * b, []
+    for i in range(a):
+        for j in range(b):
+            for name, di, dj in (("r", 0, 1), ("d", 1, 0)):
+                if i + di < a and j + dj < b:
+                    arcs.append({"id": f"{name}{i}_{j}", "tail": i * b + j, "head": (i + di) * b + j + dj})
+    grid = [arc["id"] for arc in arcs]
+    arcs += [{"id": "first", "tail": anchor, "head": 0}, {"id": "last", "tail": anchor, "head": anchor - 1}]
+    return {
+        "vertices": list(range(anchor + 1)),
+        "arcs": arcs,
+        "lower": {**dict.fromkeys(grid, -c), "first": 0, "last": 0},
+        "upper": {**dict.fromkeys(grid, 0), "first": c, "last": c},
+        "anchor": anchor,
+    }
+
+
+def macmahon(a: int, b: int, c: int) -> int:
+    """MacMahon's count of the plane partitions in an a x b x c box,
+    the product of (i + j + k - 1) / (i + j + k - 2) over its cells."""
+    count = Fraction(1)
+    for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        count *= Fraction(i + j + k - 1, i + j + k - 2)
+    assert count.denominator == 1
+    return count.numerator
