@@ -158,17 +158,20 @@ class BondSystem:
     # ------------------------------------------------------------------
     # validation and feasibility
 
-    def check_bond(self, x: Bond) -> ValidityReport:
-        """Test both bond conditions, reporting every violation.  A bond
-        passes on one bulk window pass and one potential walk; only a
-        failing labeling builds the cycle basis, for the full report."""
+    def in_windows(self, x: Bond) -> bool:
+        """Whether every arc's value lies in its window, by one bulk pass."""
         values = list(map(x.values.get, self._arc_order))
         if None in values:
             raise GraphError(f"labeling misses arc {self._arc_order[values.index(None)]!r}")
-        lows, highs = self.lower.values(), self.upper.values()
-        if all(map(le, lows, values)) and all(map(le, values, highs)) and self._potential(x.values)[1] is None:
+        return all(map(le, self.lower.values(), values)) and all(map(le, values, self.upper.values()))
+
+    def check_bond(self, x: Bond) -> ValidityReport:
+        """Test both bond conditions, reporting every violation.  A bond
+        passes on `in_windows` and one potential walk; only a failing
+        labeling builds the cycle basis, for the full report."""
+        if self.in_windows(x) and self._potential(x.values)[1] is None:
             return ValidityReport(True, (), ())
-        rows = zip(self._arc_order, values, lows, highs)
+        rows = zip(self._arc_order, map(x.values.get, self._arc_order), self.lower.values(), self.upper.values())
         capacity = tuple((a, v, lo, hi) for a, v, lo, hi in rows if not lo <= v <= hi)
         rows = zip(self.cycles, self.targets, (flow_difference(x, cycle) for cycle in self.cycles))
         cycles = tuple((cycle, want, got) for cycle, want, got in rows if want != got)

@@ -5,10 +5,12 @@ out-arc) may fire, sending one chip along every out-arc; loops return their
 chips.  The reachable arrangements with moves colored by the fired vertex
 form a digraph whose certification mirrors the bond-lattice machinery: a
 finite game has a unique final arrangement and every maximal firing
-sequence fires the same multiset of vertices.  States are count tuples
-(`rows`); the move index's sink is the final arrangement, its `into`
-tallies the firing multisets and its `closure` a complete game's order.
-`states` and `firing_counts` build `Counter`s on first read.
+sequence fires the same multiset of vertices.  States are walked as the
+bond lattice's packed keys (`graph.pack`): fire and unfire are masked-add
+tests, one explorer serves the game and the closure, and the keys become
+count tuples (`rows`) once.  The move index's sink is the final arrangement,
+its `into` tallies the firing multisets and its `closure` a complete game's
+order.  `states` and `firing_counts` build `Counter`s on first read.
 
 The bidirectional closure also walks unfirings (pulling one chip back along
 every out-arc), recorded as reversed fire moves.  Its order is generally
@@ -32,7 +34,7 @@ from .checker import (
     certify_uld_cover,
     meet_representations,
 )
-from .graph import Multigraph, Record, id_key
+from .graph import Multigraph, Record, field_width, pack, unpack
 
 FINITE = "finite"
 CYCLIC = "cyclic"
@@ -54,45 +56,47 @@ def _check_arrangement(g: Multigraph, arrangement: ChipArrangement):
             raise ChipError(f"vertex {v!r} must hold a nonnegative integer number of chips")
 
 
-def _rules(g: Multigraph, vertices) -> list:
-    """The move rule of each of `vertices`: (its index in graph order, its
-    out-degree, ((head index, arcs to that head), ...))."""
-    index, rules = g.index, []
-    for v in vertices:
-        arcs, heads = g.out_arcs(v), {}
-        for arc in arcs:
-            h = index[arc.head]
-            heads[h] = heads.get(h, 0) + 1
-        rules.append((index[v], len(arcs), tuple(heads.items())))
-    return rules
-
-
-def _step(rule: tuple, chips: tuple, sign: int) -> tuple | None:
-    """The count tuple after firing (sign 1) or unfiring (sign -1) by `rule`,
-    or None when the move is illegal.  Firing needs the out-degree on the
-    vertex; unfiring needs one chip per arc on every out-neighbor, the
-    vertex itself included when it has a loop."""
-    i, out, heads = rule
-    if not out or (chips[i] < out if sign > 0 else any(chips[h] < k for h, k in heads)):
-        return None
-    row = list(chips)
-    row[i] -= sign * out
-    for h, k in heads:
-        row[h] += sign * k
-    return tuple(row)
+def _moves(g: Multigraph, chips: ChipArrangement, movers) -> tuple[int, list, int]:
+    """The packed-key layout of g's games from `chips`: field width, the move
+    table of `movers` and the key of `chips`.  Each mover with out-arcs has a
+    fire then an unfire row (addend, mask, want, delta, vertex, unfire),
+    legal at key k when (k + addend) & mask == want and making k + delta.
+    Firing guards v's field by top - out(v); unfiring guards each
+    out-neighbor's, v's own for a loop, by top minus v's arcs to it, which
+    keeps fire(unfire(s, v), v) = s."""
+    _check_arrangement(g, chips)
+    row = [chips[v] for v in g.vertices]
+    width = field_width(max(sum(row), len(g.arcs)))
+    top, last = 1 << width - 1, len(row) - 1
+    out_heads = {v: [] for v in movers}  # each head's field's lowest bit, per out-arc
+    for arc in g.arcs:
+        if arc.tail in out_heads:
+            out_heads[arc.tail].append(1 << width * (last - g.index[arc.head]))
+    table = []
+    for v, heads in out_heads.items():
+        if heads:
+            here = 1 << width * (last - g.index[v])
+            out, inflow, guard = len(heads), sum(heads), top * sum(set(heads))
+            delta = inflow - out * here
+            table += (((top - out) * here, top * here, top * here, delta, v, False),
+                      (guard - inflow, guard, guard, -delta, v, True))
+    return width, table, pack(row, width)
 
 
 def _arrangement(order, row: tuple) -> ChipArrangement:
     return ChipArrangement(dict(zip(order, row)))
 
 
-def _move(g: Multigraph, arrangement: ChipArrangement, v, sign: int) -> ChipArrangement | None:
-    row = _step(_rules(g, [v])[0], tuple(arrangement[w] for w in g.vertices), sign)
-    return None if row is None else _arrangement(g.vertices, row)
+def _move(g: Multigraph, arrangement: ChipArrangement, v, unfire: bool) -> ChipArrangement | None:
+    width, table, key = _moves(g, arrangement, (v,))
+    for addend, mask, want, delta, _, _ in table[unfire::2]:  # v's one row, if v has out-arcs
+        if (key + addend) & mask == want:
+            return _arrangement(g.vertices, *unpack([key + delta], width, [0] * len(g.vertices)))
+    return None
 
 
 def can_fire(g: Multigraph, arrangement: ChipArrangement, v) -> bool:
-    return _move(g, arrangement, v, 1) is not None
+    return _move(g, arrangement, v, False) is not None
 
 
 def fire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
@@ -104,21 +108,50 @@ def fire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
         raise ChipError(f"vertex {v!r} has no out-arcs and can never fire")
     if arrangement[v] < out:
         raise ChipError(f"vertex {v!r} holds {arrangement[v]} chips but needs {out} to fire")
-    return _move(g, arrangement, v, 1)
+    return _move(g, arrangement, v, False)
 
 
 def can_unfire(g: Multigraph, arrangement: ChipArrangement, v) -> bool:
-    # every out-neighbor must return one chip per parallel arc; loops make
-    # v its own out-neighbor, which keeps fire(unfire(s, v), v) = s exact
-    return _move(g, arrangement, v, -1) is not None
+    return _move(g, arrangement, v, True) is not None
 
 
 def unfire(g: Multigraph, arrangement: ChipArrangement, v) -> ChipArrangement:
     """Pull one chip back along every out-arc of v (the inverse of fire)."""
-    moved = _move(g, arrangement, v, -1)
+    moved = _move(g, arrangement, v, True)
     if moved is None:
         raise ChipError(f"cannot unfire vertex {v!r}: some out-neighbor lacks chips")
     return moved
+
+
+def _explore(g: Multigraph, start: ChipArrangement, cap: int, unfire: bool) -> tuple[tuple, tuple, bool]:
+    """Breadth-first walk over packed keys from `start` by fire moves, and
+    unfire moves too when `unfire`, kept in fire direction: (rows, moves by
+    (from, to, fired vertex in graph order), whether the cap cut it
+    short).  Firing alone drops each new state past `cap`; the closure
+    expands no state at distance `cap` and stops past `cap` states."""
+    width, table, first = _moves(g, start, g.vertices)
+    table = table if unfire else table[::2]
+    keys, index = [first], {first: 0}
+    moves: dict = {}  # in insertion order: fire i -> j and unfire j -> i are one triple
+    cut, depth, layer_end = False, 0, 1
+    for i, key in enumerate(keys):
+        if i == layer_end:
+            depth, layer_end = depth + 1, len(keys)
+        if unfire and (len(keys) > cap or depth >= cap):
+            cut = True
+            break
+        for addend, mask, want, delta, v, back in table:
+            if (key + addend) & mask == want:
+                j = index.get(key + delta)
+                if j is None:
+                    if not unfire and len(keys) >= cap:
+                        cut = True
+                        continue
+                    j = index[key + delta] = len(keys)
+                    keys.append(key + delta)
+                moves[(j, i, v) if back else (i, j, v)] = None
+    rows = tuple(unpack(keys, width, [0] * len(g.vertices)))
+    return rows, tuple(sorted(moves, key=lambda m: (m[0], m[1], g.index[m[2]]))), cut
 
 
 class _Explored(Record):
@@ -154,43 +187,15 @@ class GameGraph(_Explored):
         return self.verdict != CAP_EXCEEDED
 
 
-def _sorted_moves(g: Multigraph, moves) -> tuple:
-    """Moves by (from, to, fired vertex in `id_key` order)."""
-    rank = {v: r for r, v in enumerate(sorted(g.vertices, key=id_key))}
-    return tuple(sorted(moves, key=lambda m: (m[0], m[1], rank[m[2]])))
-
-
 def build_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> GameGraph:
-    """Breadth-first exploration of all arrangements reachable by firing.
-
-    States are count tuples in vertex order: each is its own dedupe key,
-    and the row list grows in breadth-first order."""
-    _check_arrangement(g, start)
-    order = g.vertices
-    rules = list(zip(order, _rules(g, order)))
-    rows = [tuple(start[v] for v in order)]
-    index = {rows[0]: 0}
-    moves = []
-    capped = False
-    for i, row in enumerate(rows):
-        for v, rule in rules:
-            nxt = _step(rule, row, 1)
-            if nxt is None:
-                continue
-            j = index.get(nxt)
-            if j is None:
-                if len(rows) >= cap:
-                    capped = True
-                    continue
-                j = index[nxt] = len(rows)
-                rows.append(nxt)
-            moves.append((i, j, v))
-    moves = _sorted_moves(g, moves)
+    """All arrangements reachable by firing, by `_explore`; past `cap`
+    states the verdict is "cap exceeded"."""
+    rows, moves, capped = _explore(g, start, cap, False)
     if capped:
-        return GameGraph(g, tuple(rows), moves, CAP_EXCEEDED)
+        return GameGraph(g, rows, moves, CAP_EXCEEDED)
     colored = ColoredDigraph.from_triples(len(rows), moves)
     verdict = CYCLIC if colored.order(1) is None else FINITE
-    return GameGraph(g, tuple(rows), moves, verdict, colored)
+    return GameGraph(g, rows, moves, verdict, colored)
 
 
 class GameCertificate(Record):
@@ -247,39 +252,12 @@ class CompleteGame(_Explored):
 
 
 def build_complete_game(g: Multigraph, start: ChipArrangement, cap: int = 100_000) -> CompleteGame:
-    """Breadth-first closure under fire and unfire.  States at distance
+    """The closure under fire and unfire, by `_explore`: states at distance
     `cap` from the start are not expanded, and the walk stops once it holds
     more than `cap` states; either leaves the closure incomplete."""
-    _check_arrangement(g, start)
-    order = g.vertices
-    rules = list(zip(order, _rules(g, order)))
-    rows = [tuple(start[v] for v in order)]
-    index = {rows[0]: 0}
-    distance = [0]
-    moves: set = set()
-    complete = True
-    for i, row in enumerate(rows):
-        if len(rows) > cap:
-            complete = False
-            break
-        if distance[i] >= cap:
-            complete = False
-            continue
-        for v, rule in rules:
-            for sign in (1, -1):
-                nxt = _step(rule, row, sign)
-                if nxt is None:
-                    continue
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(rows)
-                    rows.append(nxt)
-                    distance.append(distance[i] + 1)
-                moves.add((i, j, v) if sign > 0 else (j, i, v))
-    moves = _sorted_moves(g, moves)
+    rows, moves, cut = _explore(g, start, cap, True)
     colored = ColoredDigraph.from_triples(len(rows), moves)
-    acyclic = colored.order(1) is not None
-    return CompleteGame(g, tuple(rows), moves, complete, acyclic, colored)
+    return CompleteGame(g, rows, moves, not cut, colored.order(1) is not None, colored)
 
 
 class RepresentationReport(Record):

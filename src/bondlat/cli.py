@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 
 def _cli_id(text: str):
@@ -149,12 +149,12 @@ def _run_enumerate(args, doc, analyze):
 def _cmd_order_op(args, doc, op):
     system = jsonio.parse_system(doc, args.forbidden)
     x, y = (jsonio.parse_bond(doc, name, system.graph) for name in "xy")
-    for name, bond in zip("xy", (x, y)):
-        report = system.check_bond(bond)
-        if not report.ok:
-            return 1, {"verdict": "not a bond", "which": name, "report": jsonio.validity_json(report)}, None
-    result = getattr(system, op)(x, y)  # on the parsed system: potentials need no reduce
-    return 0, {op: result if op == "leq" else jsonio.bond_json(result, system.graph)}, None
+    with suppress(GraphError):  # raised by a potential that does not fit; the reports below name it
+        if system.in_windows(x) and system.in_windows(y):
+            result = getattr(system, op)(x, y)  # one walk per potential, on the parsed system: no reduce
+            return 0, {op: result if op == "leq" else jsonio.bond_json(result, system.graph)}, None
+    name, report = next((name, r) for name, r in zip("xy", map(system.check_bond, (x, y))) if not r.ok)
+    return 1, {"verdict": "not a bond", "which": name, "report": jsonio.validity_json(report)}, None
 
 
 def _cmd_check_uld(args, doc):
@@ -249,19 +249,14 @@ def _cmd_potentials(args, doc):
 
 def _cmd_chipfire(args, doc):
     g, start = jsonio.parse_chip_input(doc)
-    if args.ccfg:
-        game = build_complete_game(g, start, cap=args.cap)
-        payload = jsonio.complete_game_json(game)
-        dot = iter_game_dot(game) if args.dot else None
-        if game.complete and game.acyclic:
-            report = check_complete_game_representation(game)
-            payload["representation"] = jsonio.record_json(report)
-            return (0 if report.ok else 1), payload, dot
-        payload["representation"] = None
-        return 1, payload, dot
-    game = build_game(g, start, cap=args.cap)
-    payload = jsonio.game_json(game)
+    game = (build_complete_game if args.ccfg else build_game)(g, start, cap=args.cap)
     dot = iter_game_dot(game) if args.dot else None
+    if args.ccfg:
+        payload = jsonio.complete_game_json(game)
+        report = check_complete_game_representation(game) if game.complete and game.acyclic else None
+        payload["representation"] = None if report is None else jsonio.record_json(report)
+        return (0 if report is not None and report.ok else 1), payload, dot
+    payload = jsonio.game_json(game)
     if game.verdict != FINITE:
         return 1, payload, dot
     certificate = certify_game(game)

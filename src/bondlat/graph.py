@@ -18,9 +18,11 @@ backward traversal.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
-from operator import attrgetter
+from itertools import cycle, repeat
+from operator import add, attrgetter
+from struct import Struct
 
 TAIL = "tail"
 HEAD = "head"
@@ -256,6 +258,36 @@ def forest(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list]:
         while parent[v] != parent[parent[v]]:
             parent[v] = parent[parent[v]]
     return kept, parent
+
+
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct code per machine field width
+
+
+def field_width(widest: int) -> int:
+    """Bits per packed field holding 0..widest: 8, 16, 32 or 64, else the
+    least multiple of 8, with top (guard) bit 2**(width - 1) >= widest, so
+    adding top - k to a field holding c sets that bit, with no carry, iff c >= k."""
+    bits = (widest - 1).bit_length() + 1
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
+
+
+def pack(row: Iterable[int], width: int) -> int:
+    """The nonnegative `row` as one int of `width`-bit fields, the first most
+    significant (int order is lexicographic row order), via one bytes string."""
+    return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(width // 8), repeat("big"))), "big")
+
+
+def unpack(keys: Sequence[int], width: int, lows: Sequence[int]) -> Iterable[tuple]:
+    """The rows of packed `keys`, `lows[k]` added to field k: one `struct`
+    unpack over all keys, or byte slices for fields wider than 64 bits."""
+    m, size = len(lows), width // 8
+    blob = b"".join(map(int.to_bytes, keys, repeat(m * size), repeat("big")))
+    if width in _CODES:
+        flat = Struct(f">{m * len(keys)}{_CODES[width]}").unpack(blob)
+    else:
+        flat = [int.from_bytes(blob[k : k + size], "big") for k in range(0, len(blob), size)]
+    flat = map(add, flat, cycle(lows)) if any(lows) else iter(flat)
+    return zip(*[flat] * m) if m else repeat((), len(keys))
 
 
 class CycleVector(Record):

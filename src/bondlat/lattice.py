@@ -18,9 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import count, cycle, repeat
-from operator import add, eq, itemgetter, lt
-from struct import Struct
+from itertools import count
+from operator import eq, itemgetter, lt, sub
 
 from .bonds import Bond, BondSystem
 from .checker import (
@@ -33,7 +32,7 @@ from .checker import (
     lost_irreducibles,
     meet_representations,
 )
-from .graph import id_key
+from .graph import field_width, id_key, pack, unpack
 
 
 class CapExceededError(RuntimeError):
@@ -139,26 +138,22 @@ class CoverDigraph:
         return self._colored
 
 
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> struct code
-
-
 def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     """All bonds of a reduced feasible system, as a colored cover digraph.
 
     Covers are single-vertex pushes colored by the pushed vertex.  A push of
     v is legal when no arc leaving v is at its upper bound and no arc
-    entering v at its lower bound.  The walk packs each element into one
-    int: arc k of graph arc order holds value - lower in a field of 8, 16,
-    32 or 64 bits, arc 0 most significant, so int order is lexicographic
-    bond order.  A window wider than the walk can reach within `cap` is
-    narrowed to that reach first.  Adding v's addend sets a field's top
-    (guard) bit exactly when an arc leaving v is at its upper bound or an
-    arc entering v is above its lower bound, so with `mask` the guard bits
-    of v's arcs, `(key + addend) & mask == want` tests the push and `key +
-    delta` makes it.  Moves run in order of delta, so each layer's covers
-    come out sorted.  The keys become arc
-    value tuples once, at the end, by one `struct` unpack.  Raises
-    CapExceededError past `cap` elements, GraphError on rigid arcs.
+    entering v at its lower bound.  Each element is one `graph.pack` key:
+    arc k of graph arc order holds value - lower, arc 0 most significant, so
+    int order is lexicographic bond order; a window wider than the walk can
+    reach within `cap` is narrowed to that reach first.  Adding v's addend
+    sets a field's guard bit exactly when an arc leaving v is at its upper
+    bound or an arc entering v is above its lower bound, so with `mask` the
+    guard bits of v's arcs, `(key + addend) & mask == want` tests the push
+    and `key + delta` makes it.  Moves run in order of delta, so each
+    layer's covers come out sorted, and one `graph.unpack` decodes the keys
+    at the end.  Raises CapExceededError past `cap` elements, GraphError on
+    rigid arcs.
     """
     minimum = system.minimum_bond()  # also enforces reducedness
     arcs = system.graph.arcs
@@ -170,13 +165,11 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
     lower, upper = system.lower, system.upper
     lows = [max(lower[a], x - reach) for a, x in zip(arc_order, start)]
     spans = [min(upper[a], x + reach) - low for a, x, low in zip(arc_order, start, lows)]
-    widest = max(spans, default=0)
-    width = next(w for w in _FIELD_CODES if widest <= 1 << (w - 1))
+    width = field_width(max(spans, default=0))
     top = 1 << (width - 1)
     move = {v: [0, 0, 0, 0] for v in system.pushable_vertices()}  # addend, mask, want, delta
-    first = 0  # the minimum's key
-    for a, x, low, span, s in zip(arcs, start, lows, spans, range(width * (len(arcs) - 1), -1, -width)):
-        first += (x - low) << s
+    first = pack(map(sub, start, lows), width)  # the minimum's key
+    for a, span, s in zip(arcs, spans, range(width * (len(arcs) - 1), -1, -width)):
         for v, addend, want, step in ((a.tail, top - span, 0, 1), (a.head, top - 1, top, -1)):
             if v in move:  # a loop is rigid, so tail != head
                 m = move[v]
@@ -201,10 +194,7 @@ def enumerate_lattice(system: BondSystem, cap: int = 1_000_000) -> CoverDigraph:
         index = dict(zip(layer, count(len(keys))))
         covers += [(i, index[y], v) for i, y, v in pending]
         keys += layer
-    m, blob = len(arcs), b"".join(map(int.to_bytes, keys, repeat(len(arcs) * width // 8), repeat("big")))
-    flat = Struct(f">{m * len(keys)}{_FIELD_CODES[width]}").unpack(blob)
-    vectors = zip(*[map(add, flat, cycle(lows))] * m) if m else [()] * len(keys)
-    return CoverDigraph._from_walk(vectors, covers, arc_order)
+    return CoverDigraph._from_walk(unpack(keys, width, lows), covers, arc_order)
 
 
 def color_tallies(cd: CoverDigraph | ColoredDigraph) -> list[Counter]:

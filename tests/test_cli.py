@@ -396,6 +396,21 @@ class TestReduceAndFindBond:
         assert cycles and not reductions
 
 
+def test_good_order_ops_walk_each_potential_once(tmp_path, monkeypatch):
+    # the windows are checked up front and the operation walks both
+    # potentials: a good pair takes two walks, not a check's two more
+    _, lattice = run_cli(tmp_path, "enumerate", mixed_doc())
+    walks: list = []
+    potential = bonds.BondSystem._potential
+    monkeypatch.setattr(bonds.BondSystem, "_potential", _recording(potential, "_potential", walks))
+    doc = mixed_doc()
+    doc["x"], doc["y"] = lattice["elements"][1], lattice["elements"][-1]
+    for command in ("meet", "join", "leq"):
+        walks.clear()
+        code, _ = run_cli(tmp_path, command, doc)
+        assert (command, code, len(walks)) == (command, 0, 2)
+
+
 def _recording(real, name, calls):
     """`real`, noting `name` in `calls` on each call."""
 

@@ -70,6 +70,11 @@ REMOVED = (
     ("chipfire", "GameGraph", "terminal_index"),
     ("chipfire", "CompleteGame", "to_poset"),
     ("checker", None, "topological_order"),
+    # games walk the lattice's packed keys: the tuple walk and the lattice's own decode are gone
+    ("chipfire", None, "_rules"),
+    ("chipfire", None, "_step"),
+    ("chipfire", None, "_sorted_moves"),
+    ("lattice", None, "_FIELD_CODES"),
 )
 
 
@@ -181,6 +186,16 @@ def test_import_loads_no_submodule():
         print(all(isinstance(getattr(bondlat, name), types.ModuleType) for name in {SUBMODULES!r}))
     """
     assert _fresh(code).stdout.split("\n") == ["['bondlat']", "True", ""]
+
+
+def test_chipfire_loads_only_the_game_layers():
+    """Games share the lattice's key layout through `graph`, so importing
+    `chipfire` still loads neither `lattice` nor `bonds`."""
+    code = """if True:
+        import sys, bondlat.chipfire
+        print(*sorted(name for name in sys.modules if name.split(".")[0] == "bondlat"))
+    """
+    assert _fresh(code).stdout.split() == ["bondlat", "bondlat.checker", "bondlat.chipfire", "bondlat.graph"]
 
 
 def test_unknown_names_raise_attribute_error():

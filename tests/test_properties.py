@@ -1079,10 +1079,7 @@ def test_capped_games_match_the_dict_oracle_move_for_move(doc, cap):
     assert (closure.complete, closure.acyclic) == (complete, acyclic)
 
 
-@given(chip_docs(), st.data())
-def test_fire_and_unfire_match_the_dict_oracle(doc, data):
-    g, _ = parse_chip_input(doc)
-    chips = ChipArrangement({v: data.draw(st.integers(0, 3)) for v in g.vertices})
+def _assert_single_moves_match_the_dict_oracles(g: Multigraph, chips: ChipArrangement):
     for v in g.vertices:
         for move, legal, oracle_legal, oracle_move in (
             (fire, can_fire, oracle_can_fire, oracle_fire),
@@ -1097,6 +1094,33 @@ def test_fire_and_unfire_match_the_dict_oracle(doc, data):
             after = move(g, chips, v)
             assert after == Counter(oracle_move(g, dict(chips), v))
             assert set(after) <= set(g.vertices)
+
+
+@given(chip_docs(), st.data())
+def test_fire_and_unfire_match_the_dict_oracle(doc, data):
+    g, _ = parse_chip_input(doc)
+    _assert_single_moves_match_the_dict_oracles(g, ChipArrangement({v: data.draw(st.integers(0, 3)) for v in g.vertices}))
+
+
+# Piles at the packed fields' edges: 2**7 and 2**15 chips fill an 8- and a
+# 16-bit field up to its guard bit, one chip more needs the next width,
+# 2**63 fills a 64-bit field, and 2**70 needs fields decoded by byte slices.
+_PILES = (2**7 - 1, 2**7, 2**15, 2**16, 2**63, 2**70)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chip_docs(), st.sampled_from(_PILES), st.data(), st.integers(0, 8))
+def test_packed_games_match_the_dict_oracles_at_field_boundaries(doc, pile, data, cap):
+    g, start = parse_chip_input(doc)
+    start[data.draw(st.sampled_from(g.vertices))] += pile
+    rows = lambda game: [tuple(s[v] for v in g.vertices) for s in game.states]
+    game = build_game(g, start, cap=cap)
+    assert (rows(game), game.moves, game.verdict) == oracle_game(g, dict(start), cap)
+    closure = build_complete_game(g, start, cap=cap)
+    states, moves, complete, acyclic = oracle_complete_game(g, dict(start), cap)
+    assert (rows(closure), closure.moves, closure.complete, closure.acyclic) == (states, moves, complete, acyclic)
+    for chips in game.states:
+        _assert_single_moves_match_the_dict_oracles(g, chips)
 
 
 # Ids for the writer properties: ints, and short strings mixing ASCII,
