@@ -32,11 +32,12 @@ in one bulk pass, O(m).  A bond's p comes from one walk over the search plan
 from f, O(m), so `leq`, `meet`, `join` and a passing `check_bond` are O(m)
 on any feasible system, with no distance pass and no cycle basis; only a
 failing labeling builds the basis, for its report.  Distances come from a
-FIFO-queue Bellman-Ford pass, linear on trees and O(n m) at worst; a
-distance resting on n edges proves a negative cycle, and the certificate
-then costs one arc-order pass, O(n m).  `initial_bond` (`find-bond`) costs
-one distance pass; `reduce` adds a strong-component pass, O(n + m), and the
-contracted graph, O(m log m), and `minimum_bond` one more distance pass.
+FIFO-queue Bellman-Ford pass, linear on trees and O(n m) at worst; a cycle
+of its parent links proves a negative cycle, and the certificate's
+arc-order pass costs O(m) a round until its state repeats, O(n m) at
+worst.  `initial_bond` (`find-bond`) costs one distance pass; `reduce`
+adds a strong-component pass, O(n + m), and the contracted graph,
+O(m log m), and `minimum_bond` one more distance pass.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, le
+from operator import attrgetter, le, sub
 
 from .graph import (
     Arc,
@@ -220,10 +221,11 @@ class BondSystem:
         """Shortest constraint-graph distances from `source`, or to it when
         `reverse`, raising an InfeasibleSystemError on a negative cycle.
 
-        A FIFO-queue Bellman-Ford pass that counts the edges each distance
-        rests on.  A count of n means a chain of relaxations visited some
-        vertex twice, its distance falling in between, so the closed walk
-        between the visits is negative.  The certificate then comes from
+        A FIFO-queue Bellman-Ford pass.  A cycle of the parent links (the
+        vertex that last lowered each) is negative, so past as many
+        relaxations as edges a parent walk runs every n more, O(n) each
+        (Cherkassky and Goldberg).  A distance resting on n edges is the
+        backstop that bounds the pass.  The certificate comes from
         `_certificate`, so it does not depend on the queue order.
         """
         key = (source, reverse)
@@ -235,35 +237,43 @@ class BondSystem:
             if reverse:
                 u, v = v, u
             adj[u].append((v, w))
-        dist = [_INF] * n
-        length = [0] * n
-        queued = [False] * n
+        dist, length, parent, queued = [_INF] * n, [0] * n, [-1] * n, [False] * n
         start = self.graph.index[source]
-        dist[start] = 0
-        queued[start] = True
+        dist[start], queued[start] = 0, True
         queue = deque([start])
+        relaxed, walk_after = 0, len(self._edges)
         while queue:
             u = queue.popleft()
             queued[u] = False
             du, step = dist[u], length[u] + 1
             for v, w in adj[u]:
                 if du + w < dist[v]:
-                    if step == n:
-                        raise self._certificate(source, reverse)
                     dist[v] = du + w
                     length[v] = step
+                    parent[v] = u
+                    relaxed += 1
+                    if step == n or relaxed > walk_after and not relaxed % n and _parent_cycle(parent):
+                        raise self._certificate(source, reverse)
                     if not queued[v]:
                         queued[v] = True
                         queue.append(v)
-        result = dict(zip(self.graph.vertices, dist))
-        self._dist_cache[key] = result
+        result = self._dist_cache[key] = dict(zip(self.graph.vertices, dist))
         return result
 
     def _certificate(self, source, reverse: bool) -> InfeasibleSystemError:
         """The infeasibility certificate of the arc-order Bellman-Ford pass:
         n - 1 rounds over the constraint edges in arc order, then the first
         edge that still relaxes leads back to a negative cycle of `pred`
-        links.  O(|V| |A|); run only once a negative cycle is known to exist."""
+        links.  A round only compares and adds, so once the state after
+        some round repeats one lam rounds earlier, `pred` equal and every
+        distance moved by one c, it repeats every lam rounds, moved by c
+        each time (Brent: the state saved at rounds 1, 3, 7, ... is compared
+        with each later one).  The q lam + k rounds left then end, after k
+        rounds, in the state of all n - 1 rounds moved by -q c, which only
+        comparisons read, so the certificate is the same.  O(m) a round
+        until a repeat, O(n m) at worst, as on a directed ring listed along
+        its direction, whose negative cycle runs against the arc order: one
+        `pred` edge moves each round.  Run only on a known negative cycle."""
         edges = self._edges
         if reverse:
             edges = [(v, u, w, a, -sign) for u, v, w, a, sign in edges]
@@ -271,23 +281,25 @@ class BondSystem:
         dist = [_INF] * n
         dist[self.graph.index[source]] = 0
         pred: list = [None] * n  # the edge that last lowered each vertex
-        # a reachable negative cycle lowers some vertex in every round, so
-        # all n - 1 rounds run
-        for _ in range(n - 1):
+        rounds, lam, power, saved = n - 1, 0, 1, None
+        while rounds:
+            rounds, lam = rounds - 1, lam + 1
             for edge in edges:
                 u, v, w, _, _ = edge
                 if dist[u] + w < dist[v]:
                     dist[v] = dist[u] + w
                     pred[v] = edge
+            shift = saved and pred == saved[1] and set(map(sub, dist, saved[0]))
+            if shift and len(shift) == 1:  # inf - inf is nan, equal to nothing
+                rounds, saved, power = rounds % lam, None, 0
+            elif lam == power:
+                saved, power, lam = (dist[:], pred[:]), 2 * power, 0
         edge = next(e for e in edges if dist[e[0]] + e[2] < dist[e[1]])
-        v = edge[1]
-        pred[v] = edge
+        v, pred[edge[1]] = edge[1], edge
         for _ in range(n):  # step back onto the cycle
             v = pred[v][0]
-        signs: dict = {}
-        u = v
-        while True:
-            # the pred edge enters u, so the walk runs prev -> u
+        signs, u = {}, v
+        while True:  # the pred edge enters u, so the walk runs prev -> u
             u, _, _, arc_id, sign = pred[u]
             signs[arc_id] = sign
             if u == v:
@@ -305,12 +317,8 @@ class BondSystem:
     def value_range(self, arc_id) -> tuple[int, int]:
         """Tight min and max of x(arc) over all bonds (system must be feasible)."""
         a = self.graph.arc(arc_id)
-        down = self._distances(a.tail)
-        up = self._distances(a.head)
-        return (
-            self.reference[a.id] - down[a.head],
-            self.reference[a.id] + up[a.tail],
-        )
+        down, up = self._distances(a.tail), self._distances(a.head)
+        return self.reference[a.id] - down[a.head], self.reference[a.id] + up[a.tail]
 
     def _rigid_classes(self) -> tuple[dict, dict, Bond]:
         """(vertex -> least member of its class, rigid arc -> forced value, x).
@@ -449,6 +457,19 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _parent_cycle(parent: list) -> bool:
+    """Whether the links v -> parent[v] (-1 at a root) close a cycle: each
+    walk stops at a root or at a vertex an earlier walk passed, O(n)."""
+    seen = [-1] * len(parent)  # the first walk through each vertex
+    for start in range(len(parent)):
+        v = start
+        while v >= 0 and seen[v] < 0:
+            seen[v], v = start, parent[v]
+        if v >= 0 and seen[v] == start:
+            return True
+    return False
 
 
 def _strong_components(succ: list, pred: list) -> list:

@@ -59,7 +59,7 @@ def _check_arrangement(g: Multigraph, arrangement: ChipArrangement):
 def _moves(g: Multigraph, chips: ChipArrangement, movers) -> tuple[int, list, int]:
     """The packed-key layout of g's games from `chips`: field width, the move
     table of `movers` and the key of `chips`.  Each mover with out-arcs has a
-    fire then an unfire row (addend, mask, want, delta, vertex, unfire),
+    fire then an unfire row (addend, mask, want, delta, vertex position, unfire),
     legal at key k when (k + addend) & mask == want and making k + delta.
     Firing guards v's field by top - out(v); unfiring guards each
     out-neighbor's, v's own for a loop, by top minus v's arcs to it, which
@@ -78,8 +78,8 @@ def _moves(g: Multigraph, chips: ChipArrangement, movers) -> tuple[int, list, in
             here = 1 << width * (last - g.index[v])
             out, inflow, guard = len(heads), sum(heads), top * sum(set(heads))
             delta = inflow - out * here
-            table += (((top - out) * here, top * here, top * here, delta, v, False),
-                      (guard - inflow, guard, guard, -delta, v, True))
+            table += (((top - out) * here, top * here, top * here, delta, g.index[v], False),
+                      (guard - inflow, guard, guard, -delta, g.index[v], True))
     return width, table, pack(row, width)
 
 
@@ -132,7 +132,7 @@ def _explore(g: Multigraph, start: ChipArrangement, cap: int, unfire: bool) -> t
     width, table, first = _moves(g, start, g.vertices)
     table = table if unfire else table[::2]
     keys, index = [first], {first: 0}
-    moves: dict = {}  # in insertion order: fire i -> j and unfire j -> i are one triple
+    moves: dict = {}  # (from, to, vertex position): fire i -> j and unfire j -> i are one triple
     cut, depth, layer_end = False, 0, 1
     for i, key in enumerate(keys):
         if i == layer_end:
@@ -151,7 +151,8 @@ def _explore(g: Multigraph, start: ChipArrangement, cap: int, unfire: bool) -> t
                     keys.append(key + delta)
                 moves[(j, i, v) if back else (i, j, v)] = None
     rows = tuple(unpack(keys, width, [0] * len(g.vertices)))
-    return rows, tuple(sorted(moves, key=lambda m: (m[0], m[1], g.index[m[2]]))), cut
+    vertices = g.vertices
+    return rows, tuple([(i, j, vertices[v]) for i, j, v in sorted(moves)]), cut
 
 
 class _Explored(Record):

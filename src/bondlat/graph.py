@@ -151,11 +151,7 @@ class Multigraph:
         self._plans: dict = {}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Multigraph)
-            and self.vertices == other.vertices
-            and self.arcs == other.arcs
-        )
+        return isinstance(other, Multigraph) and (self.vertices, self.arcs) == (other.vertices, other.arcs)
 
     def __repr__(self):
         return f"Multigraph({len(self.vertices)} vertices, {len(self.arcs)} arcs)"

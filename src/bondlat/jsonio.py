@@ -308,23 +308,17 @@ def _read_systems(doc, forbidden_override, split: bool) -> list:
     g = parse_graph(doc)
     split = split and not g.is_connected()
     if split and "reference" not in doc:
-        raise InputFormatError(
-            "", 'a disconnected input requires an explicit "reference" labeling'
-        )
+        raise InputFormatError("", 'a disconnected input requires an explicit "reference" labeling')
     lower = parse_arc_map(doc, "lower", g)
     upper = parse_arc_map(doc, "upper", g)
     if "reference" in doc and "delta_on_fundamental_cycles" in doc:
-        raise InputFormatError(
-            "", 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive'
-        )
+        raise InputFormatError("", 'keys "reference" and "delta_on_fundamental_cycles" are mutually exclusive')
     if "reference" in doc:
         reference = parse_arc_map(doc, "reference", g)
     elif "delta_on_fundamental_cycles" in doc:
         reference = _reference_from_cycle_targets(doc, g)
     else:
-        raise InputFormatError(
-            "", 'one of "reference" or "delta_on_fundamental_cycles" is required'
-        )
+        raise InputFormatError("", 'one of "reference" or "delta_on_fundamental_cycles" is required')
     forbidden = parse_id(doc, "forbidden", forbidden_override)
     if forbidden is None and not split:
         forbidden = g.vertices[0]

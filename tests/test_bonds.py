@@ -18,9 +18,20 @@ from bondlat import (
     flow_difference,
 )
 
+from bondlat import bonds
 from bondlat.jsonio import parse_system
 
-from util import cut_vector, path_document, star_system, tension_bonds, tri_graph, tri_system
+from util import (
+    arc_order_distances,
+    cut_vector,
+    grid_order_document,
+    ladder_document,
+    path_document,
+    star_system,
+    tension_bonds,
+    tri_graph,
+    tri_system,
+)
 
 ARCS = ("a1", "a2", "a3")
 
@@ -124,6 +135,93 @@ class TestFeasibility:
         s = BondSystem(g, {"a": 0, "b": 0}, {"a": 1, "b": 1}, {"a": 0, "b": 5}, 1)
         with pytest.raises(InfeasibleSystemError):
             find_initial_bond(s)
+
+
+def ring_document(n: int) -> dict:
+    """The directed n-ring with windows [0, 1] and reference sum n + 1."""
+    ids = [f"a{i}" for i in range(n)]
+    return {
+        "vertices": list(range(n)),
+        "arcs": [{"id": a, "tail": i, "head": (i + 1) % n} for i, a in enumerate(ids)],
+        "lower": dict.fromkeys(ids, 0),
+        "upper": dict.fromkeys(ids, 1),
+        "reference": {a: 2 if i == 0 else 1 for i, a in enumerate(ids)},
+    }
+
+
+def moved_grid_document(k: int) -> dict:
+    """`grid_order_document(k)` with one reference moved out of its window."""
+    doc = grid_order_document(k)
+    doc["reference"]["h0_0"] = 5
+    return doc
+
+
+def certificate(system, source, reverse):
+    """The distance pass's certificate as the arc-order oracle gives one."""
+    with pytest.raises(InfeasibleSystemError) as exc:
+        system._distances(source, reverse)
+    e = exc.value
+    return dict(e.cycle.signs), e.required, e.window_min, e.window_max
+
+
+INFEASIBLE_AT_SCALE = {
+    "ladder-40": ladder_document(40, 6, infeasible=True),
+    "ladder-60": ladder_document(60, 13, infeasible=True),
+    "ladder-76": ladder_document(76, 2, infeasible=True),
+    "ladder-150": ladder_document(150, 4, infeasible=True),
+    "grid-5": moved_grid_document(5),
+    "grid-8": moved_grid_document(8),
+    "grid-12": moved_grid_document(12),
+    "ring-50": ring_document(50),
+}
+
+
+@pytest.mark.parametrize("doc", INFEASIBLE_AT_SCALE.values(), ids=INFEASIBLE_AT_SCALE)
+def test_certificate_pass_that_jumps_matches_the_arc_order_oracle(doc):
+    """Systems large enough that the certificate pass's rounds repeat, so it
+    jumps to its last round's state, give the full pass's certificate, from
+    three sources in both directions.  Going forward, the ring's negative
+    cycle runs against the arc order, one predecessor edge moving each
+    round, so that pass never jumps."""
+    s = parse_system(doc)
+    for source in dict.fromkeys((s.graph.vertices[0], s.graph.vertices[-1], s.forbidden)):
+        for reverse in (False, True):
+            assert certificate(s, source, reverse) == arc_order_distances(s, source, reverse)[1]
+
+
+class CountingEdges(tuple):
+    """Constraint edges that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_certificate_pass_stops_once_its_rounds_repeat():
+    """From its forbidden vertex, the 150-vertex ladder's rounds repeat
+    every 2 from round 21, and the state saved at round 31 shows it at round
+    33, so the pass reads the edges far fewer times than n - 1 = 149."""
+    s = parse_system(INFEASIBLE_AT_SCALE["ladder-150"])
+    s._edges = CountingEdges(s._edges)
+    assert certificate(s, s.forbidden, False) == arc_order_distances(s, s.forbidden)[1]
+    assert s._edges.passes < 40
+
+
+def test_parent_walks_run_only_past_as_many_relaxations_as_edges(monkeypatch):
+    """Feasible passes on a 30x30 grid and an 80-vertex ladder stay under
+    2|A| relaxations, so none walks; an infeasible ladder's pass does."""
+    walks = []
+    walk = bonds._parent_cycle
+    monkeypatch.setattr(bonds, "_parent_cycle", lambda parent: walks.append(len(parent)) or walk(parent))
+    for doc in (grid_order_document(30), ladder_document(80, 5)):
+        reduced = parse_system(doc).reduce()[0]
+        assert reduced.check_bond(reduced.minimum_bond()).ok
+    assert walks == []
+    s = parse_system(ladder_document(76, 2, infeasible=True))
+    assert certificate(s, s.forbidden, False) == arc_order_distances(s, s.forbidden)[1]
+    assert walks
 
 
 class TestValueRange:

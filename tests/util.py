@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+import random
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -171,6 +172,33 @@ def grid_order_document(k: int) -> dict:
         "x": dict.fromkeys(ids, 0),
         # tail and head differ by one step, so their colours differ
         "y": {a["id"]: 1 if sum(divmod(a["tail"], k)) % 2 else -1 for a in arcs},
+    }
+
+
+def ladder_document(vertices: int, seed: int, infeasible: bool = False) -> dict:
+    """Potentials on the ladder of two paths joined by rungs, forbidding a
+    random vertex: windows [-w, w] with w in 1..3 and about one arc in ten
+    pinned at [0, 0], reference all zeros.  `infeasible` moves one rung's
+    reference past the sum of every window's width, so no bond exists."""
+    rng = random.Random(seed)
+    k = vertices // 2
+    arcs = [(f"t{i}", i, i + 1) for i in range(k - 1)]
+    arcs += [(f"b{i}", k + i, k + i + 1) for i in range(k - 1)]
+    arcs += [(f"r{i}", i, k + i) for i in range(k)]
+    lower, upper = {}, {}
+    for a, _, _ in arcs:
+        w = rng.randint(1, 3)
+        lower[a], upper[a] = (0, 0) if rng.random() < 0.1 else (-w, w)
+    reference = dict.fromkeys(lower, 0)
+    if infeasible:
+        reference[rng.choice([a for a, _, _ in arcs if a[0] == "r"])] = 1 + sum(upper[a] - lower[a] for a in lower)
+    return {
+        "vertices": list(range(2 * k)),
+        "arcs": [{"id": a, "tail": t, "head": h} for a, t, h in arcs],
+        "lower": lower,
+        "upper": upper,
+        "reference": reference,
+        "forbidden": rng.randrange(2 * k),
     }
 
 
