@@ -225,8 +225,10 @@ class BondSystem:
         vertex that last lowered each) is negative, so past as many
         relaxations as edges a parent walk runs every n more, O(n) each
         (Cherkassky and Goldberg).  A distance resting on n edges is the
-        backstop that bounds the pass.  The certificate comes from
-        `_certificate`, so it does not depend on the queue order.
+        backstop that bounds the pass.  The certificate is the forward one of
+        `_certificate`, so it does not depend on the queue order: the graph is
+        connected and each arc gives an edge each way, so a negative cycle
+        found either way is also reachable forward from `source`.
         """
         key = (source, reverse)
         if key in self._dist_cache:
@@ -253,14 +255,14 @@ class BondSystem:
                     parent[v] = u
                     relaxed += 1
                     if step == n or relaxed > walk_after and not relaxed % n and _parent_cycle(parent):
-                        raise self._certificate(source, reverse)
+                        raise self._certificate(source)
                     if not queued[v]:
                         queued[v] = True
                         queue.append(v)
         result = self._dist_cache[key] = dict(zip(self.graph.vertices, dist))
         return result
 
-    def _certificate(self, source, reverse: bool) -> InfeasibleSystemError:
+    def _certificate(self, source) -> InfeasibleSystemError:
         """The infeasibility certificate of the arc-order Bellman-Ford pass:
         n - 1 rounds over the constraint edges in arc order, then the first
         edge that still relaxes leads back to a negative cycle of `pred`
@@ -275,8 +277,6 @@ class BondSystem:
         its direction, whose negative cycle runs against the arc order: one
         `pred` edge moves each round.  Run only on a known negative cycle."""
         edges = self._edges
-        if reverse:
-            edges = [(v, u, w, a, -sign) for u, v, w, a, sign in edges]
         n = len(self.graph.vertices)
         dist = [_INF] * n
         dist[self.graph.index[source]] = 0

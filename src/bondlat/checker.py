@@ -11,9 +11,9 @@ distributivity.  Every check walks the arc lists of one index
 (`ColoredDigraph.out` / `into`) of (tail, head, color) triples, the very
 covers or moves given, through a `far` slot, the slot of the end it walks
 to: ULD reads `out` toward heads, and LLD and the chip-game firing tallies
-read `into` toward tails, with no reversed copy.  One Kahn pass per side,
-kept by the index, settles the structure; the ordered checks that name the
-first failure run only when it fails.
+read `into` toward tails, with no reversed copy.  One Kahn pass along `out`,
+kept by the index, settles the structure of both sides; the ordered checks
+that name the first failure run only when it fails.
 
 The poset route takes an explicit finite poset, verifies the lattice
 property and decides whether every element is the meet of a unique
@@ -37,7 +37,7 @@ from .graph import Arc, GraphError, Multigraph, Record, forest, id_key
 
 ULD = "uld"
 LLD = "lld"
-_first, _second = itemgetter(0), itemgetter(1)
+_first, _second, _color = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class PosetError(ValueError):
@@ -64,9 +64,9 @@ class ColoredDigraph:
     ascending `id_key` order of `ids`, the arc ids, and `out[i]` / `into[i]`
     list the arcs leaving / entering vertex i in that order.  `from_triples`
     keeps the triples it is given, with ids 0..m-1, and builds `graph` and
-    `colors` when first read.  It alone reads the structure: each side's
-    Kahn order `order(far)`, fork tables `forks(far)`, `end(far)` and
-    `tallies(far)`, and the `closure`, built once from `order(1)`.
+    `colors` when first read.  It alone reads the structure: the Kahn
+    order `order(far)`, `end(far)` and `tallies(far)`, and the `closure`,
+    built once from `order(1)`.
     `FinitePoset.from_covers` indexes its cover pairs the same way and
     returns that closure.
     """
@@ -88,8 +88,6 @@ class ColoredDigraph:
         for arc in arcs:
             self.out[arc[0]].append(arc)
             self.into[arc[1]].append(arc)
-        self._orders: dict = {}
-        self._forks: dict = {}
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Hashable]]) -> "ColoredDigraph":
@@ -114,36 +112,28 @@ class ColoredDigraph:
     def colors(self) -> dict:
         return {k: arc[2] for k, arc in zip(self.ids, self.arcs)}
 
-    def order(self, far: int = 1) -> list[int] | None:
-        """Kahn's order along `out` (far 1) or `into` (far 0), made once, or
-        None on a directed cycle.  A FIFO queue starts from the vertices with
-        no arc behind them, in index order, and each vertex releases the far
-        ends of its arcs in list order, so the order is deterministic.  A
-        vertex's in-degree is the length of its list on the other side."""
-        if far not in self._orders:
-            ahead, behind = (self.out, self.into) if far else (self.into, self.out)
-            indeg = list(map(len, behind))
-            order = [i for i, d in enumerate(indeg) if not d]
-            for i in order:  # the list is the queue: released vertices join its tail
-                for arc in ahead[i]:
-                    j = arc[far]
-                    indeg[j] -= 1
-                    if not indeg[j]:
-                        order.append(j)
-            self._orders[far] = order if len(order) == len(indeg) else None
-        return self._orders[far]
+    @cached_property
+    def _kahn(self) -> list[int] | None:
+        """Kahn's order along `out`, made on first read, or None on a
+        directed cycle.  A FIFO queue starts from the vertices with no arc
+        into them, in index order, and each vertex releases the heads of its
+        arcs in list order, so the order is deterministic."""
+        indeg = list(map(len, self.into))
+        order = [i for i, d in enumerate(indeg) if not d]
+        for i in order:  # the list is the queue: released vertices join its tail
+            for arc in self.out[i]:
+                j = arc[1]
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        return order if len(order) == len(indeg) else None
 
-    def forks(self, far: int = 1) -> list[dict]:
-        """Each vertex's `color -> far ends` table over its `out` (far 1) or
-        `into` (far 0) list, the ends in list order; made once per side."""
-        if far not in self._forks:
-            tables = self._forks[far] = []
-            for arcs in self.out if far else self.into:
-                table: dict = {}
-                for arc in arcs:
-                    table.setdefault(arc[2], []).append(arc[far])
-                tables.append(table)
-        return self._forks[far]
+    def order(self, far: int = 1) -> list[int] | None:
+        """A topological order of the digraph (far 1) or of its reversal
+        (far 0), or None on a directed cycle: the one Kahn order, reversed
+        for far 0."""
+        order = self._kahn
+        return order if far or order is None else order[::-1]
 
     def end(self, far: int = 1) -> int:
         """The unique source (far 1) or sink (far 0): the one vertex with no
@@ -221,12 +211,13 @@ def check_distinct_fork_colors(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
 
     Parallel arcs to the same head may share a color.  Witnesses are
     (vertex, arc id, arc id, color) with the two offending arcs.  Far 0
-    checks the reversed digraph: `into` lists, with tails as heads.  A
-    failing vertex's arcs are named by position, as one triple may be two.
-    A vertex with as many colors as arcs in its `forks` table passes as is.
+    checks the reversed digraph: `into` lists, with tails as heads.  When
+    every vertex's list has as many colors as arcs the check passes with no
+    table; otherwise an ordered scan names each arc whose far end differs
+    from that of its color's first arc at its vertex, by position, as one
+    triple may be two.
     """
-    tables = zip(cd.out if far else cd.into, cd.forks(far))
-    if all(len(table) == len(arcs) or all(e.count(e[0]) == len(e) for e in table.values()) for arcs, table in tables):
+    if all(len(set(map(_color, arcs))) == len(arcs) for arcs in (cd.out if far else cd.into)):
         return AxiomReport(True, ())
     arcs, first, failing = cd.arcs, {}, []
     for k, arc in enumerate(arcs):  # arc k fails against arc j, its color's first at its vertex
@@ -235,7 +226,7 @@ def check_distinct_fork_colors(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
         if arcs[j][far] != arc[far]:
             failing.append((i, k, j))
     witnesses = [(cd.labels[i], cd.ids[j], cd.ids[k], arcs[k][2]) for i, k, j in sorted(failing)]
-    return AxiomReport(False, tuple(witnesses))
+    return AxiomReport(not witnesses, tuple(witnesses))
 
 
 def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
@@ -244,27 +235,27 @@ def check_fork_completion(cd: ColoredDigraph, far: int = 1) -> AxiomReport:
     For arcs (v,u) and (v,w) with u != w there must be a vertex z carrying
     arcs (u,z) colored like (v,w) and (w,z) colored like (v,u).  Witnesses
     are incompletable forks (v, u, w); far 0 checks the reversed digraph.
-    The `forks` tables keep every far end, so forks with repeated colors
-    are judged exactly too.
+    Each vertex's `color -> far ends` table, built here and dropped on
+    return, keeps every far end, so forks with repeated colors are judged
+    exactly too.
     """
     arc_lists = cd.out if far else cd.into
-    heads_by_color = cd.forks(far)
+    heads_by_color = []
+    for arcs in arc_lists:
+        table: dict = {}
+        for arc in arcs:
+            table.setdefault(arc[2], []).append(arc[far])
+        heads_by_color.append(table)
     labels = cd.labels
     witnesses: dict = {}  # insertion-ordered set
     for v, arcs in enumerate(arc_lists):
-        for i, arc in enumerate(arcs):
-            u, cu = arc[far], arc[2]
-            from_u = heads_by_color[u]
-            for other in arcs[i + 1:]:
-                w = other[far]
-                if u == w:
-                    continue
-                from_w = heads_by_color[w].get(cu, ())
-                for z in from_u.get(other[2], ()):
-                    if z in from_w:
-                        break
-                else:
-                    witnesses[(labels[v], labels[u], labels[w])] = None
+        for arc, other in combinations(arcs, 2):
+            u, w = arc[far], other[far]
+            if u == w:
+                continue
+            ends, from_w = heads_by_color[u].get(other[2], ()), heads_by_color[w].get(arc[2], ())
+            if not (ends == from_w and ends or any(z in from_w for z in ends)):  # equal lists share an end
+                witnesses[(labels[v], labels[u], labels[w])] = None
     return AxiomReport(not witnesses, tuple(witnesses))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import groupby
 
 from .checker import (
     ColoredDigraph,
@@ -132,7 +133,7 @@ def _explore(g: Multigraph, start: ChipArrangement, cap: int, unfire: bool) -> t
     width, table, first = _moves(g, start, g.vertices)
     table = table if unfire else table[::2]
     keys, index = [first], {first: 0}
-    moves: dict = {}  # (from, to, vertex position): fire i -> j and unfire j -> i are one triple
+    moves = []  # (from, to, vertex position): fire i -> j and unfire j -> i give one triple twice
     cut, depth, layer_end = False, 0, 1
     for i, key in enumerate(keys):
         if i == layer_end:
@@ -149,10 +150,12 @@ def _explore(g: Multigraph, start: ChipArrangement, cap: int, unfire: bool) -> t
                         continue
                     j = index[key + delta] = len(keys)
                     keys.append(key + delta)
-                moves[(j, i, v) if back else (i, j, v)] = None
-    rows = tuple(unpack(keys, width, [0] * len(g.vertices)))
+                moves.append((j, i, v) if back else (i, j, v))
+    rows = unpack(keys, width, [0] * len(g.vertices))
+    del index, keys  # unpack has read every key: the rows come from its fields
+    moves.sort()
     vertices = g.vertices
-    return rows, tuple([(i, j, vertices[v]) for i, j, v in sorted(moves)]), cut
+    return tuple(rows), tuple([(i, j, vertices[v]) for (i, j, v), _ in groupby(moves)]), cut
 
 
 class _Explored(Record):

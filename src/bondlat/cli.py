@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except (InputFormatError, GraphError, PosetError, ChipError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("memory error: the input needs more memory than the process can get", file=sys.stderr)
+        return 2
     # integers of any size are written exactly: the digit limit, which still guards
     # the input, is lifted while writing (before 3.10.7 there is none; `int` no-ops)
     limit = getattr(sys, "get_int_max_str_digits", int)()

@@ -1,6 +1,7 @@
 """Colored-digraph certification and brute-force poset analysis."""
 
 import time
+import tracemalloc
 from itertools import chain
 from operator import is_
 
@@ -252,20 +253,37 @@ class TestOneArcShape:
             assert colored.colors == {k: c for k, (_, _, c) in enumerate(arcs)}
 
     def test_each_side_orders_once(self, monkeypatch):
-        calls = []
-        real = ColoredDigraph.order
+        # both sides read one Kahn pass along `out`: the reversal's order is it reversed
+        passes = []
+        real = ColoredDigraph._kahn.func
 
-        def counting(self, far=1):
-            if far not in self._orders:
-                calls.append(far)
-            return real(self, far)
+        def counting(self):
+            passes.append(len(self.labels))
+            return real(self)
 
-        monkeypatch.setattr(ColoredDigraph, "order", counting)
+        monkeypatch.setattr(ColoredDigraph._kahn, "func", counting)
         cd = ColoredDigraph.from_triples(3, [(0, 1, 0), (1, 2, 1)])
         assert cd.order(1) == [0, 1, 2] and cd.order(1) is cd.order(1)
         assert cd.order(0) == [2, 1, 0]
         assert certify_uld_cover(cd).ok and certify_lld_cover(cd).ok
-        assert calls == [1, 0]
+        assert passes == [3]
+
+    def test_certifying_both_sides_keeps_no_fork_tables(self):
+        # each side's `color -> far ends` tables live only inside its fork
+        # check: 5.7 MB stayed behind while the index kept both sides'
+        arcs = [Arc(f"h{v}", v, v + 1) for v in range(10) if v % 5 < 4]
+        arcs += [Arc(f"v{v}", v, v + 5) for v in range(5)]
+        system = encode_potentials(Multigraph(range(10), arcs), {a.id: -1 for a in arcs}, {a.id: 1 for a in arcs}, 0).system
+        colored = enumerate_lattice(system.reduce()[0]).to_colored_digraph()
+        assert len(colored.labels) == 4913
+        tracemalloc.start()
+        try:
+            verdicts = certify_uld_cover(colored), certify_lld_cover(colored)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(verdicts)
+        assert retained < 0.5 * 2**20 and peak < 4 * 2**20, (retained, peak)
 
 
 class TestLazyClosure:

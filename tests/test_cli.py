@@ -1056,33 +1056,32 @@ class TestOneIndex:
 
     @staticmethod
     def count_kahn_passes(monkeypatch) -> list:
-        """The `far` of each `ColoredDigraph.order` call that misses its cache."""
+        """The vertex count of each index whose Kahn order is made."""
         passes = []
-        real = ColoredDigraph.order
+        real = ColoredDigraph._kahn.func
 
-        def counting(self, far=1):
-            if far not in self._orders:
-                passes.append(far)
-            return real(self, far)
+        def counting(self):
+            passes.append(len(self.labels))
+            return real(self)
 
-        monkeypatch.setattr(ColoredDigraph, "order", counting)
+        monkeypatch.setattr(ColoredDigraph._kahn, "func", counting)
         return passes
 
     def test_chipfire_run_orders_each_side_once(self, tmp_path, monkeypatch):
-        # the cycle check and the ULD chain share the forward pass; the
-        # firing tallies take the backward one
+        # the cycle check, the ULD chain and the firing tallies, which walk
+        # the reversal, share one forward pass
         passes = self.count_kahn_passes(monkeypatch)
         code, payload = run_cli(tmp_path, "chipfire", chain_chip_doc({"1": 2}))
         assert code == 0 and payload["certificate"]["ok"] is True
-        assert passes == [1, 0]
+        assert passes == [len(payload["states"])]
 
     def test_pushcount_lattice_run_orders_each_side_once(self, tmp_path, monkeypatch):
-        # the LLD chain and the push-count tallies read the forward order the
-        # ULD chain made: a digraph is acyclic exactly when its reversal is
+        # the ULD and LLD chains and the push-count tallies read one forward
+        # pass: a digraph is acyclic exactly when its reversal is
         passes = self.count_kahn_passes(monkeypatch)
         code, payload = run_cli(tmp_path, "lattice", mixed_doc(), "--dot", str(tmp_path / "l.dot"), "--coords", "pushcount")
         assert code == 0 and payload["uld"]["ok"] and payload["lld"]["ok"]
-        assert passes == [1]
+        assert passes == [payload["count"]]
 
 
 def grid_3x4_system():
@@ -1286,6 +1285,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("input error: (document root): invalid JSON: Exceeds the limit (4300 digits)")
         assert err.count("\n") == 1 and err.endswith("value has 5000 digits\n")
+
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_lattice", exhausted)
+        assert run_cli(tmp_path, "enumerate", tri_doc()) == (2, None)
+        assert capsys.readouterr().err == "memory error: the input needs more memory than the process can get\n"
 
     def test_unwritable_output_and_dot(self, tmp_path, capsys):
         source = tmp_path / "in.json"

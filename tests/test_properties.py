@@ -80,6 +80,7 @@ from util import (
     closure_poset,
     cut_vector,
     lattice_witness,
+    one_far_end_per_color,
     oracle_can_fire,
     oracle_can_unfire,
     oracle_complete_game,
@@ -463,8 +464,11 @@ def windowed_systems(draw):
 @given(windowed_systems())
 def test_queue_distances_and_one_pass_classes_match_the_arc_order_oracles(s):
     for source in s.graph.vertices:
+        forward = arc_order_distances(s, source)[1]
         for reverse in (False, True):
             dist, certificate = arc_order_distances(s, source, reverse)
+            # a connected system's edges run both ways: a pass either way meets every negative cycle
+            assert (certificate is None) == (forward is None)
             if certificate is None:
                 assert s._distances(source, reverse) == dist
                 continue
@@ -472,7 +476,7 @@ def test_queue_distances_and_one_pass_classes_match_the_arc_order_oracles(s):
                 s._distances(source, reverse)
             except InfeasibleSystemError as exc:
                 got = (dict(exc.cycle.signs), exc.required, exc.window_min, exc.window_max)
-                assert got == certificate
+                assert got == forward
             else:
                 raise AssertionError("a negative cycle went unreported")
     dist, certificate = arc_order_distances(s, s.forbidden)
@@ -813,6 +817,8 @@ def test_topological_order_is_none_exactly_on_a_cycle(succ):
         assert sorted(order) == list(range(len(succ)))
         position = {v: k for k, v in enumerate(order)}
         assert all(position[i] < position[j] for i, j in pairs)
+        back = {v: k for k, v in enumerate(cd.order(0))}  # an order of the reversal
+        assert all(back[j] < back[i] for i, j in pairs)
 
 
 @settings(max_examples=300)
@@ -919,8 +925,10 @@ def cover_multidigraphs(draw):
 
     Each part hangs every vertex off an earlier one by an arc pointing
     forward or, one time in four, back, so a part may have several sources
-    or sinks.  Extra arcs are loops, parallel copies, forward arcs and
-    free arcs that close cycles.  Colors come from three, so they repeat.
+    or sinks.  Extra arcs are loops, parallel copies, twins (parallel
+    copies with the same color, the very triple when built from triples),
+    forward arcs and free arcs that close cycles.  Colors come from three,
+    so they repeat.
     Half are built from triples on 0..n-1, half from a `Multigraph` with
     mixed vertex and arc ids.
     """
@@ -936,8 +944,11 @@ def cover_multidigraphs(draw):
             u = draw(st.integers(lo, v - 1))
             triples.append((v, u, draw(color)) if draw(st.integers(0, 3)) == 0 else (u, v, draw(color)))
         for _ in range(draw(st.integers(0, 3))):
-            kind = draw(st.sampled_from(["forward", "forward", "forward", "loop", "parallel", "free"]))
+            kind = draw(st.sampled_from(["forward", "forward", "forward", "loop", "parallel", "twin", "free"]))
             t, h = draw(st.integers(lo, hi - 1)), draw(st.integers(lo, hi - 1))
+            if kind == "twin" and triples:
+                triples.append(draw(st.sampled_from(triples)))
+                continue
             if kind == "forward":
                 t, h = min(t, h), max(t, h)
             elif kind == "loop":
@@ -965,6 +976,19 @@ def test_cover_verdicts_match_the_ordered_chain_oracle(cd):
         coloring, completion = oracle_fork_witnesses(cd, side)
         for report, witnesses in ((check_distinct_fork_colors(cd, far), coloring), (check_fork_completion(cd, far), completion)):
             assert (report.ok, report.witnesses) == (not witnesses, witnesses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_multidigraphs())
+def test_distinct_fork_colors_match_the_one_end_per_color_oracle(cd):
+    # the check passes on a count of colors and arcs, or on an ordered scan
+    # that names no witness, only where one vertex's arcs repeat a color
+    event("parallel same-colored arcs" if len(set(cd.arcs)) < len(cd.arcs) else "no parallel same-colored arcs")
+    for side, far in (("uld", 1), ("lld", 0)):
+        report = check_distinct_fork_colors(cd, far)
+        ok = one_far_end_per_color(cd, side)
+        event(f"{side}: {'distinct' if ok else 'violated'}")
+        assert (report.ok, not report.witnesses) == (ok, ok)
 
 
 @st.composite

@@ -758,6 +758,13 @@ def oracle_fork_witnesses(cd: ColoredDigraph, side: str) -> tuple[tuple, tuple]:
     return tuple(coloring), tuple(completion)
 
 
+def one_far_end_per_color(cd: ColoredDigraph, side: str) -> bool:
+    """Whether each vertex of `cd` ("uld") or of its reversal ("lld") has
+    at most one far end per color: parallel arcs may share a color."""
+    _, out, _ = _oracle_lists(cd, side)
+    return all(len({(arc[3], arc[1]) for arc in arcs}) == len({arc[3] for arc in arcs}) for arcs in out)
+
+
 def _oracle_lists(cd: ColoredDigraph, side: str) -> tuple:
     """Labels and per-vertex out/in lists of (tail index, head index, arc
     id, color) arcs in ascending id order, read from the public `labels`,
